@@ -664,6 +664,45 @@ impl Cluster {
         EnvMetrics::mean(snaps.iter())
     }
 
+    /// The environment a stage observes while it holds `machines` for
+    /// `duration` ticks: per tick of `now..=now + duration`, the mean load
+    /// over `machines` in the given order, then the mean over those ticks
+    /// in tick order — bit-identical to reading [`Cluster::mean_load_of`]
+    /// before and after each of `duration` [`Cluster::step`]s. Placed work
+    /// cannot change inside the window, so each machine's loads come from
+    /// one [`LoadModel::load_window`] call; the cluster still advances one
+    /// `step` at a time, so events drain and the dense engine does its
+    /// eager work exactly as before. In event mode every machine-tick read
+    /// counts towards `exec.lazy_advances`.
+    pub fn window_env(&mut self, machines: &[usize], duration: u64) -> EnvMetrics {
+        let start = self.tick;
+        if self.config.engine == EngineMode::EventDriven {
+            let reads = (duration + 1) * machines.len() as u64;
+            self.stats.lazy_advances += reads;
+            if mcsim_obs::enabled() {
+                mcsim_obs::counter("exec.lazy_advances", reads);
+            }
+        }
+        let mut assigned = Vec::with_capacity(duration as usize + 1);
+        let loads: Vec<Vec<EnvMetrics>> = machines
+            .iter()
+            .map(|&i| {
+                assigned.clear();
+                assigned.extend(
+                    (start..=start + duration).map(|t| assigned_weight(&self.occupancy[i], t)),
+                );
+                self.model.load_window(i as u64, start, &assigned)
+            })
+            .collect();
+        for _ in 0..duration {
+            self.step();
+        }
+        let per_tick: Vec<EnvMetrics> = (0..=duration as usize)
+            .map(|k| EnvMetrics::mean(loads.iter().map(|w| &w[k])))
+            .collect();
+        EnvMetrics::mean(per_tick.iter())
+    }
+
     /// A read-only snapshot of one machine (tests, diagnostics).
     pub fn machine(&self, i: usize) -> Machine {
         Machine {

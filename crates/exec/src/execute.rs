@@ -249,13 +249,7 @@ impl Executor {
                 };
 
                 let start_tick = self.cluster.tick_count();
-                let mut window = Vec::with_capacity(duration as usize + 1);
-                window.push(self.cluster.mean_load_of(&machines));
-                for _ in 0..duration {
-                    self.cluster.step();
-                    window.push(self.cluster.mean_load_of(&machines));
-                }
-                let env = EnvMetrics::mean(window.iter());
+                let env = self.cluster.window_env(&machines, duration);
 
                 // Environment multiplier (spooled stages are dampened) +
                 // noise.

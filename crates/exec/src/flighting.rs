@@ -73,47 +73,47 @@ impl Flighting {
     /// environment instances: for each round the cluster state is snapshotted
     /// and every plan executes from that snapshot, with a per-(round, plan)
     /// deterministic noise seed. Returns `costs[round][plan]`.
+    ///
+    /// Only the flighting RNG and the shared cluster evolve: each round's
+    /// advance and noise seed are drawn serially up front, and a replay runs
+    /// on a clone of its round's snapshot and never writes back. All
+    /// `rounds × plans` replays therefore fan out across the `mcsim_par`
+    /// pool, with costs identical at any thread count. For one replay's
+    /// machine timeline, run [`Executor::execute_traced`] on a clone of
+    /// [`Flighting::executor`].
     pub fn replay_synchronized(
         &mut self,
         plans: &[&PlanTree],
         catalog: &Catalog,
         rounds: usize,
     ) -> Vec<Vec<f64>> {
-        self.replay_synchronized_traced(plans, catalog, rounds, None)
-    }
-
-    /// Like [`Flighting::replay_synchronized`], but additionally emits every
-    /// replay's per-stage scheduling timeline into `trace` (when `Some`).
-    /// Fan-out warning: the trace receives `rounds × plans × stages` events.
-    pub fn replay_synchronized_traced(
-        &mut self,
-        plans: &[&PlanTree],
-        catalog: &Catalog,
-        rounds: usize,
-        trace: Option<&mcsim_obs::trace::TraceContext>,
-    ) -> Vec<Vec<f64>> {
         mcsim_obs::counter("exec.flighting.synchronized_rounds", rounds as u64);
         mcsim_obs::counter("exec.flighting.replays", (rounds * plans.len()) as u64);
-        let mut out = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            self.executor.cluster.advance(self.rng.gen_range(10..80));
-            let round_seed: u64 = self.rng.gen();
-            let row: Vec<f64> = plans
-                .iter()
-                .map(|plan| {
-                    // Same environment (cloned executor), per-plan noise
-                    // deterministic in (round, plan).
-                    let mut snapshot = self.executor.clone();
-                    let seed = round_seed ^ PlanSignature::of(plan).0.rotate_left(17);
-                    snapshot
-                        .execute_with_noise_seed_traced(plan, catalog, seed, trace)
-                        .cpu_cost
-                })
-                .collect();
-            let _ = round;
-            out.push(row);
+        let snapshots: Vec<(Executor, u64)> = (0..rounds)
+            .map(|_| {
+                self.executor.cluster.advance(self.rng.gen_range(10..80));
+                let round_seed: u64 = self.rng.gen();
+                (self.executor.clone(), round_seed)
+            })
+            .collect();
+        if plans.is_empty() {
+            return vec![Vec::new(); rounds];
         }
-        out
+        let replays: Vec<(usize, usize)> = (0..rounds)
+            .flat_map(|round| (0..plans.len()).map(move |plan| (round, plan)))
+            .collect();
+        let costs = mcsim_par::ThreadPool::global().parallel_map(&replays, |&(round, plan)| {
+            // Same environment (a clone of the round's snapshot), per-plan
+            // noise deterministic in (round, plan).
+            let (snapshot, round_seed) = &snapshots[round];
+            let plan = plans[plan];
+            let seed = round_seed ^ PlanSignature::of(plan).0.rotate_left(17);
+            snapshot
+                .clone()
+                .execute_with_noise_seed(plan, catalog, seed)
+                .cpu_cost
+        });
+        costs.chunks(plans.len()).map(<[f64]>::to_vec).collect()
     }
 
     /// Average cost of `plan` over `rounds` replays (convenience for
@@ -178,6 +178,46 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.len() == 2));
         assert!(rows.iter().flatten().all(|&c| c > 0.0));
+    }
+
+    #[test]
+    fn synchronized_replay_is_identical_at_1_2_and_8_threads() {
+        let (p, fl, plan_a) = fixture();
+        let opt = NativeOptimizer::new(&p.catalog);
+        let plan_b = opt.optimize(&p.workload_for_day(0)[1], &Knobs::default());
+        let plans = [&plan_a, &plan_b, &plan_a];
+        let replay = |threads| {
+            let mut fl = fl.clone();
+            let costs =
+                mcsim_par::with_threads(threads, || fl.replay_synchronized(&plans, &p.catalog, 6));
+            (costs, fl.executor().cluster.tick_count())
+        };
+        let bits =
+            |c: &[Vec<f64>]| -> Vec<u64> { c.concat().iter().map(|x| x.to_bits()).collect() };
+        let (reference, ticks) = replay(1);
+        assert_eq!(reference.len(), 6);
+        assert!(reference.iter().all(|row| row.len() == plans.len()));
+        for threads in [2, 8] {
+            let (costs, t) = replay(threads);
+            assert_eq!(bits(&costs), bits(&reference), "{threads} threads");
+            assert_eq!(t, ticks, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn synchronized_replay_of_no_plans_keeps_one_empty_row_per_round() {
+        let (p, mut fl, plan) = fixture();
+        let mut twin = fl.clone();
+        assert_eq!(
+            fl.replay_synchronized(&[], &p.catalog, 4),
+            vec![Vec::new(); 4]
+        );
+        // The rounds still advance the cluster, exactly as with plans.
+        twin.replay_synchronized(&[&plan], &p.catalog, 4);
+        assert_eq!(
+            fl.executor().cluster.tick_count(),
+            twin.executor().cluster.tick_count()
+        );
     }
 
     #[test]

@@ -42,6 +42,10 @@ impl Default for HistoryOptions {
 /// Between queries the cluster advances so consecutive queries see different
 /// environments; between days it advances the remainder of the day, so the
 /// diurnal cycle is honoured.
+///
+/// A default plan depends only on its query and the catalog, so each day's
+/// plans (capped at the queries still allowed) are built across the
+/// `mcsim_par` pool; they then execute in order on the one shared cluster.
 pub fn build_history(project: &Project, opts: &HistoryOptions) -> QueryRepository {
     let cluster = Cluster::new(opts.seed, opts.cluster.clone());
     let mut executor = Executor::new(opts.seed, cluster, project.profile.env_noise_sigma);
@@ -50,11 +54,17 @@ pub fn build_history(project: &Project, opts: &HistoryOptions) -> QueryRepositor
 
     let mut repo = QueryRepository::new();
     'outer: for day in 0..opts.days {
+        let remaining = opts.max_queries.saturating_sub(repo.len());
+        if remaining == 0 {
+            break;
+        }
         let day_start_tick = executor.cluster.tick_count();
         let queries = project.workload_for_day(day);
         let per_query_gap = (TICKS_PER_DAY / (queries.len() as u64 + 1)).clamp(1, 120);
-        for q in &queries {
-            let plan = optimizer.optimize(q, &Knobs::default());
+        let queries = &queries[..queries.len().min(remaining)];
+        let plans = mcsim_par::ThreadPool::global()
+            .parallel_map(queries, |q| optimizer.optimize(q, &Knobs::default()));
+        for (q, plan) in queries.iter().zip(plans) {
             let record = execute_and_log(&mut executor, project, q, plan, true);
             repo.push(record);
             if repo.len() >= opts.max_queries {
@@ -122,6 +132,25 @@ mod tests {
         // Recurring templates appear multiple times.
         let groups = repo.recurring_groups(2);
         assert!(!groups.is_empty());
+    }
+
+    #[test]
+    fn zero_query_cap_gives_an_empty_repository() {
+        let mut prof = ProjectProfile::evaluation_project(1).unwrap();
+        prof.n_tables = 12;
+        prof.n_temp_tables = 2;
+        prof.n_columns = 100;
+        prof.n_templates = 6;
+        let project = prof.generate(ProjectId(3));
+        let repo = build_history(
+            &project,
+            &HistoryOptions {
+                days: 2,
+                max_queries: 0,
+                ..HistoryOptions::default()
+            },
+        );
+        assert_eq!(repo.len(), 0);
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub const TICKS_PER_DAY: u64 = 4_320;
 /// evaluation at a fixed 48 fused hash-and-accumulate steps.
 pub const OU_WINDOW: u64 = 48;
 
+/// Ticks whose Horner chains [`LoadModel::load_window`] advances together.
+const LOCKSTEP: usize = 4;
+
 /// Per-metric shock-stream identifiers (the `stream` of `ε(m, s)`).
 const STREAM_BUSY: u64 = 0x01;
 const STREAM_IO: u64 = 0x02;
@@ -203,7 +206,70 @@ impl LoadModel {
     /// own noise, LOAD5 follows the busy fraction.
     #[inline]
     pub fn load_at(&self, machine: u64, tick: u64, assigned: f64) -> EnvMetrics {
-        let (ou_b, ou_i, ou_m) = self.ou3(machine, tick);
+        self.load_from(tick, self.ou3(machine, tick), assigned)
+    }
+
+    /// One machine's loads at the `assigned.len()` consecutive ticks from
+    /// `start`, where `assigned[k]` is the placed work active at tick
+    /// `start + k`. Bit-identical to [`load_at`](Self::load_at) tick by
+    /// tick: every tick keeps its own oldest-first Horner chain, but each
+    /// (stream, tick) shock of the window is hashed once, not once per
+    /// chain that reads it — `OU_WINDOW + len − 1` hashes per stream
+    /// instead of `OU_WINDOW × len`.
+    pub fn load_window(&self, machine: u64, start: u64, assigned: &[f64]) -> Vec<EnvMetrics> {
+        const W: usize = OU_WINDOW as usize;
+        let len = assigned.len();
+        if len == 0 {
+            return Vec::new();
+        }
+        // `shocks[j]` is the shock of tick `start + j − (W − 1)`, so tick
+        // `start + k` reads `shocks[k..k + W]`. A chain that would reach
+        // back before tick 0 is shorter; its missing oldest shocks are +0.0,
+        // which keep the accumulator at exactly the +0.0 it starts from
+        // (ρ·(+0) + (+0) = +0), so it gets the same bits from a full slice.
+        // The tail pads the last lockstep group.
+        let pad = (W as u64 - 1).saturating_sub(start) as usize;
+        let oldest = start + pad as u64 - (W as u64 - 1);
+        let mut shocks = vec![[0.0f64; 3]; len.next_multiple_of(LOCKSTEP) + W - 1];
+        for (s, slot) in (oldest..).zip(&mut shocks[pad..len + W - 1]) {
+            *slot = [
+                stream_shock(self.seed, STREAM_BUSY, machine, s),
+                stream_shock(self.seed, STREAM_IO, machine, s),
+                stream_shock(self.seed, STREAM_MEM, machine, s),
+            ];
+        }
+        // The chains of `LOCKSTEP` consecutive ticks advance together: each
+        // keeps its own operation order, and the independent accumulators
+        // overlap instead of waiting on one chain's latency.
+        let rho = 1.0 - self.dynamics.theta;
+        let mut out = Vec::with_capacity(len);
+        for g in (0..len).step_by(LOCKSTEP) {
+            let mut acc = [[0.0f64; 3]; LOCKSTEP];
+            for step in shocks[g..g + LOCKSTEP + W - 1].windows(LOCKSTEP) {
+                for (a, shock) in acc.iter_mut().zip(step) {
+                    for (x, e) in a.iter_mut().zip(shock) {
+                        *x = rho * *x + e;
+                    }
+                }
+            }
+            for (k, [b, i, m]) in acc.into_iter().enumerate().take(len - g) {
+                let tick = start + (g + k) as u64;
+                out.push(self.load_from(tick, (b, i, m), assigned[g + k]));
+            }
+        }
+        out
+    }
+
+    /// Assembles a load snapshot from the three OU deviations — the one
+    /// place [`load_at`](Self::load_at) and
+    /// [`load_window`](Self::load_window) share.
+    #[inline]
+    fn load_from(
+        &self,
+        tick: u64,
+        (ou_b, ou_i, ou_m): (f64, f64, f64),
+        assigned: f64,
+    ) -> EnvMetrics {
         let d = &self.dynamics;
         let busy = self.busy_from(tick, ou_b, assigned);
         let io = (0.03 + 0.08 * busy + d.sigma_io * ou_i).clamp(0.0, 0.5);

@@ -7,9 +7,15 @@
 //! loop as the default: anything the dense engine would have computed —
 //! loads, allocation choices, fault schedules, execution outcomes — the
 //! event engine computes identically, while doing `O(events)` work per
-//! advance instead of `O(machines × ticks)`.
+//! advance instead of `O(machines × ticks)`. The windowed stage read
+//! (`LoadModel::load_window`, `Cluster::window_env`) is held to the
+//! per-tick reads it replaced the same way.
 
-use mcsim_exec::{ChaosScenario, Cluster, ClusterConfig, EngineMode, FaultConfig, FaultEvent};
+use mcsim_catalog::EnvMetrics;
+use mcsim_exec::{
+    ChaosScenario, Cluster, ClusterConfig, EngineMode, FaultConfig, FaultEvent, LoadDynamics,
+    LoadModel, OU_WINDOW,
+};
 use proptest::prelude::*;
 
 fn project(seed: u64) -> mcsim_catalog::Project {
@@ -40,6 +46,24 @@ fn cluster(
         c.set_fault_config(f);
     }
     c
+}
+
+/// The stage-window read `Cluster::window_env` replaced, kept as its
+/// oracle: the mean load over `machines` before and after each of
+/// `duration` steps, then the mean over those ticks.
+fn window_oracle(c: &mut Cluster, machines: &[usize], duration: u64) -> EnvMetrics {
+    let mut window = Vec::with_capacity(duration as usize + 1);
+    window.push(c.mean_load_of(machines));
+    for _ in 0..duration {
+        c.step();
+        window.push(c.mean_load_of(machines));
+    }
+    EnvMetrics::mean(window.iter())
+}
+
+/// The raw bits of every metric, so equality means bit identity.
+fn bits(e: &EnvMetrics) -> [u64; 4] {
+    [e.cpu_idle, e.io_wait, e.load5, e.mem_usage].map(f64::to_bits)
 }
 
 /// Every time-stamped entry of a fault log, in log order.
@@ -200,6 +224,93 @@ proptest! {
         prop_assert_eq!(jump.history_mean(), ticked.history_mean());
         // Both drained the same events; the jump did no extra work.
         prop_assert_eq!(jump.engine_stats().events, ticked.engine_stats().events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `load_window` is per-tick `load_at` to the bit: over random seeds,
+    /// machines, mean-reversion rates and placed work, for windows of 1 to
+    /// 25 ticks (the 24-tick straggler ceiling plus one) starting both
+    /// inside the first `OU_WINDOW − 1` ticks, where every chain is
+    /// truncated, and far past them.
+    #[test]
+    fn load_window_equals_per_tick_load_at(
+        seed in 0u64..u64::MAX,
+        machine in 0u64..20_000,
+        theta in 0.01f64..0.5,
+        early in 0u64..OU_WINDOW,
+        late in OU_WINDOW..1_000_000,
+        assigned in proptest::collection::vec(0.0f64..1.2, 1..=25),
+    ) {
+        let model = LoadModel {
+            seed,
+            base_busy: 0.45,
+            diurnal_amplitude: 0.18,
+            dynamics: LoadDynamics {
+                theta,
+                ..LoadDynamics::default()
+            },
+        };
+        for start in [0, early, late] {
+            let window = model.load_window(machine, start, &assigned);
+            prop_assert_eq!(window.len(), assigned.len());
+            for ((tick, &a), got) in (start..).zip(&assigned).zip(&window) {
+                let want = model.load_at(machine, tick, a);
+                prop_assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "machine {} tick {} (window from {})", machine, tick, start
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `window_env` equals the per-tick window loop it replaced, on both
+    /// engines with faults armed: the same environment bits, ticks, fault
+    /// log, engine counters (one lazy advance per machine per tick read in
+    /// event mode) and dense-engine eager work, through stacked
+    /// allocations read in allocation order and reversed.
+    #[test]
+    fn window_env_equals_the_per_tick_window_loop(
+        seed in 0u64..10_000,
+        n_machines in 1usize..48,
+        fail_prob_x1e4 in 0u64..200,
+        stages in proptest::collection::vec((0u64..12, 1u64..=24), 1..10),
+    ) {
+        for engine in [EngineMode::EventDriven, EngineMode::DenseTick] {
+            let fault = FaultConfig {
+                machine_fail_prob: fail_prob_x1e4 as f64 / 1.0e4,
+                machine_downtime_ticks: 9,
+                ..FaultConfig::chaos(seed ^ 0x3d)
+            };
+            let mut fast = cluster(seed, n_machines, engine, Some(fault.clone()));
+            let mut oracle = cluster(seed, n_machines, engine, Some(fault));
+            for (k, &(gap, duration)) in stages.iter().enumerate() {
+                fast.advance(gap);
+                oracle.advance(gap);
+                let mut machines = fast.allocate(1 + k % 6, 0.3);
+                prop_assert_eq!(&machines, &oracle.allocate(1 + k % 6, 0.3));
+                if k % 2 == 1 {
+                    machines.reverse();
+                }
+                let got = fast.window_env(&machines, duration);
+                let want = window_oracle(&mut oracle, &machines, duration);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} stage {}", engine, k);
+                prop_assert_eq!(fast.tick_count(), oracle.tick_count());
+                prop_assert_eq!(fast.engine_stats(), oracle.engine_stats());
+                prop_assert_eq!(
+                    fast.dense_checksum().to_bits(),
+                    oracle.dense_checksum().to_bits()
+                );
+            }
+            prop_assert_eq!(fast.fault_log(), oracle.fault_log());
+        }
     }
 }
 

@@ -736,6 +736,30 @@ mod tests {
     }
 
     #[test]
+    fn history_and_flighting_are_identical_at_1_and_2_threads() {
+        let cfg = tiny_cfg();
+        let run = |threads| {
+            mcsim_par::with_threads(threads, || {
+                let prepared = prepare_project(&tiny_profile(), ProjectId(12), &cfg).unwrap();
+                let evaluated = evaluate_candidates(&prepared, &cfg).unwrap();
+                let costs: Vec<(u64, usize, Vec<u64>)> = evaluated
+                    .iter()
+                    .map(|eq| {
+                        let bits = eq.costs.concat().iter().map(|c| c.to_bits()).collect();
+                        (eq.query_id, eq.default_idx, bits)
+                    })
+                    .collect();
+                (prepared.repo.records().to_vec(), costs)
+            })
+        };
+        let (records, costs) = run(1);
+        assert!(!records.is_empty() && !costs.is_empty());
+        let (records2, costs2) = run(2);
+        assert_eq!(records2, records, "history records differ at 2 threads");
+        assert_eq!(costs2, costs, "replay costs differ at 2 threads");
+    }
+
+    #[test]
     fn improvement_space_is_nonnegative() {
         let cfg = tiny_cfg();
         let prepared = prepare_project(&tiny_profile(), ProjectId(10), &cfg).unwrap();
