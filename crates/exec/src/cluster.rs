@@ -614,14 +614,12 @@ impl Cluster {
 
         // Rank by the busy fraction (the busy lane of the load model alone
         // — bit-identical to `1 − cpu_idle`), ties broken by index.
+        let shared = self.model.shared_busy(t);
         let mut ranked: Vec<(f64, usize)> = candidates
             .iter()
             .map(|&i| {
-                (
-                    self.model
-                        .busy_at(i as u64, t, assigned_weight(&self.occupancy[i], t)),
-                    i,
-                )
+                let assigned = assigned_weight(&self.occupancy[i], t);
+                (self.model.busy_at_shared(shared, i as u64, t, assigned), i)
             })
             .collect();
         self.stats.lazy_advances += ranked.len() as u64;
@@ -683,6 +681,9 @@ impl Cluster {
                 mcsim_obs::counter("exec.lazy_advances", reads);
             }
         }
+        let shared: Vec<f64> = (start..=start + duration)
+            .map(|t| self.model.shared_busy(t))
+            .collect();
         let mut assigned = Vec::with_capacity(duration as usize + 1);
         let loads: Vec<Vec<EnvMetrics>> = machines
             .iter()
@@ -691,7 +692,8 @@ impl Cluster {
                 assigned.extend(
                     (start..=start + duration).map(|t| assigned_weight(&self.occupancy[i], t)),
                 );
-                self.model.load_window(i as u64, start, &assigned)
+                self.model
+                    .load_window_shared(&shared, i as u64, start, &assigned)
             })
             .collect();
         for _ in 0..duration {

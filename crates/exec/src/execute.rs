@@ -44,6 +44,96 @@ pub struct ExecutionOutcome {
     pub speculative_launches: u32,
 }
 
+/// A plan compiled for execution: everything the stage loop reads that
+/// depends only on the plan, the catalog and the [`WorkParams`] — the
+/// plan's signature, its stage count, and per stage in execution order the
+/// intrinsic work and what Fuxi derives from it. Build it with
+/// [`Executor::compile`] (or [`ExecPlan::new`]) once per plan and hand it
+/// to [`Executor::run`] for every execution: cardinalities, stages, skew
+/// and per-stage work are then derived once, not on every run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecPlan {
+    signature: PlanSignature,
+    stage_count: usize,
+    stages: Vec<CompiledStage>,
+    params: WorkParams,
+}
+
+/// One stage of an [`ExecPlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CompiledStage {
+    /// Index into the plan's stage graph.
+    index: usize,
+    /// Intrinsic work of the stage's operators.
+    work: f64,
+    /// Parallel instances: Fuxi scales them with the work volume.
+    instances: usize,
+    /// A spool in the stage dampens its environment coupling.
+    spool: bool,
+    /// Occupancy window in ticks before any straggler slowdown.
+    base_duration: u64,
+}
+
+impl ExecPlan {
+    /// Compiles `plan` over `catalog` under the work model `params`. Only
+    /// an executor with equal [`Executor::params`] may run the result.
+    pub fn new(plan: &PlanTree, catalog: &Catalog, params: &WorkParams) -> ExecPlan {
+        let cards = CardinalityModel::new(catalog).annotate(plan);
+        let graph = decompose(plan);
+        let skewed = detect_skew(plan, &graph, catalog);
+        let stages = graph
+            .execution_order()
+            .into_iter()
+            .map(|s| {
+                let nodes = &graph.stages[s].nodes;
+                let work: f64 = nodes
+                    .iter()
+                    .map(|&id| {
+                        let n = plan.node(id);
+                        let children: Vec<_> = n.children().map(|c| cards[c]).collect();
+                        operator_work(
+                            &n.op,
+                            &cards[id],
+                            &children,
+                            WorkContext {
+                                skewed_inputs: skewed[id],
+                            },
+                            params,
+                        )
+                    })
+                    .sum();
+                CompiledStage {
+                    index: s,
+                    work,
+                    instances: ((work / 1.0e6).ceil() as usize).clamp(1, 256),
+                    spool: nodes
+                        .iter()
+                        .any(|&id| matches!(plan.op(id), Operator::Spool { .. })),
+                    base_duration: (((work.max(1.0)).log10() - 3.0).ceil() as u64).clamp(1, 6),
+                }
+            })
+            .collect();
+        ExecPlan {
+            signature: PlanSignature::of(plan),
+            stage_count: graph.len(),
+            stages,
+            params: params.clone(),
+        }
+    }
+
+    /// The compiled plan's structural signature ([`PlanSignature::of`]).
+    pub fn signature(&self) -> PlanSignature {
+        self.signature
+    }
+}
+
+/// Unwraps an execution that cannot fail unless fault injection is armed.
+pub(crate) fn infallible(outcome: Result<ExecutionOutcome, ExecFailure>) -> ExecutionOutcome {
+    outcome.unwrap_or_else(|e| {
+        panic!("execution failed under fault injection ({e}); use try_execute*")
+    })
+}
+
 /// The execution simulator: owns the cluster and the physics constants.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -73,6 +163,13 @@ impl Executor {
             retry: RetryPolicy::default(),
             rng: StdRng::seed_from_u64(seed ^ 0xeeee_aaaa),
         }
+    }
+
+    /// Compiles `plan` for execution under this executor's work model: see
+    /// [`ExecPlan`]. Compile a plan once and [`run`](Executor::run) it as
+    /// often as needed.
+    pub fn compile(&self, plan: &PlanTree, catalog: &Catalog) -> ExecPlan {
+        ExecPlan::new(plan, catalog, &self.params)
     }
 
     /// Executes `plan` once, advancing the shared cluster, with a fresh
@@ -107,11 +204,8 @@ impl Executor {
         catalog: &Catalog,
         trace: Option<&TraceContext>,
     ) -> ExecutionOutcome {
-        let noise_seed = self.rng.gen::<u64>();
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
-            .unwrap_or_else(|e| {
-                panic!("execution failed under fault injection ({e}); use try_execute*")
-            })
+        let compiled = self.compile(plan, catalog);
+        infallible(self.run(&compiled, None, trace))
     }
 
     /// The fallible, traced flavour of [`Executor::execute_traced`].
@@ -121,8 +215,8 @@ impl Executor {
         catalog: &Catalog,
         trace: Option<&TraceContext>,
     ) -> Result<ExecutionOutcome, ExecFailure> {
-        let noise_seed = self.rng.gen::<u64>();
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
+        let compiled = self.compile(plan, catalog);
+        self.run(&compiled, None, trace)
     }
 
     /// Executes `plan` with an explicit noise seed, so that the cost under a
@@ -146,18 +240,12 @@ impl Executor {
         noise_seed: u64,
         trace: Option<&TraceContext>,
     ) -> ExecutionOutcome {
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
-            .unwrap_or_else(|e| {
-                panic!("execution failed under fault injection ({e}); use try_execute*")
-            })
+        let compiled = self.compile(plan, catalog);
+        infallible(self.run(&compiled, Some(noise_seed), trace))
     }
 
-    /// The core of execution: stage-by-stage cost physics, plus — when the
-    /// cluster's fault injection is armed — straggler slowdowns, speculative
-    /// backups, mid-flight kills with exponential-backoff retries under a
-    /// per-stage budget, and an optional per-query deadline. With faults
-    /// disabled and no deadline this is bit-identical to the historical
-    /// fault-free path: no extra RNG draws, a single attempt per stage.
+    /// The fallible, traced flavour of
+    /// [`Executor::execute_with_noise_seed`].
     pub fn try_execute_with_noise_seed_traced(
         &mut self,
         plan: &PlanTree,
@@ -165,16 +253,42 @@ impl Executor {
         noise_seed: u64,
         trace: Option<&TraceContext>,
     ) -> Result<ExecutionOutcome, ExecFailure> {
-        let cards = CardinalityModel::new(catalog).annotate(plan);
-        let stages = decompose(plan);
-        let skewed = detect_skew(plan, &stages, catalog);
+        let compiled = self.compile(plan, catalog);
+        self.run(&compiled, Some(noise_seed), trace)
+    }
+
+    /// The core of execution: runs a compiled plan stage by stage through
+    /// the cost physics, plus — when the cluster's fault injection is armed
+    /// — straggler slowdowns, speculative backups, mid-flight kills with
+    /// exponential-backoff retries under a per-stage budget, and an
+    /// optional per-query deadline. With faults disabled and no deadline
+    /// there are no extra RNG draws and a single attempt per stage.
+    ///
+    /// `noise_seed` fixes the log-normal noise (see
+    /// [`Executor::execute_with_noise_seed`]); `None` draws it from the
+    /// executor's RNG, as [`Executor::execute`] does. `trace` receives the
+    /// per-stage machine timeline when `Some`.
+    ///
+    /// Panics if `plan` was compiled under other [`WorkParams`] than this
+    /// executor's: its stage work would silently belong to another model.
+    pub fn run(
+        &mut self,
+        plan: &ExecPlan,
+        noise_seed: Option<u64>,
+        trace: Option<&TraceContext>,
+    ) -> Result<ExecutionOutcome, ExecFailure> {
+        assert!(
+            plan.params == self.params,
+            "ExecPlan was compiled under different WorkParams than this executor's"
+        );
+        let noise_seed = noise_seed.unwrap_or_else(|| self.rng.gen::<u64>());
         mcsim_obs::counter("exec.queries_executed", 1);
-        mcsim_obs::counter("exec.stages_executed", stages.len() as u64);
+        mcsim_obs::counter("exec.stages_executed", plan.stage_count as u64);
 
-        let mut noise_rng = StdRng::seed_from_u64(noise_seed ^ PlanSignature::of(plan).0);
+        let mut noise_rng = StdRng::seed_from_u64(noise_seed ^ plan.signature.0);
 
-        let mut stage_envs = vec![EnvMetrics::default(); stages.len()];
-        let mut stage_costs = vec![0.0; stages.len()];
+        let mut stage_envs = vec![EnvMetrics::default(); plan.stage_count];
+        let mut stage_costs = vec![0.0; plan.stage_count];
         let mut total_work = 0.0;
         let mut latency = 0.0;
         let mut retries = 0u32;
@@ -183,35 +297,15 @@ impl Executor {
         let faults_on = self.cluster.faults_enabled();
         let query_start_tick = self.cluster.tick_count();
 
-        for s in stages.execution_order() {
-            let stage = &stages.stages[s];
-            // Intrinsic work of the stage.
-            let work: f64 = stage
-                .nodes
-                .iter()
-                .map(|&id| {
-                    let n = plan.node(id);
-                    let children: Vec<_> = n.children().map(|c| cards[c]).collect();
-                    operator_work(
-                        &n.op,
-                        &cards[id],
-                        &children,
-                        WorkContext {
-                            skewed_inputs: skewed[id],
-                        },
-                        &self.params,
-                    )
-                })
-                .sum();
+        for stage in &plan.stages {
+            let CompiledStage {
+                index: s,
+                work,
+                instances,
+                spool: has_spool,
+                base_duration,
+            } = *stage;
             total_work += work;
-
-            // Fuxi allocation: parallel instances scale with work volume.
-            let instances = ((work / 1.0e6).ceil() as usize).clamp(1, 256);
-            let has_spool = stage
-                .nodes
-                .iter()
-                .any(|&id| matches!(plan.op(id), Operator::Spool { .. }));
-            let base_duration = (((work.max(1.0)).log10() - 3.0).ceil() as u64).clamp(1, 6);
 
             let mut attempt = 0u32;
             loop {

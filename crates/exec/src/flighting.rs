@@ -9,9 +9,9 @@
 //! deviance quantities of Section 5 and Appendix E.1.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::execute::{ExecutionOutcome, Executor};
+use crate::execute::{infallible, ExecPlan, ExecutionOutcome, Executor};
 use mcsim_catalog::Catalog;
-use mcsim_plan::{PlanSignature, PlanTree};
+use mcsim_plan::PlanTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,7 +53,8 @@ impl Flighting {
 
     /// Replays `plan` `rounds` times under independently evolving
     /// environments, returning each outcome. The shared cluster advances a
-    /// random interval between rounds so environments decorrelate.
+    /// random interval between rounds so environments decorrelate; the plan
+    /// is compiled once for all rounds.
     pub fn replay(
         &mut self,
         plan: &PlanTree,
@@ -61,10 +62,11 @@ impl Flighting {
         rounds: usize,
     ) -> Vec<ExecutionOutcome> {
         mcsim_obs::counter("exec.flighting.replays", rounds as u64);
+        let compiled = self.executor.compile(plan, catalog);
         (0..rounds)
             .map(|_| {
                 self.executor.cluster.advance(self.rng.gen_range(5..60));
-                self.executor.execute(plan, catalog)
+                infallible(self.executor.run(&compiled, None, None))
             })
             .collect()
     }
@@ -75,8 +77,9 @@ impl Flighting {
     /// deterministic noise seed. Returns `costs[round][plan]`.
     ///
     /// Only the flighting RNG and the shared cluster evolve: each round's
-    /// advance and noise seed are drawn serially up front, and a replay runs
-    /// on a clone of its round's snapshot and never writes back. All
+    /// advance and noise seed are drawn serially up front, each plan is
+    /// compiled once for all rounds, and a replay runs on a clone of its
+    /// round's snapshot and never writes back. All
     /// `rounds × plans` replays therefore fan out across the `mcsim_par`
     /// pool, with costs identical at any thread count. For one replay's
     /// machine timeline, run [`Executor::execute_traced`] on a clone of
@@ -99,6 +102,10 @@ impl Flighting {
         if plans.is_empty() {
             return vec![Vec::new(); rounds];
         }
+        let compiled: Vec<ExecPlan> = plans
+            .iter()
+            .map(|plan| self.executor.compile(plan, catalog))
+            .collect();
         let replays: Vec<(usize, usize)> = (0..rounds)
             .flat_map(|round| (0..plans.len()).map(move |plan| (round, plan)))
             .collect();
@@ -106,12 +113,9 @@ impl Flighting {
             // Same environment (a clone of the round's snapshot), per-plan
             // noise deterministic in (round, plan).
             let (snapshot, round_seed) = &snapshots[round];
-            let plan = plans[plan];
-            let seed = round_seed ^ PlanSignature::of(plan).0.rotate_left(17);
-            snapshot
-                .clone()
-                .execute_with_noise_seed(plan, catalog, seed)
-                .cpu_cost
+            let plan = &compiled[plan];
+            let seed = round_seed ^ plan.signature().0.rotate_left(17);
+            infallible(snapshot.clone().run(plan, Some(seed), None)).cpu_cost
         });
         costs.chunks(plans.len()).map(<[f64]>::to_vec).collect()
     }

@@ -5,11 +5,11 @@
 //! trains from (Section 2.1, step 4).
 
 use crate::cluster::{Cluster, ClusterConfig, TICKS_PER_DAY};
-use crate::execute::Executor;
+use crate::execute::{infallible, ExecPlan, Executor};
 use mcsim_catalog::repository::{ExecutionRecord, QueryRepository};
 use mcsim_catalog::{Project, QuerySpec};
 use mcsim_optimizer::{Knobs, NativeOptimizer};
-use mcsim_plan::{PlanSignature, PlanTree};
+use mcsim_plan::PlanTree;
 
 /// Options for history generation.
 #[derive(Debug, Clone)]
@@ -43,9 +43,10 @@ impl Default for HistoryOptions {
 /// environments; between days it advances the remainder of the day, so the
 /// diurnal cycle is honoured.
 ///
-/// A default plan depends only on its query and the catalog, so each day's
-/// plans (capped at the queries still allowed) are built across the
-/// `mcsim_par` pool; they then execute in order on the one shared cluster.
+/// A default plan and its [`ExecPlan`] depend only on the query, the
+/// catalog and the work model, so each day's plans (capped at the queries
+/// still allowed) are built and compiled across the `mcsim_par` pool; they
+/// then execute in order on the one shared cluster.
 pub fn build_history(project: &Project, opts: &HistoryOptions) -> QueryRepository {
     let cluster = Cluster::new(opts.seed, opts.cluster.clone());
     let mut executor = Executor::new(opts.seed, cluster, project.profile.env_noise_sigma);
@@ -62,10 +63,13 @@ pub fn build_history(project: &Project, opts: &HistoryOptions) -> QueryRepositor
         let queries = project.workload_for_day(day);
         let per_query_gap = (TICKS_PER_DAY / (queries.len() as u64 + 1)).clamp(1, 120);
         let queries = &queries[..queries.len().min(remaining)];
-        let plans = mcsim_par::ThreadPool::global()
-            .parallel_map(queries, |q| optimizer.optimize(q, &Knobs::default()));
-        for (q, plan) in queries.iter().zip(plans) {
-            let record = execute_and_log(&mut executor, project, q, plan, true);
+        let plans = mcsim_par::ThreadPool::global().parallel_map(queries, |q| {
+            let plan = optimizer.optimize(q, &Knobs::default());
+            let compiled = executor.compile(&plan, &project.catalog);
+            (plan, compiled)
+        });
+        for (q, (plan, compiled)) in queries.iter().zip(plans) {
+            let record = execute_and_log(&mut executor, project, q, plan, &compiled, true);
             repo.push(record);
             if repo.len() >= opts.max_queries {
                 break 'outer;
@@ -81,21 +85,23 @@ pub fn build_history(project: &Project, opts: &HistoryOptions) -> QueryRepositor
     repo
 }
 
-/// Executes one plan and produces its log record.
+/// Executes `plan` through `compiled`, its [`Executor::compile`] under
+/// `executor`'s work model, and produces its log record.
 pub fn execute_and_log(
     executor: &mut Executor,
     project: &Project,
     query: &QuerySpec,
     plan: PlanTree,
+    compiled: &ExecPlan,
     is_default: bool,
 ) -> ExecutionRecord {
-    let outcome = executor.execute(&plan, &project.catalog);
+    let outcome = infallible(executor.run(compiled, None, None));
     ExecutionRecord {
         query_id: query.id,
         template: query.template,
         project: project.id,
         day: query.day,
-        signature: PlanSignature::of(&plan),
+        signature: compiled.signature(),
         plan,
         stage_envs: outcome.stage_envs,
         cpu_cost: outcome.cpu_cost,

@@ -45,7 +45,7 @@ pub use cluster::{
     TICKS_PER_DAY,
 };
 pub use envmodel::EnvModel;
-pub use execute::{ExecutionOutcome, Executor};
+pub use execute::{ExecPlan, ExecutionOutcome, Executor};
 pub use fault::{ExecFailure, FaultConfig, FaultEvent, FaultState, RetryPolicy};
 pub use flighting::Flighting;
 pub use history::{build_history, execute_and_log, HistoryOptions};

@@ -169,16 +169,22 @@ impl LoadModel {
         b
     }
 
-    /// The single place the busy fraction is assembled from its parts —
-    /// shared by [`busy_at`](Self::busy_at) and [`load_at`](Self::load_at)
-    /// so the allocator's ranking key equals `1 − cpu_idle` exactly.
+    /// The part of the busy fraction every machine shares at `tick`: the
+    /// diurnal baseline plus the tenant-churn jitter (a `sin` and a hash).
+    /// Readers of many machines at one tick compute it once and pass it on.
     #[inline]
-    fn busy_from(&self, tick: u64, ou_b: f64, assigned: f64) -> f64 {
-        (self.baseline_busy(tick)
-            + self.jitter(tick)
-            + self.dynamics.sigma_busy * ou_b
-            + assigned.min(0.9))
-        .clamp(0.02, 0.98)
+    pub(crate) fn shared_busy(&self, tick: u64) -> f64 {
+        self.baseline_busy(tick) + self.jitter(tick)
+    }
+
+    /// The single place the busy fraction is assembled from its parts —
+    /// shared by [`busy_at`](Self::busy_at), [`load_at`](Self::load_at) and
+    /// [`load_window`](Self::load_window) so the allocator's ranking key
+    /// equals `1 − cpu_idle` exactly. `shared` is the tick's
+    /// [`shared_busy`](Self::shared_busy).
+    #[inline]
+    fn busy_from(&self, shared: f64, ou_b: f64, assigned: f64) -> f64 {
+        (shared + self.dynamics.sigma_busy * ou_b + assigned.min(0.9)).clamp(0.02, 0.98)
     }
 
     /// A machine's busy fraction at `tick` — the allocator's ranking key.
@@ -187,7 +193,21 @@ impl LoadModel {
     /// `1.0 - load_at(..).cpu_idle`.
     #[inline]
     pub fn busy_at(&self, machine: u64, tick: u64, assigned: f64) -> f64 {
-        self.busy_from(tick, self.ou_busy(machine, tick), assigned)
+        self.busy_at_shared(self.shared_busy(tick), machine, tick, assigned)
+    }
+
+    /// [`busy_at`](Self::busy_at) given the tick's
+    /// [`shared_busy`](Self::shared_busy), for a caller ranking many
+    /// machines at one tick.
+    #[inline]
+    pub(crate) fn busy_at_shared(
+        &self,
+        shared: f64,
+        machine: u64,
+        tick: u64,
+        assigned: f64,
+    ) -> f64 {
+        self.busy_from(shared, self.ou_busy(machine, tick), assigned)
     }
 
     /// The stationary standard-deviation multiplier of the truncated OU
@@ -206,7 +226,7 @@ impl LoadModel {
     /// own noise, LOAD5 follows the busy fraction.
     #[inline]
     pub fn load_at(&self, machine: u64, tick: u64, assigned: f64) -> EnvMetrics {
-        self.load_from(tick, self.ou3(machine, tick), assigned)
+        self.load_from(self.shared_busy(tick), self.ou3(machine, tick), assigned)
     }
 
     /// One machine's loads at the `assigned.len()` consecutive ticks from
@@ -217,8 +237,26 @@ impl LoadModel {
     /// chain that reads it — `OU_WINDOW + len − 1` hashes per stream
     /// instead of `OU_WINDOW × len`.
     pub fn load_window(&self, machine: u64, start: u64, assigned: &[f64]) -> Vec<EnvMetrics> {
+        let shared: Vec<f64> = (start..)
+            .take(assigned.len())
+            .map(|t| self.shared_busy(t))
+            .collect();
+        self.load_window_shared(&shared, machine, start, assigned)
+    }
+
+    /// [`load_window`](Self::load_window) given each window tick's
+    /// [`shared_busy`](Self::shared_busy) (`shared[k]` for tick
+    /// `start + k`), for a caller reading many machines over one window.
+    pub(crate) fn load_window_shared(
+        &self,
+        shared: &[f64],
+        machine: u64,
+        start: u64,
+        assigned: &[f64],
+    ) -> Vec<EnvMetrics> {
         const W: usize = OU_WINDOW as usize;
         let len = assigned.len();
+        assert_eq!(shared.len(), len, "one shared busy term per window tick");
         if len == 0 {
             return Vec::new();
         }
@@ -253,25 +291,25 @@ impl LoadModel {
                 }
             }
             for (k, [b, i, m]) in acc.into_iter().enumerate().take(len - g) {
-                let tick = start + (g + k) as u64;
-                out.push(self.load_from(tick, (b, i, m), assigned[g + k]));
+                out.push(self.load_from(shared[g + k], (b, i, m), assigned[g + k]));
             }
         }
         out
     }
 
-    /// Assembles a load snapshot from the three OU deviations — the one
-    /// place [`load_at`](Self::load_at) and
+    /// Assembles a load snapshot from the tick's
+    /// [`shared_busy`](Self::shared_busy) and the three OU deviations — the
+    /// one place [`load_at`](Self::load_at) and
     /// [`load_window`](Self::load_window) share.
     #[inline]
     fn load_from(
         &self,
-        tick: u64,
+        shared: f64,
         (ou_b, ou_i, ou_m): (f64, f64, f64),
         assigned: f64,
     ) -> EnvMetrics {
         let d = &self.dynamics;
-        let busy = self.busy_from(tick, ou_b, assigned);
+        let busy = self.busy_from(shared, ou_b, assigned);
         let io = (0.03 + 0.08 * busy + d.sigma_io * ou_i).clamp(0.0, 0.5);
         let load5 = (busy * 24.0).max(0.0);
         let mem = (0.35 + 0.5 * busy + d.sigma_mem * ou_m).clamp(0.05, 0.98);

@@ -9,13 +9,15 @@
 //! event engine computes identically, while doing `O(events)` work per
 //! advance instead of `O(machines × ticks)`. The windowed stage read
 //! (`LoadModel::load_window`, `Cluster::window_env`) is held to the
-//! per-tick reads it replaced the same way.
+//! per-tick reads it replaced the same way, and a reused compiled plan
+//! (`ExecPlan`) to a fresh compile per run.
 
 use mcsim_catalog::EnvMetrics;
 use mcsim_exec::{
     ChaosScenario, Cluster, ClusterConfig, EngineMode, FaultConfig, FaultEvent, LoadDynamics,
     LoadModel, OU_WINDOW,
 };
+use mcsim_plan::{PlanSignature, PlanTree};
 use proptest::prelude::*;
 
 fn project(seed: u64) -> mcsim_catalog::Project {
@@ -312,6 +314,73 @@ proptest! {
             prop_assert_eq!(fast.fault_log(), oracle.fault_log());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A compiled plan carries no state between runs: one `ExecPlan` run
+    /// on N clones of a fault-armed snapshot (each clone advanced a little
+    /// further) equals, clone by clone, compiling the plan afresh through
+    /// the `try_execute*` entry points — outcome, fault log, tick and
+    /// engine counters, on both engines, with drawn and fixed noise seeds.
+    #[test]
+    fn one_exec_plan_runs_like_a_fresh_compile_on_every_clone(
+        seed in 0u64..5_000,
+        scale_x10 in 0u64..30,
+        clones in 1usize..5,
+    ) {
+        let p = project(seed);
+        let opt = mcsim_optimizer::NativeOptimizer::new(&p.catalog);
+        let plans: Vec<PlanTree> = p
+            .workload_for_day(0)
+            .iter()
+            .take(3)
+            .map(|q| opt.optimize(q, &mcsim_optimizer::Knobs::default()))
+            .collect();
+        for engine in [EngineMode::EventDriven, EngineMode::DenseTick] {
+            let snapshot = ChaosScenario::new(seed ^ 0xc0de)
+                .fault_scale(scale_x10 as f64 / 10.0)
+                .engine(engine)
+                .build();
+            for plan in &plans {
+                let compiled = snapshot.compile(plan, &p.catalog);
+                prop_assert_eq!(compiled.signature(), PlanSignature::of(plan));
+                for k in 0..clones {
+                    let mut reused = snapshot.clone();
+                    reused.cluster.advance(7 * k as u64);
+                    let mut fresh = reused.clone();
+                    let noise = (k % 2 == 1).then_some(seed ^ k as u64);
+                    let a = reused.run(&compiled, noise, None);
+                    let b = match noise {
+                        Some(n) => fresh.try_execute_with_noise_seed_traced(plan, &p.catalog, n, None),
+                        None => fresh.try_execute(plan, &p.catalog),
+                    };
+                    prop_assert_eq!(a, b, "{:?} clone {}", engine, k);
+                    prop_assert_eq!(reused.cluster.fault_log(), fresh.cluster.fault_log());
+                    prop_assert_eq!(reused.cluster.tick_count(), fresh.cluster.tick_count());
+                    prop_assert_eq!(reused.cluster.engine_stats(), fresh.cluster.engine_stats());
+                }
+            }
+        }
+    }
+}
+
+/// A plan compiled under one work model must not run under another: its
+/// stage work would silently belong to the wrong model.
+#[test]
+#[should_panic(expected = "different WorkParams")]
+fn running_a_plan_compiled_under_other_work_params_panics() {
+    let p = project(0x9a7);
+    let opt = mcsim_optimizer::NativeOptimizer::new(&p.catalog);
+    let plan = opt.optimize(
+        &p.workload_for_day(0)[0],
+        &mcsim_optimizer::Knobs::default(),
+    );
+    let mut exec = ChaosScenario::new(0x9a7).build();
+    let compiled = exec.compile(&plan, &p.catalog);
+    exec.params.spill_penalty *= 2.0;
+    let _ = exec.run(&compiled, None, None);
 }
 
 /// Determinism is thread-count independent: replaying the same scenario on

@@ -188,11 +188,12 @@ pub fn execute_with_fallback(
     trace: Option<&TraceContext>,
     query_id: u64,
 ) -> Result<(ExecutionOutcome, bool), LoamError> {
+    let steered = exec.compile(steered, catalog);
+    let default_plan = exec.compile(default_plan, catalog);
     RobustServer::unchecked(EnvStrategy::NoEnv, RobustConfig::default()).execute_with_fallback(
         exec,
-        steered,
-        default_plan,
-        catalog,
+        &steered,
+        &default_plan,
         trace,
         query_id,
     )

@@ -22,7 +22,7 @@ use crate::predictor::baselines::CostModel;
 use crate::predictor::InferWs;
 use crate::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 use mcsim_catalog::Catalog;
-use mcsim_exec::{ExecutionOutcome, Executor};
+use mcsim_exec::{ExecPlan, ExecutionOutcome, Executor};
 use mcsim_obs::trace::{Decision, Fallback, TraceContext};
 use mcsim_plan::PlanTree;
 
@@ -183,19 +183,19 @@ impl RobustServer {
         self.resolve_scored(plans, &costs, default_idx, trace, query_id)
     }
 
-    /// Executes `steered`, and on failure replays `default_plan` (recording
-    /// a [`Decision::Fallback`]). Returns the outcome and whether the
-    /// fallback fired; errs only if the default plan failed too.
+    /// Executes the compiled `steered` plan, and on failure replays the
+    /// compiled `default_plan` (recording a [`Decision::Fallback`]).
+    /// Returns the outcome and whether the fallback fired; errs only if the
+    /// default plan failed too.
     pub fn execute_with_fallback(
         &self,
         exec: &mut Executor,
-        steered: &PlanTree,
-        default_plan: &PlanTree,
-        catalog: &Catalog,
+        steered: &ExecPlan,
+        default_plan: &ExecPlan,
         trace: Option<&TraceContext>,
         query_id: u64,
     ) -> Result<(ExecutionOutcome, bool), LoamError> {
-        match exec.try_execute_traced(steered, catalog, trace) {
+        match exec.run(steered, None, trace) {
             Ok(out) => Ok((out, false)),
             Err(e) => {
                 mcsim_obs::counter("loam.fallback.exec_failed", 1);
@@ -205,7 +205,7 @@ impl RobustServer {
                         reason: format!("steered execution failed ({e}); replaying default plan"),
                     }));
                 }
-                match exec.try_execute_traced(default_plan, catalog, trace) {
+                match exec.run(default_plan, None, trace) {
                     Ok(out) => Ok((out, true)),
                     Err(e2) => {
                         mcsim_obs::counter("loam.robust.queries_failed", 1);
@@ -219,29 +219,20 @@ impl RobustServer {
     }
 
     /// Serves one already-selected query down the execution rungs of the
-    /// ladder: with fallback enabled a steered failure replays the default
-    /// plan, without it the failure is terminal. `base` is the resolution
-    /// the selection stage decided on.
+    /// ladder: with fallback enabled a failure of the compiled `steered`
+    /// plan replays the compiled `default_plan`, without it the failure is
+    /// terminal. `base` is the resolution the selection stage decided on.
     pub fn execute_resolved(
         &self,
         exec: &mut Executor,
-        eq: &EvaluatedQuery,
-        choice: usize,
+        steered: &ExecPlan,
+        default_plan: &ExecPlan,
         base: Resolution,
-        catalog: &Catalog,
         trace: Option<&TraceContext>,
+        query_id: u64,
     ) -> RobustQueryResult {
-        let steered = &eq.plans[choice];
-        let default_plan = &eq.plans[eq.default_idx];
         let resolved = if self.cfg.fallback_enabled {
-            match self.execute_with_fallback(
-                exec,
-                steered,
-                default_plan,
-                catalog,
-                trace,
-                eq.query_id,
-            ) {
+            match self.execute_with_fallback(exec, steered, default_plan, trace, query_id) {
                 Ok((out, fell_back)) => Some((
                     out,
                     if fell_back {
@@ -253,7 +244,7 @@ impl RobustServer {
                 Err(_) => None,
             }
         } else {
-            match exec.try_execute_traced(steered, catalog, trace) {
+            match exec.run(steered, None, trace) {
                 Ok(out) => Some((out, base)),
                 Err(_) => {
                     mcsim_obs::counter("loam.robust.queries_failed", 1);
@@ -265,7 +256,7 @@ impl RobustServer {
             Some((out, resolution)) => {
                 mcsim_obs::counter("loam.robust.queries_completed", 1);
                 RobustQueryResult {
-                    query_id: eq.query_id,
+                    query_id,
                     resolution,
                     cost: out.cpu_cost,
                     retries: out.retries,
@@ -274,7 +265,7 @@ impl RobustServer {
                 }
             }
             None => RobustQueryResult {
-                query_id: eq.query_id,
+                query_id,
                 resolution: Resolution::Failed,
                 cost: 0.0,
                 retries: 0,
@@ -337,7 +328,17 @@ impl RobustServer {
         let mut results = Vec::with_capacity(evaluated.len());
         for eq in evaluated {
             let (choice, base) = self.select_for(model, eq, gate_deployed, trace);
-            results.push(self.execute_resolved(exec, eq, choice, base, catalog, trace));
+            let steered = exec.compile(&eq.plans[choice], catalog);
+            let default_plan = (choice != eq.default_idx)
+                .then(|| exec.compile(&eq.plans[eq.default_idx], catalog));
+            results.push(self.execute_resolved(
+                exec,
+                &steered,
+                default_plan.as_ref().unwrap_or(&steered),
+                base,
+                trace,
+                eq.query_id,
+            ));
         }
         Ok(RobustRunReport {
             gate_deployed,

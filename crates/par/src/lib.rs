@@ -405,12 +405,15 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    /// Tests in this binary share the global thread setting; serialize the
-    /// ones that mutate it.
+    /// Tests in this binary share the global thread setting and the
+    /// process-global metrics recorder; serialize every test that mutates
+    /// the setting or fans out (a fan-out records `par.*` metrics into
+    /// whichever recorder is installed at the time).
     static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parallel_map_preserves_order_and_length() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let items: Vec<u64> = (0..1000).collect();
         for t in [1, 2, 8] {
             let pool = ThreadPool::new(t);
@@ -424,6 +427,7 @@ mod tests {
 
     #[test]
     fn parallel_for_covers_every_index_exactly_once() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let n = 997; // prime, so chunks never divide evenly
         for t in [1, 3, 8] {
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -441,6 +445,7 @@ mod tests {
 
     #[test]
     fn chunked_reduce_is_bit_identical_across_thread_counts() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Floating-point data chosen so that a different summation order
         // would change the rounding; the fixed chunk boundaries must not.
         let xs: Vec<f64> = (0..10_000)
@@ -459,6 +464,7 @@ mod tests {
 
     #[test]
     fn chunks_mut_views_are_disjoint_and_complete() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut data = vec![0u32; 1003];
         ThreadPool::new(4).parallel_for_chunks_mut(&mut data, 100, |ci, chunk| {
             for v in chunk.iter_mut() {
@@ -491,6 +497,7 @@ mod tests {
 
     #[test]
     fn nested_fan_outs_run_inline_on_worker_threads() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A map dispatched from inside a pool job must not spawn further
         // threads: each inner item runs on the thread that called it.
         let items: Vec<u64> = (0..4).collect();
@@ -581,6 +588,7 @@ mod tests {
 
     #[test]
     fn caller_thread_participates_in_the_work() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Two jobs rendezvous on a 2-party barrier, so they can only both
         // finish if two distinct threads each take one — the single spawned
         // worker can't run both. The caller must therefore run exactly one.

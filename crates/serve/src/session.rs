@@ -32,8 +32,9 @@ use loam_core::predictor::InferWs;
 use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult};
 use loam_core::serving::RobustServer;
 use loam_core::LoamError;
+use mcsim_catalog::workmodel::WorkParams;
 use mcsim_catalog::Catalog;
-use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode};
+use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode, ExecPlan};
 use mcsim_obs::trace::{Decision, Fallback, TraceContext};
 use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
@@ -487,6 +488,19 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
+/// What the select phase of [`ServeSession::run`] leaves for the
+/// execution phase about one admitted request.
+struct Admitted<'a> {
+    arrival: &'a Arrival,
+    decision: CachedDecision,
+    /// The rung selection reached (execution may degrade it further).
+    base: Resolution,
+    /// Whether the decision came from the decision cache.
+    cached: bool,
+    /// The request's share of its batch's inference wall time, seconds.
+    infer_share: f64,
+}
+
 /// The high-throughput serving session. See the module docs.
 #[derive(Debug)]
 pub struct ServeSession {
@@ -497,7 +511,7 @@ pub struct ServeSession {
     decisions: Option<DecisionCache>,
     /// Warm inference workspace + cost buffer reused by every scoring batch
     /// of the session (`run` takes `&self`, so the scratch sits behind a
-    /// mutex; batches score one at a time while execution fans out).
+    /// mutex; batches score one at a time on the calling thread).
     scratch: Mutex<(InferWs, Vec<f64>)>,
 }
 
@@ -565,9 +579,17 @@ impl ServeSession {
 
     /// Serves the whole arrival trace against `templates` (the library of
     /// recurring queries with their explored candidate sets) and returns
-    /// the report. `model` is gated once up front; every admitted request
-    /// then runs selection (batched, cached) and execution (parallel,
-    /// per-request executors) down the fallback ladder.
+    /// the report. `model` is gated once up front and every candidate is
+    /// compiled once for execution ([`ExecPlan`]); the run then has two
+    /// phases:
+    ///
+    /// 1. **Select**, in arrival order on the calling thread: admission
+    ///    control, batching, per-batch dedupe, decision-cache lookups and
+    ///    inserts, one batched forward per batch, and the margin guard.
+    /// 2. **Execute**: one order-preserving fan-out over every admitted
+    ///    request, each on its own per-request executor, down the fallback
+    ///    ladder. The outcomes are folded into the report in sequence
+    ///    order.
     pub fn run<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -641,52 +663,127 @@ impl ServeSession {
         };
 
         let t_run = std::time::Instant::now();
+        // Every candidate compiled once for the whole run, under the work
+        // model of the per-request executors `ChaosScenario::build` makes
+        // (`Executor::run` asserts the two agree).
+        let params = WorkParams::default();
+        let compiled: Vec<Vec<ExecPlan>> =
+            mcsim_par::ThreadPool::global().parallel_map(templates, |eq| {
+                eq.plans
+                    .iter()
+                    .map(|plan| ExecPlan::new(plan, catalog, &params))
+                    .collect()
+            });
+
+        // --- select phase: admission, batching and selection, in order,
+        // on this thread.
+        let mut admitted: Vec<Admitted> = Vec::with_capacity(arrivals.len());
         let mut batch: Vec<&Arrival> = Vec::with_capacity(self.cfg.batch_size);
         for (a, &is_shed) in arrivals.iter().zip(&shed) {
             if is_shed {
-                // Flush first so the log stays in sequence order.
-                self.flush_batch(
+                // A shed arrival closes the open batch.
+                self.select_batch(
                     model,
                     templates,
-                    catalog,
                     &digests,
                     &mut batch,
                     &mut report,
+                    &mut admitted,
                     trace,
                 );
                 mcsim_obs::counter("loam.serve.shed", 1);
                 report.shed += 1;
-                report.decision_log.push(DecisionRecord {
-                    seq: a.seq,
-                    tenant: a.tenant,
-                    template: a.template,
-                    query_id: templates[a.template as usize].query_id,
-                    outcome: RequestOutcome::Shed,
-                });
                 continue;
             }
             batch.push(a);
             if batch.len() == self.cfg.batch_size {
-                self.flush_batch(
+                self.select_batch(
                     model,
                     templates,
-                    catalog,
                     &digests,
                     &mut batch,
                     &mut report,
+                    &mut admitted,
                     trace,
                 );
             }
         }
-        self.flush_batch(
+        self.select_batch(
             model,
             templates,
-            catalog,
             &digests,
             &mut batch,
             &mut report,
+            &mut admitted,
             trace,
         );
+
+        // --- execution phase: every admitted request on its own executor,
+        // in one order-preserving fan-out.
+        let outcomes: Vec<(RobustQueryResult, f64)> =
+            mcsim_par::ThreadPool::global().parallel_map(&admitted, |req| {
+                let a = req.arrival;
+                let eq = &templates[a.template as usize];
+                let plans = &compiled[a.template as usize];
+                let _s = mcsim_obs::span("serve.request");
+                let _ts = trace.map(|t| {
+                    let s = t.span("serve.request");
+                    s.attr("seq", a.seq);
+                    s.attr("tenant", a.tenant as u64);
+                    s.attr("query_id", eq.query_id);
+                    s
+                });
+                let t_exec = std::time::Instant::now();
+                let mut exec = ChaosScenario::new(request_seed(self.cfg.seed, a.seq))
+                    .cluster(self.cluster.clone())
+                    .fault_scale(self.cfg.fault_scale)
+                    .warmup_ticks(self.cfg.warmup_ticks + arrival_tick(a.t_s))
+                    .build();
+                let qr = self.server.execute_resolved(
+                    &mut exec,
+                    &plans[req.decision.choice],
+                    &plans[eq.default_idx],
+                    req.base,
+                    trace,
+                    eq.query_id,
+                );
+                (qr, t_exec.elapsed().as_secs_f64())
+            });
+
+        // --- fold, in sequence order: shed records keep their places.
+        let mut served = admitted.iter().zip(&outcomes);
+        for (a, &is_shed) in arrivals.iter().zip(&shed) {
+            let outcome = if is_shed {
+                RequestOutcome::Shed
+            } else {
+                let (req, (qr, exec_s)) = served.next().expect("one outcome per admitted request");
+                let latency = req.infer_share + exec_s;
+                report.latency.record(latency);
+                mcsim_obs::observe("loam.serve.latency_s", latency);
+                if qr.resolution == Resolution::Failed {
+                    report.failed += 1;
+                } else {
+                    report.completed += 1;
+                }
+                report.total_cost += qr.cost;
+                report.total_wasted_cost += qr.wasted_cost;
+                report.total_retries += qr.retries;
+                RequestOutcome::Served {
+                    choice: req.decision.choice,
+                    resolution: qr.resolution,
+                    predicted_bits: req.decision.predicted.to_bits(),
+                    cost_bits: qr.cost.to_bits(),
+                    decision_cached: req.cached,
+                }
+            };
+            report.decision_log.push(DecisionRecord {
+                seq: a.seq,
+                tenant: a.tenant,
+                template: a.template,
+                query_id: templates[a.template as usize].query_id,
+                outcome,
+            });
+        }
         report.wall_s = t_run.elapsed().as_secs_f64();
 
         let feat1 = self
@@ -704,17 +801,18 @@ impl ServeSession {
         Ok(report)
     }
 
-    /// Scores and executes one batch of admitted arrivals, appending their
-    /// records to the report in order. Clears `batch`.
+    /// Selects a plan for every arrival of one batch — deduped per
+    /// template, through the decision cache and one batched forward — and
+    /// appends them to `admitted` in order. Clears `batch`.
     #[allow(clippy::too_many_arguments)]
-    fn flush_batch<M: CostModel + Sync + ?Sized>(
+    fn select_batch<'a, M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
         templates: &[EvaluatedQuery],
-        catalog: &Catalog,
         digests: &[u64],
-        batch: &mut Vec<&Arrival>,
+        batch: &mut Vec<&'a Arrival>,
         report: &mut ServeReport,
+        admitted: &mut Vec<Admitted<'a>>,
         trace: Option<&TraceContext>,
     ) {
         if batch.is_empty() {
@@ -725,7 +823,7 @@ impl ServeSession {
         report.batches += 1;
         report.admitted += batch.len();
 
-        // --- selection: one decision per distinct template in the batch.
+        // One decision per distinct template in the batch.
         let mut decided: HashMap<u32, (CachedDecision, Resolution, bool)> = HashMap::new();
         let mut infer_s = 0.0f64;
         if !report.gate_deployed && self.cfg.fallback_enabled {
@@ -816,65 +914,16 @@ impl ServeSession {
             }
         }
         let infer_share = infer_s / batch.len() as f64;
-
-        // --- execution: per-request executors, order-preserving fan-out.
-        let jobs: Vec<(&Arrival, CachedDecision, Resolution, bool)> = batch
-            .iter()
-            .map(|a| {
-                let (d, base, cached) = decided[&a.template];
-                (*a, d, base, cached)
-            })
-            .collect();
-        let outcomes: Vec<(RobustQueryResult, f64)> = mcsim_par::ThreadPool::global()
-            .parallel_map_gated(&jobs, 10_000, |(a, d, base, _)| {
-                let eq = &templates[a.template as usize];
-                let _s = mcsim_obs::span("serve.request");
-                let _ts = trace.map(|t| {
-                    let s = t.span("serve.request");
-                    s.attr("seq", a.seq);
-                    s.attr("tenant", a.tenant as u64);
-                    s.attr("query_id", eq.query_id);
-                    s
-                });
-                let t_exec = std::time::Instant::now();
-                let mut exec = ChaosScenario::new(request_seed(self.cfg.seed, a.seq))
-                    .cluster(self.cluster.clone())
-                    .fault_scale(self.cfg.fault_scale)
-                    .warmup_ticks(self.cfg.warmup_ticks + arrival_tick(a.t_s))
-                    .build();
-                let qr = self
-                    .server
-                    .execute_resolved(&mut exec, eq, d.choice, *base, catalog, trace);
-                (qr, t_exec.elapsed().as_secs_f64())
-            });
-
-        for ((a, d, _, cached), (qr, exec_s)) in jobs.iter().zip(&outcomes) {
-            let latency = infer_share + exec_s;
-            report.latency.record(latency);
-            mcsim_obs::observe("loam.serve.latency_s", latency);
-            if qr.resolution == Resolution::Failed {
-                report.failed += 1;
-            } else {
-                report.completed += 1;
+        admitted.extend(batch.drain(..).map(|a| {
+            let (decision, base, cached) = decided[&a.template];
+            Admitted {
+                arrival: a,
+                decision,
+                base,
+                cached,
+                infer_share,
             }
-            report.total_cost += qr.cost;
-            report.total_wasted_cost += qr.wasted_cost;
-            report.total_retries += qr.retries;
-            report.decision_log.push(DecisionRecord {
-                seq: a.seq,
-                tenant: a.tenant,
-                template: a.template,
-                query_id: qr.query_id,
-                outcome: RequestOutcome::Served {
-                    choice: d.choice,
-                    resolution: qr.resolution,
-                    predicted_bits: d.predicted.to_bits(),
-                    cost_bits: qr.cost.to_bits(),
-                    decision_cached: *cached,
-                },
-            });
-        }
-        batch.clear();
+        }));
     }
 
     /// 64-bit digest per template: every candidate signature, the default

@@ -78,35 +78,77 @@ fn serve_cfg(seed: u64) -> ServeConfig {
         .expect("valid config")
 }
 
+/// Everything a serving run reports that must not depend on the thread
+/// count: the decision log, the outcome counts, the exact cost and retry
+/// totals, the batch count and the number of latency samples.
+fn thread_invariant_summary(r: &ServeReport) -> impl PartialEq + std::fmt::Debug {
+    (
+        r.decision_log.clone(),
+        (r.admitted, r.shed, r.completed, r.failed, r.batches),
+        (r.total_cost.to_bits(), r.total_wasted_cost.to_bits()),
+        r.total_retries,
+        r.latency.count,
+    )
+}
+
+/// The execution phase fans every admitted request of a run out across the
+/// pool; at 1, 2 and 8 threads the reports must agree bit for bit — also
+/// when admission control sheds requests between served ones.
 #[test]
 fn decision_log_is_bit_identical_across_thread_counts() {
     let (prepared, evaluated) = evaluated_fixture(11);
-    let baseline = {
-        let prev = mcsim_par::set_threads(1);
-        let session = ServeSession::new(serve_cfg(7)).expect("session");
-        let report = session
-            .run(&NodeCountModel, &evaluated, &prepared.project.catalog, None)
-            .expect("serve");
-        mcsim_par::set_threads(prev);
-        report
-    };
-    assert_eq!(baseline.decision_log.len(), baseline.requests);
-    assert!(baseline.completed > 0, "some requests must complete");
-
-    for threads in [2, 8] {
-        let prev = mcsim_par::set_threads(threads);
-        // Fresh session (cold caches) so cache flags match the baseline.
-        let session = ServeSession::new(serve_cfg(7)).expect("session");
-        let report = session
-            .run(&NodeCountModel, &evaluated, &prepared.project.catalog, None)
-            .expect("serve");
-        mcsim_par::set_threads(prev);
-        assert_eq!(
-            report.decision_log, baseline.decision_log,
-            "decision log must be bit-identical at {threads} threads"
-        );
-        assert_eq!(report.completed, baseline.completed);
-        assert_eq!(report.failed, baseline.failed);
+    let shedding = ServeConfig::builder()
+        .arrival(ArrivalProfile::Poisson { rate_qps: 160.0 })
+        .tenants(4)
+        .requests(96)
+        .batch_size(16)
+        .shed(ShedPolicy::QueueBound {
+            capacity: 8,
+            drain_qps: 40.0,
+        })
+        .machines(8)
+        .warmup_ticks(4)
+        .fault_scale(1.0)
+        .gate(permissive_gate())
+        .seed(9)
+        .build()
+        .expect("valid config");
+    for cfg in [serve_cfg(7), shedding] {
+        let serve = |threads| {
+            let prev = mcsim_par::set_threads(threads);
+            // Fresh session (cold caches) so cache flags match across runs.
+            let report = ServeSession::new(cfg.clone())
+                .expect("session")
+                .run(&NodeCountModel, &evaluated, &prepared.project.catalog, None)
+                .expect("serve");
+            mcsim_par::set_threads(prev);
+            report
+        };
+        let baseline = serve(1);
+        assert_eq!(baseline.decision_log.len(), baseline.requests);
+        assert_eq!(baseline.latency.count, baseline.admitted as u64);
+        assert!(baseline.completed > 0, "some requests must complete");
+        if cfg.shed != ShedPolicy::None {
+            let log = &baseline.decision_log;
+            let first_shed = log
+                .iter()
+                .position(|d| d.outcome == RequestOutcome::Shed)
+                .expect("the queue bound must shed");
+            assert!(
+                log[first_shed..]
+                    .iter()
+                    .any(|d| d.outcome != RequestOutcome::Shed),
+                "shed records must interleave with served ones"
+            );
+        }
+        for threads in [2, 8] {
+            assert_eq!(
+                thread_invariant_summary(&serve(threads)),
+                thread_invariant_summary(&baseline),
+                "serving must be bit-identical at {threads} threads ({:?})",
+                cfg.shed
+            );
+        }
     }
 }
 
