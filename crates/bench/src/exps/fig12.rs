@@ -42,7 +42,7 @@ pub fn evaluate_split(
     let ranker = Ranker::fit(&feats, &labels, seed);
 
     let project_feats: Vec<Vec<Vec<f64>>> = test.iter().map(|p| p.query_features.clone()).collect();
-    let predicted = ranker.rank_projects(&project_feats);
+    let predicted = ranker.rank_projects(&project_feats, None);
     let relevance: Vec<f64> = test.iter().map(|p| p.improvement()).collect();
     let mut truth: Vec<usize> = (0..test.len()).collect();
     truth.sort_by(|&a, &b| {

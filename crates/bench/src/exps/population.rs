@@ -64,7 +64,7 @@ pub fn build(n: usize, scale: Scale, with_labels: bool, seed0: u64) -> Vec<Popul
         let seed = seed0 + i as u64;
         let profile = ProjectProfile::random(seed);
         let project = profile.generate(ProjectId(1000 + i as u32));
-        let filter = evaluate_filter(&project, 0, 5, &cfg);
+        let filter = evaluate_filter(&project, 0, 5, &cfg, None);
         let (query_features, query_improvement) = if with_labels {
             label_project(&project, seed)
         } else {

@@ -15,9 +15,9 @@ use loam_core::pipeline::{
     evaluate_candidates_traced, prepare_project, train_loam, PipelineConfig,
 };
 use loam_core::robust::RobustConfig;
-use loam_core::selector::{evaluate_filter_traced, ranker_features, FilterConfig, Ranker};
+use loam_core::selector::{evaluate_filter, ranker_features, FilterConfig, Ranker};
 use loam_core::serving::RobustServer;
-use loam_core::{validate_deployment_traced, GateConfig, TrainConfig};
+use loam_core::{gate, GateConfig, TrainConfig};
 use mcsim_catalog::ProjectId;
 use mcsim_exec::{Cluster, ClusterConfig, Executor};
 use mcsim_obs::trace::TraceContext;
@@ -80,7 +80,7 @@ pub fn run_traced(scale: Scale) -> TraceContext {
         let s = ctx.span("project_selection");
         s.attr("project", 1u64);
         let filter_cfg = FilterConfig::scaled(scale.fraction());
-        let report = evaluate_filter_traced(
+        let report = evaluate_filter(
             &prepared.project,
             0,
             cfg.train_days.min(5),
@@ -105,7 +105,7 @@ pub fn run_traced(scale: Scale) -> TraceContext {
             .map(|r| r.cpu_cost.max(1.0).ln())
             .collect();
         let ranker = Ranker::fit(&feats, &labels, cfg.seed);
-        let order = ranker.rank_projects_traced(&[feats], Some(&ctx));
+        let order = ranker.rank_projects(&[feats], Some(&ctx));
         s.attr("ranked_projects", order.len());
     }
 
@@ -126,7 +126,7 @@ pub fn run_traced(scale: Scale) -> TraceContext {
     // Phase 3 — the deployment gate's verdict, with evidence.
     {
         let _s = ctx.span("gate");
-        let report = validate_deployment_traced(
+        let report = gate::validate_traced(
             &predictor,
             &strategy,
             &evaluated,
@@ -157,15 +157,17 @@ pub fn run_traced(scale: Scale) -> TraceContext {
             let refs: Vec<&PlanTree> = rep.plans.iter().collect();
             RobustServer::new(strategy, RobustConfig::default())
                 .expect("default margin is valid")
-                .select_guarded(&predictor, &refs, rep.default_idx, Some(&ctx), rep.query_id)
+                .select_robust(&predictor, &refs, rep.default_idx, Some(&ctx), rep.query_id)
                 .0
         };
         let _s = ctx.span("execute");
         let cluster = Cluster::new(cfg.seed ^ 0x7ace, ClusterConfig::default());
         let mut exec = Executor::new(cfg.seed ^ 0x7ace, cluster, profile.env_noise_sigma);
         exec.cluster.advance(150);
-        let outcome =
-            exec.execute_traced(&rep.plans[choice], &prepared.project.catalog, Some(&ctx));
+        let compiled = exec.compile(&rep.plans[choice], &prepared.project.catalog);
+        let outcome = exec
+            .run(&compiled, None, Some(&ctx))
+            .expect("fault injection is off, so execution cannot fail");
         println!(
             "representative query {}: chose candidate #{choice} of {}, observed cost {:.1} \
              over {} stages",

@@ -130,7 +130,7 @@ impl ExecPlan {
 /// Unwraps an execution that cannot fail unless fault injection is armed.
 pub(crate) fn infallible(outcome: Result<ExecutionOutcome, ExecFailure>) -> ExecutionOutcome {
     outcome.unwrap_or_else(|e| {
-        panic!("execution failed under fault injection ({e}); use try_execute*")
+        panic!("execution failed under fault injection ({e}); use try_execute or run")
     })
 }
 
@@ -173,13 +173,14 @@ impl Executor {
     }
 
     /// Executes `plan` once, advancing the shared cluster, with a fresh
-    /// random noise seed.
+    /// random noise seed: [`compile`](Executor::compile) plus
+    /// [`run`](Executor::run).
     ///
     /// Panics if fault injection makes the execution fail (impossible while
     /// it is disabled, which it is by default) — fault-armed callers should
     /// use [`Executor::try_execute`] instead.
     pub fn execute(&mut self, plan: &PlanTree, catalog: &Catalog) -> ExecutionOutcome {
-        self.execute_traced(plan, catalog, None)
+        infallible(self.try_execute(plan, catalog))
     }
 
     /// Fallible execution: like [`Executor::execute`] but surfaces retry
@@ -190,71 +191,8 @@ impl Executor {
         plan: &PlanTree,
         catalog: &Catalog,
     ) -> Result<ExecutionOutcome, ExecFailure> {
-        self.try_execute_traced(plan, catalog, None)
-    }
-
-    /// Like [`Executor::execute`], but additionally emits a per-stage,
-    /// per-machine scheduling timeline into `trace` (when `Some`): which
-    /// machines Fuxi placed each stage on, over which cluster-tick window,
-    /// with the stage's queueing factor and cost. Tracing does not perturb
-    /// the simulation — costs are bit-identical with and without it.
-    pub fn execute_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        trace: Option<&TraceContext>,
-    ) -> ExecutionOutcome {
         let compiled = self.compile(plan, catalog);
-        infallible(self.run(&compiled, None, trace))
-    }
-
-    /// The fallible, traced flavour of [`Executor::execute_traced`].
-    pub fn try_execute_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        trace: Option<&TraceContext>,
-    ) -> Result<ExecutionOutcome, ExecFailure> {
-        let compiled = self.compile(plan, catalog);
-        self.run(&compiled, None, trace)
-    }
-
-    /// Executes `plan` with an explicit noise seed, so that the cost under a
-    /// fixed environment instance is deterministic per (environment, plan) —
-    /// the `C_e(P)` of Section 5.
-    pub fn execute_with_noise_seed(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        noise_seed: u64,
-    ) -> ExecutionOutcome {
-        self.execute_with_noise_seed_traced(plan, catalog, noise_seed, None)
-    }
-
-    /// The infallible wrapper over the execution core (kept for the
-    /// fault-free replay paths, which cannot fail).
-    pub fn execute_with_noise_seed_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        noise_seed: u64,
-        trace: Option<&TraceContext>,
-    ) -> ExecutionOutcome {
-        let compiled = self.compile(plan, catalog);
-        infallible(self.run(&compiled, Some(noise_seed), trace))
-    }
-
-    /// The fallible, traced flavour of
-    /// [`Executor::execute_with_noise_seed`].
-    pub fn try_execute_with_noise_seed_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        noise_seed: u64,
-        trace: Option<&TraceContext>,
-    ) -> Result<ExecutionOutcome, ExecFailure> {
-        let compiled = self.compile(plan, catalog);
-        self.run(&compiled, Some(noise_seed), trace)
+        self.run(&compiled, None, None)
     }
 
     /// The core of execution: runs a compiled plan stage by stage through
@@ -264,10 +202,14 @@ impl Executor {
     /// optional per-query deadline. With faults disabled and no deadline
     /// there are no extra RNG draws and a single attempt per stage.
     ///
-    /// `noise_seed` fixes the log-normal noise (see
-    /// [`Executor::execute_with_noise_seed`]); `None` draws it from the
-    /// executor's RNG, as [`Executor::execute`] does. `trace` receives the
-    /// per-stage machine timeline when `Some`.
+    /// `noise_seed` fixes the log-normal noise, so that the cost under a
+    /// fixed environment instance is deterministic per (environment, plan)
+    /// — the `C_e(P)` of Section 5; `None` draws it from the executor's
+    /// RNG, as [`Executor::execute`] does. When `trace` is `Some` it
+    /// receives a per-stage, per-machine scheduling timeline: which
+    /// machines Fuxi placed each stage on, over which cluster-tick window,
+    /// with the stage's queueing factor and cost. Tracing does not perturb
+    /// the simulation — costs are bit-identical with and without it.
     ///
     /// Panics if `plan` was compiled under other [`WorkParams`] than this
     /// executor's: its stage work would silently belong to another model.
@@ -600,8 +542,9 @@ mod tests {
         let plan = opt.optimize(q, &Knobs::default());
         let mut e1 = exec.clone();
         let mut e2 = exec.clone();
-        let a = e1.execute_with_noise_seed(&plan, &p.catalog, 42);
-        let b = e2.execute_with_noise_seed(&plan, &p.catalog, 42);
+        let compiled = exec.compile(&plan, &p.catalog);
+        let a = e1.run(&compiled, Some(42), None).unwrap();
+        let b = e2.run(&compiled, Some(42), None).unwrap();
         assert_eq!(a.cpu_cost, b.cpu_cost);
     }
 
@@ -614,8 +557,9 @@ mod tests {
         let mut plain = exec.clone();
         let mut traced = exec.clone();
         let ctx = TraceContext::new("exec test");
-        let a = plain.execute_with_noise_seed(&plan, &p.catalog, 42);
-        let b = traced.execute_with_noise_seed_traced(&plan, &p.catalog, 42, Some(&ctx));
+        let compiled = exec.compile(&plan, &p.catalog);
+        let a = plain.run(&compiled, Some(42), None).unwrap();
+        let b = traced.run(&compiled, Some(42), Some(&ctx)).unwrap();
         assert_eq!(a.cpu_cost, b.cpu_cost, "tracing must not perturb costs");
         let timeline = ctx.timeline();
         assert_eq!(timeline.len(), a.stage_costs.len(), "one event per stage");

@@ -82,7 +82,7 @@ impl Flighting {
     /// round's snapshot and never writes back. All
     /// `rounds × plans` replays therefore fan out across the `mcsim_par`
     /// pool, with costs identical at any thread count. For one replay's
-    /// machine timeline, run [`Executor::execute_traced`] on a clone of
+    /// machine timeline, [`Executor::run`] it with a trace on a clone of
     /// [`Flighting::executor`].
     pub fn replay_synchronized(
         &mut self,

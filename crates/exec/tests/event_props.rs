@@ -353,7 +353,7 @@ proptest! {
                     let noise = (k % 2 == 1).then_some(seed ^ k as u64);
                     let a = reused.run(&compiled, noise, None);
                     let b = match noise {
-                        Some(n) => fresh.try_execute_with_noise_seed_traced(plan, &p.catalog, n, None),
+                        Some(_) => fresh.run(&fresh.compile(plan, &p.catalog), noise, None),
                         None => fresh.try_execute(plan, &p.catalog),
                     };
                     prop_assert_eq!(a, b, "{:?} clone {}", engine, k);

@@ -54,9 +54,10 @@ proptest! {
         let mut armed_zero = plain.clone();
         armed_zero.cluster.set_fault_config(FaultConfig::chaos(seed).scaled(0.0));
 
+        let compiled = plain.compile(&plan, &p.catalog);
         for _ in 0..4 {
-            let a = plain.execute_with_noise_seed(&plan, &p.catalog, seed ^ 7);
-            let b = armed_zero.execute_with_noise_seed(&plan, &p.catalog, seed ^ 7);
+            let a = plain.run(&compiled, Some(seed ^ 7), None).unwrap();
+            let b = armed_zero.run(&compiled, Some(seed ^ 7), None).unwrap();
             prop_assert_eq!(a.cpu_cost.to_bits(), b.cpu_cost.to_bits());
             prop_assert_eq!(a.latency.to_bits(), b.latency.to_bits());
             prop_assert_eq!(&a.stage_costs, &b.stage_costs);
@@ -85,9 +86,10 @@ proptest! {
                 ..RetryPolicy::default()
             })
             .build();
+        let compiled = exec.compile(&plan, &p.catalog);
         for _ in 0..5 {
             let ctx = TraceContext::new("budget");
-            match exec.try_execute_traced(&plan, &p.catalog, Some(&ctx)) {
+            match exec.run(&compiled, None, Some(&ctx)) {
                 Ok(out) => {
                     let stages = out.stage_costs.len() as u32;
                     prop_assert!(out.retries <= max_retries * stages,

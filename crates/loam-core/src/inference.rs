@@ -107,51 +107,21 @@ pub fn select_plan<M: CostModel + Sync + ?Sized>(
     (best, costs)
 }
 
-/// Guarded selection: picks the estimated-cheapest candidate, but falls back
-/// to the default plan unless the winner is predicted at least `margin`
-/// cheaper than the default. Production steering is asymmetric — a missed
-/// improvement costs little, a confident-but-wrong switch is a regression a
-/// multi-tenant system cannot afford — so deviations from the native
-/// optimizer require a confidence margin.
-#[deprecated(note = "use `serving::RobustServer::select_guarded` instead")]
-pub fn select_plan_guarded<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    plans: &[&PlanTree],
-    strategy: &EnvStrategy,
-    default_idx: usize,
-    margin: f64,
-) -> (usize, Vec<f64>) {
-    let (best, costs) = select_plan(model, plans, strategy);
-    let chosen = guarded_choice_traced(plans, &costs, best, default_idx, margin, None, 0);
-    (chosen, costs)
-}
-
-/// Like [`select_plan_guarded`], but additionally records a
-/// [`Decision::PlanSelection`] (every candidate's signature and predicted
-/// cost, the model's favourite, and the guarded choice) — plus a
-/// [`Decision::Fallback`] when the margin guard overrides the model — into
-/// `trace` (when `Some`). `query_id` labels the records.
-#[deprecated(note = "use `serving::RobustServer::select_guarded` instead")]
-pub fn select_plan_guarded_traced<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    plans: &[&PlanTree],
-    strategy: &EnvStrategy,
-    default_idx: usize,
-    margin: f64,
-    trace: Option<&TraceContext>,
-    query_id: u64,
-) -> (usize, Vec<f64>) {
-    let (best, costs) = select_plan(model, plans, strategy);
-    let chosen = guarded_choice_traced(plans, &costs, best, default_idx, margin, trace, query_id);
-    (chosen, costs)
-}
-
 /// The margin guard over an already-scored candidate set: picks between the
-/// model's favourite `best` and `default_idx`, records the provenance, and
-/// returns the guarded choice. Factored out of
-/// [`select_plan_guarded_traced`] so callers that must inspect the predicted
-/// costs first (e.g. the robust serving path, which checks them for
-/// non-finite values) do not have to score the candidates twice.
+/// model's favourite `best` and `default_idx`, keeping the default plan
+/// unless `best` is predicted at least `margin` cheaper than it. Production
+/// steering is asymmetric — a missed improvement costs little, a
+/// confident-but-wrong switch is a regression a multi-tenant system cannot
+/// afford — so deviations from the native optimizer require a confidence
+/// margin.
+///
+/// Records a [`Decision::PlanSelection`] (every candidate's signature and
+/// predicted cost, the model's favourite, and the guarded choice) — plus a
+/// [`Decision::Fallback`] when the margin guard overrides the model — into
+/// `trace` (when `Some`); `query_id` labels the records. Returns the
+/// guarded choice. Callers score the candidates first (e.g. with
+/// [`select_plan`]), so that the robust serving path can check the costs
+/// for non-finite values before the guard sees them.
 pub fn guarded_choice_traced(
     plans: &[&PlanTree],
     costs: &[f64],
@@ -251,23 +221,24 @@ mod tests {
         assert_eq!(costs.len(), 3);
     }
 
+    /// Scores the candidates and runs the margin guard over them.
+    fn score_and_guard(
+        plans: &[&PlanTree],
+        trace: Option<&TraceContext>,
+        query_id: u64,
+    ) -> (usize, Vec<f64>) {
+        let (best, costs) = select_plan(&FakeModel, plans, &EnvStrategy::NoEnv);
+        let chosen = guarded_choice_traced(plans, &costs, best, 0, DEFAULT_MARGIN, trace, query_id);
+        (chosen, costs)
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn guarded_selection_records_decision_provenance() {
         let small = chain(1); // cheapest under FakeModel
         let big = chain(9); // the "default" plan
-        let strat = EnvStrategy::NoEnv;
         let ctx = TraceContext::new("select");
         // Winner is far cheaper than the default: accepted.
-        let (choice, costs) = select_plan_guarded_traced(
-            &FakeModel,
-            &[&big, &small],
-            &strat,
-            0,
-            DEFAULT_MARGIN,
-            Some(&ctx),
-            7,
-        );
+        let (choice, costs) = score_and_guard(&[&big, &small], Some(&ctx), 7);
         assert_eq!(choice, 1);
         let ds = ctx.decisions();
         assert_eq!(ds.len(), 1);
@@ -286,15 +257,7 @@ mod tests {
         // Near-tied candidates: the margin guard falls back and says why.
         let near = chain(8);
         let ctx2 = TraceContext::new("fallback");
-        let (choice2, _) = select_plan_guarded_traced(
-            &FakeModel,
-            &[&big, &near],
-            &strat,
-            0,
-            DEFAULT_MARGIN,
-            Some(&ctx2),
-            8,
-        );
+        let (choice2, _) = score_and_guard(&[&big, &near], Some(&ctx2), 8);
         assert_eq!(choice2, 0, "margin guard must keep the default");
         let ds2 = ctx2.decisions();
         assert_eq!(ds2.len(), 2, "selection + fallback");

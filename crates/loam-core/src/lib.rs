@@ -58,19 +58,12 @@ pub mod theory;
 pub use error::LoamError;
 pub use explorer::{Candidate, CandidateSet, ExplorerConfig, PlanExplorer};
 pub use featurize::{CachedFeatures, EnvSource, FeatureCache, PlanFeaturizer, FEATURE_DIM};
-pub use gate::{
-    validate as validate_deployment, validate_traced as validate_deployment_traced, GateConfig,
-    GateReport,
-};
+pub use gate::{GateConfig, GateReport};
 pub use inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
-#[allow(deprecated)] // legacy surface, kept until the shims are removed
-pub use inference::{select_plan_guarded, select_plan_guarded_traced};
 pub use persist::{load_predictor, load_ranker, save_predictor, save_ranker, PersistError};
 pub use predictor::baselines::{CostModel, GcnPredictor, TransformerPredictor, XgbPredictor};
 pub use predictor::train::{train, train_reference, TrainConfig, TrainReport, TrainSample};
 pub use predictor::{with_thread_infer_ws, AdaptiveCostPredictor, InferWs};
-#[allow(deprecated)] // legacy surface, kept until the shims are removed
-pub use robust::{execute_with_fallback, run_robust_serving, select_plan_robust};
 pub use robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 pub use selector::{FilterConfig, FilterReport, Ranker};
 pub use serving::RobustServer;

@@ -85,23 +85,14 @@ impl FilterReport {
 }
 
 /// Evaluates the filter on `project` using the workload of days
-/// `[from, to)` as the sampled workload `Q`.
-///
-/// # Panics
-///
-/// Panics if the day range is empty.
-pub fn evaluate(project: &Project, from: i64, to: i64, cfg: &FilterConfig) -> FilterReport {
-    evaluate_traced(project, from, to, cfg, None)
-}
-
-/// Like [`evaluate`], but additionally records a
+/// `[from, to)` as the sampled workload `Q`, and records a
 /// [`Decision::ProjectFilter`] (the three measured metrics, each rule's
 /// verdict, and the conjunction) into `trace` (when `Some`).
 ///
 /// # Panics
 ///
 /// Panics if the day range is empty.
-pub fn evaluate_traced(
+pub fn evaluate(
     project: &Project,
     from: i64,
     to: i64,
@@ -199,7 +190,7 @@ mod tests {
             lifespan_days: 30,
             theta: 0.2,
         };
-        let report = evaluate(&p, 0, 5, &cfg);
+        let report = evaluate(&p, 0, 5, &cfg, None);
         assert!(report.passes_r1, "{report:?}");
         assert!(report.passes_r2, "{report:?}");
         assert!(report.passes_r3, "{report:?}");
@@ -215,7 +206,7 @@ mod tests {
             lifespan_days: 30,
             theta: 0.2,
         };
-        let report = evaluate(&p, 0, 5, &cfg);
+        let report = evaluate(&p, 0, 5, &cfg, None);
         assert!(!report.passes_r1);
         assert!(!report.passes());
     }
@@ -229,7 +220,7 @@ mod tests {
             lifespan_days: 30,
             theta: 0.2,
         };
-        let report = evaluate(&p, 0, 6, &cfg);
+        let report = evaluate(&p, 0, 6, &cfg, None);
         assert!(report.query_inc_ratio < 1.0);
         assert!(!report.passes_r2);
     }
@@ -243,7 +234,7 @@ mod tests {
             lifespan_days: 30,
             theta: 0.5,
         };
-        let report = evaluate(&p, 0, 4, &cfg);
+        let report = evaluate(&p, 0, 4, &cfg, None);
         assert!(report.stable_table_ratio < 0.5, "{report:?}");
         assert!(!report.passes_r3);
     }

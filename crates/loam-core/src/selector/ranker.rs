@@ -106,15 +106,10 @@ impl Ranker {
         features.iter().map(|f| self.predict(f)).sum::<f64>() / features.len() as f64
     }
 
-    /// Ranks projects by descending score; returns indices into `projects`.
-    pub fn rank_projects(&self, projects: &[Vec<Vec<f64>>]) -> Vec<usize> {
-        self.rank_projects_traced(projects, None)
-    }
-
-    /// Like [`Ranker::rank_projects`], but additionally records a
-    /// [`Decision::ProjectRanking`] — every project's score in ranked
-    /// order — into `trace` (when `Some`).
-    pub fn rank_projects_traced(
+    /// Ranks projects by descending score; returns indices into `projects`
+    /// and records a [`Decision::ProjectRanking`] — every project's score
+    /// in ranked order — into `trace` (when `Some`).
+    pub fn rank_projects(
         &self,
         projects: &[Vec<Vec<f64>>],
         trace: Option<&TraceContext>,
@@ -232,7 +227,7 @@ mod tests {
         let all: Vec<Vec<f64>> = feats_low.iter().chain(&feats_high).cloned().collect();
         let labels: Vec<f64> = all.iter().map(|f| f[RANKER_FEATURE_DIM - 1]).collect();
         let ranker = Ranker::fit(&all, &labels, 2);
-        let order = ranker.rank_projects(&[feats_low, feats_high]);
+        let order = ranker.rank_projects(&[feats_low, feats_high], None);
         assert_eq!(order[0], 1, "high-score project must rank first");
     }
 

@@ -1,11 +1,9 @@
 //! The unified per-query serving engine: [`RobustServer`].
 //!
-//! Earlier revisions grew a pile of free functions — `run_robust_serving`,
-//! `select_plan_robust`, `execute_with_fallback`, `select_plan_guarded*` —
-//! that all threaded the same margin/fallback/gate configuration through
-//! their parameter lists. [`RobustServer`] binds an [`EnvStrategy`] and a
-//! validated [`RobustConfig`] once and exposes the same ladder as methods;
-//! the old free functions remain as `#[deprecated]` shims delegating here.
+//! [`RobustServer`] binds an [`EnvStrategy`] and a validated
+//! [`RobustConfig`] once and exposes the fallback ladder of [`Resolution`]
+//! as methods, so no caller threads the margin, fallback and gate
+//! configuration through its own parameter lists.
 //!
 //! `RobustServer` is the *per-query* engine: select under the margin guard,
 //! degrade on non-finite predictions, execute with default-plan replay.
@@ -16,8 +14,8 @@
 use crate::error::LoamError;
 use crate::featurize::FeatureCache;
 use crate::gate::validate_traced;
-use crate::inference::{guarded_choice_traced, select_plan, EnvStrategy};
-use crate::pipeline::EvaluatedQuery;
+use crate::inference::{guarded_choice_traced, EnvStrategy};
+use crate::pipeline::{check_servable, EvaluatedQuery};
 use crate::predictor::baselines::CostModel;
 use crate::predictor::InferWs;
 use crate::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
@@ -50,12 +48,6 @@ impl RobustServer {
         Ok(RobustServer { strategy, cfg })
     }
 
-    /// Shim constructor for the deprecated free functions, which never
-    /// validated their margin.
-    pub(crate) fn unchecked(strategy: EnvStrategy, cfg: RobustConfig) -> RobustServer {
-        RobustServer { strategy, cfg }
-    }
-
     /// The bound environment strategy.
     pub fn strategy(&self) -> &EnvStrategy {
         &self.strategy
@@ -67,20 +59,10 @@ impl RobustServer {
     }
 
     /// Scores every candidate with one batched forward (through `cache`
-    /// when provided). Bit-identical to scoring each plan alone.
-    pub fn score_batch<M: CostModel + Sync + ?Sized>(
-        &self,
-        model: &M,
-        plans: &[&PlanTree],
-        cache: Option<&FeatureCache>,
-    ) -> Vec<f64> {
-        model.predict_batch(plans, self.strategy.env_source(), cache)
-    }
-
-    /// [`score_batch`](Self::score_batch) into caller-owned buffers: `out`
-    /// receives one cost per candidate (cleared first). With a warm
-    /// workspace and feature cache, a steady-state scoring batch performs
-    /// zero heap allocations. Bit-identical to `score_batch`.
+    /// when provided) into caller-owned buffers: `out` receives one cost
+    /// per candidate (cleared first). Bit-identical to scoring each plan
+    /// alone. With a warm workspace and feature cache, a steady-state
+    /// scoring batch performs zero heap allocations.
     pub fn score_batch_into<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -92,36 +74,11 @@ impl RobustServer {
         model.predict_batch_into(plans, self.strategy.env_source(), cache, ws, out);
     }
 
-    /// Guarded selection: scores the candidates and keeps the default plan
-    /// unless the winner beats it by the configured margin. Returns
-    /// `(chosen index, predicted costs)` and records the provenance into
-    /// `trace`.
-    pub fn select_guarded<M: CostModel + Sync + ?Sized>(
-        &self,
-        model: &M,
-        plans: &[&PlanTree],
-        default_idx: usize,
-        trace: Option<&TraceContext>,
-        query_id: u64,
-    ) -> (usize, Vec<f64>) {
-        let (best, costs) = select_plan(model, plans, &self.strategy);
-        let chosen = guarded_choice_traced(
-            plans,
-            &costs,
-            best,
-            default_idx,
-            self.cfg.margin,
-            trace,
-            query_id,
-        );
-        (chosen, costs)
-    }
-
     /// The margin guard plus predictor-degradation rung over an
     /// already-scored candidate set: a non-finite cost degrades to the
     /// default plan with a [`Decision::Fallback`] record and a reason,
     /// otherwise the guard decides. This is the method batched callers use
-    /// after [`score_batch`](Self::score_batch).
+    /// after [`score_batch_into`](Self::score_batch_into).
     pub fn resolve_scored(
         &self,
         plans: &[&PlanTree],
@@ -275,6 +232,26 @@ impl RobustServer {
         }
     }
 
+    /// Whether the gate-hold rung applies: the deployment gate held the
+    /// model (`gate_deployed` is false) and the fallback ladder is armed.
+    /// Every query then serves its default plan unscored.
+    pub fn gate_holds(&self, gate_deployed: bool) -> bool {
+        !gate_deployed && self.cfg.fallback_enabled
+    }
+
+    /// Records one query served under the gate hold: bumps
+    /// `loam.fallback.gate_hold` and leaves a [`Decision::Fallback`] record
+    /// in `trace`.
+    pub fn record_gate_hold(&self, query_id: u64, trace: Option<&TraceContext>) {
+        mcsim_obs::counter("loam.fallback.gate_hold", 1);
+        if let Some(t) = trace {
+            t.decision(Decision::Fallback(Fallback {
+                query_id,
+                reason: "deployment gate held the model; serving default plan".into(),
+            }));
+        }
+    }
+
     /// Selection stage for one evaluated query: gate hold → default plan;
     /// otherwise robust selection. Returns the chosen index and the
     /// resolution the execution stage starts from.
@@ -285,31 +262,23 @@ impl RobustServer {
         gate_deployed: bool,
         trace: Option<&TraceContext>,
     ) -> (usize, Resolution) {
-        if !gate_deployed && self.cfg.fallback_enabled {
-            mcsim_obs::counter("loam.fallback.gate_hold", 1);
-            if let Some(t) = trace {
-                t.decision(Decision::Fallback(Fallback {
-                    query_id: eq.query_id,
-                    reason: "deployment gate held the model; serving default plan".into(),
-                }));
-            }
+        if self.gate_holds(gate_deployed) {
+            self.record_gate_hold(eq.query_id, trace);
             return (eq.default_idx, Resolution::GateFallback);
         }
         let refs: Vec<&PlanTree> = eq.plans.iter().collect();
         let (choice, predictor_error) =
             self.select_robust(model, &refs, eq.default_idx, trace, eq.query_id);
-        match predictor_error {
-            Some(_) => (choice, Resolution::PredictorFallback),
-            None if choice == eq.default_idx => (choice, Resolution::Default),
-            None => (choice, Resolution::Steered),
-        }
+        let base = Resolution::of_selection(choice, eq.default_idx, predictor_error.is_some());
+        (choice, base)
     }
 
     /// The full robust serving loop: gate the model once, then select and
     /// execute every evaluated query down the fallback ladder. Never panics
     /// and always terminates — every query lands on some [`Resolution`],
     /// and every degraded query carries a [`Decision::Fallback`] record in
-    /// `trace`.
+    /// `trace`. Input that [`check_servable`] rejects is returned as its
+    /// typed error before anything is scored.
     pub fn serve_all<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -318,11 +287,7 @@ impl RobustServer {
         catalog: &Catalog,
         trace: Option<&TraceContext>,
     ) -> Result<RobustRunReport, LoamError> {
-        if evaluated.is_empty() {
-            return Err(LoamError::EmptyWorkload(
-                "robust serving needs at least one evaluated query".into(),
-            ));
-        }
+        check_servable(evaluated)?;
         let gate = validate_traced(model, &self.strategy, evaluated, &self.cfg.gate, trace);
         let gate_deployed = gate.deploy();
         let mut results = Vec::with_capacity(evaluated.len());
@@ -449,7 +414,8 @@ mod tests {
         let plans = [chain(9), chain(1), chain(5)];
         let refs: Vec<&PlanTree> = plans.iter().collect();
         let s = server(DEFAULT_MARGIN);
-        let costs = s.score_batch(&model, &refs, None);
+        let mut costs = Vec::new();
+        s.score_batch_into(&model, &refs, None, &mut InferWs::new(), &mut costs);
         let (from_scored, r1) = s.resolve_scored(&refs, &costs, 0, None, 3);
         let (from_select, r2) = s.select_robust(&model, &refs, 0, None, 3);
         assert_eq!(from_scored, from_select);
@@ -461,8 +427,11 @@ mod tests {
         let model = FakeModel { nan_for_big: false };
         let big = chain(9);
         let near = chain(8);
-        let (choice, costs) =
-            server(DEFAULT_MARGIN).select_guarded(&model, &[&big, &near], 0, None, 8);
+        let s = server(DEFAULT_MARGIN);
+        let refs = [&big, &near];
+        let mut costs = Vec::new();
+        s.score_batch_into(&model, &refs, None, &mut InferWs::new(), &mut costs);
+        let (choice, _) = s.resolve_scored(&refs, &costs, 0, None, 8);
         assert_eq!(choice, 0, "margin guard must keep the default");
         assert_eq!(costs.len(), 2);
     }

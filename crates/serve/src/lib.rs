@@ -38,7 +38,6 @@ mod session;
 
 pub use arrival::{generate_arrivals, Arrival, ArrivalProfile};
 pub use cache::{CachedDecision, DecisionCache};
-pub use mcsim_exec::EngineMode;
 pub use session::{
     DecisionRecord, RequestOutcome, ServeConfig, ServeConfigBuilder, ServeReport, ServeSession,
     ShedPolicy,

@@ -1,12 +1,12 @@
 //! The serving session: configuration, admission control, batched
 //! inference, and the deterministic decision log.
 //!
-//! [`ServeSession`] is the unified front end the free functions of earlier
-//! revisions grew toward: one validated [`ServeConfig`] describes the
-//! traffic (arrival profile, tenants, request count), the batching and
-//! caching policy, and the robustness knobs (margin, fallback ladder,
-//! deployment gate), and [`ServeSession::run`] drives the whole
-//! optimize → gate → execute path over a template library.
+//! [`ServeSession`] is the unified front end: one validated
+//! [`ServeConfig`] describes the traffic (arrival profile, tenants,
+//! request count), the batching and caching policy, and the robustness
+//! knobs (margin, fallback ladder, deployment gate), and
+//! [`ServeSession::run`] drives the whole optimize → gate → execute path
+//! over a template library.
 //!
 //! ## Determinism
 //!
@@ -17,16 +17,15 @@
 //! and every request executes on its own executor seeded from the request
 //! sequence number — with its cluster clock advanced to the arrival's
 //! virtual time, so each request sees the diurnal phase and fault
-//! timeline of its own moment. Thread count, wall-clock speed, tracing,
-//! and the simulation core ([`ServeConfig::engine`]) cannot change any
-//! [`DecisionRecord`].
+//! timeline of its own moment. Thread count, wall-clock speed and tracing
+//! cannot change any [`DecisionRecord`].
 
 use crate::arrival::{generate_arrivals, Arrival, ArrivalProfile};
 use crate::cache::{CachedDecision, DecisionCache};
 use loam_core::featurize::FeatureCache;
 use loam_core::gate::{validate_traced, GateConfig};
 use loam_core::inference::{EnvStrategy, DEFAULT_MARGIN};
-use loam_core::pipeline::EvaluatedQuery;
+use loam_core::pipeline::{check_servable, EvaluatedQuery};
 use loam_core::predictor::baselines::CostModel;
 use loam_core::predictor::InferWs;
 use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult};
@@ -34,8 +33,8 @@ use loam_core::serving::RobustServer;
 use loam_core::LoamError;
 use mcsim_catalog::workmodel::WorkParams;
 use mcsim_catalog::Catalog;
-use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode, ExecPlan};
-use mcsim_obs::trace::{Decision, Fallback, TraceContext};
+use mcsim_exec::{ChaosScenario, ClusterConfig, ExecPlan};
+use mcsim_obs::trace::TraceContext;
 use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
 use std::collections::HashMap;
@@ -72,8 +71,6 @@ pub struct ServeConfig {
     pub batch_size: usize,
     /// Admission control.
     pub shed: ShedPolicy,
-    /// Shard count for both caches.
-    pub cache_shards: usize,
     /// Cache featurizations across requests.
     pub feature_cache: bool,
     /// Cache guarded decisions per candidate-set signature.
@@ -90,12 +87,6 @@ pub struct ServeConfig {
     pub fault_scale: f64,
     /// Machines in each per-request execution cluster (≥ 1).
     pub machines: usize,
-    /// Simulation core of the per-request clusters. The event-driven
-    /// default makes admitting a request at virtual time `t` an
-    /// `O(events)` jump instead of `O(machines × t)` ticking, which is
-    /// what lets arrivals feed the cluster's virtual clock (see
-    /// [`ServeSession::run`]).
-    pub engine: EngineMode,
     /// Cluster warm-up ticks before each request executes (on top of the
     /// arrival's own virtual-time offset).
     pub warmup_ticks: u64,
@@ -111,7 +102,6 @@ impl Default for ServeConfig {
             requests: 256,
             batch_size: 32,
             shed: ShedPolicy::None,
-            cache_shards: 16,
             feature_cache: true,
             decision_cache: true,
             margin: DEFAULT_MARGIN,
@@ -120,7 +110,6 @@ impl Default for ServeConfig {
             strategy: EnvStrategy::NoEnv,
             fault_scale: 0.0,
             machines: 24,
-            engine: EngineMode::default(),
             warmup_ticks: 24,
             seed: 0x5e12_7e55,
         }
@@ -205,11 +194,6 @@ impl ServeConfigBuilder {
         self.cfg.shed = p;
         self
     }
-    /// Shard count for the feature and decision caches.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cfg.cache_shards = n;
-        self
-    }
     /// Toggle the featurization cache.
     pub fn feature_cache(mut self, on: bool) -> Self {
         self.cfg.feature_cache = on;
@@ -248,11 +232,6 @@ impl ServeConfigBuilder {
     /// Machines per per-request execution cluster.
     pub fn machines(mut self, n: usize) -> Self {
         self.cfg.machines = n;
-        self
-    }
-    /// Simulation core of the per-request clusters.
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.cfg.engine = mode;
         self
     }
     /// Warm-up ticks per request executor.
@@ -529,15 +508,10 @@ impl ServeSession {
         )?;
         let cluster = ClusterConfig::builder()
             .n_machines(cfg.machines)
-            .engine(cfg.engine)
             .build()
             .map_err(|e| LoamError::InvalidConfig(e.to_string()))?;
-        let features = cfg
-            .feature_cache
-            .then(|| FeatureCache::with_shards(cfg.cache_shards));
-        let decisions = cfg
-            .decision_cache
-            .then(|| DecisionCache::with_shards(cfg.cache_shards));
+        let features = cfg.feature_cache.then(FeatureCache::new);
+        let decisions = cfg.decision_cache.then(DecisionCache::new);
         Ok(ServeSession {
             cfg,
             server,
@@ -597,20 +571,7 @@ impl ServeSession {
         catalog: &Catalog,
         trace: Option<&TraceContext>,
     ) -> Result<ServeReport, LoamError> {
-        if templates.is_empty() {
-            return Err(LoamError::EmptyWorkload(
-                "serving needs at least one template".into(),
-            ));
-        }
-        for (i, eq) in templates.iter().enumerate() {
-            if eq.plans.is_empty() || eq.default_idx >= eq.plans.len() {
-                return Err(LoamError::InvalidConfig(format!(
-                    "template #{i} has {} plans with default_idx {}",
-                    eq.plans.len(),
-                    eq.default_idx
-                )));
-            }
-        }
+        check_servable(templates)?;
 
         let arrivals = generate_arrivals(
             &self.cfg.arrival,
@@ -826,21 +787,14 @@ impl ServeSession {
         // One decision per distinct template in the batch.
         let mut decided: HashMap<u32, (CachedDecision, Resolution, bool)> = HashMap::new();
         let mut infer_s = 0.0f64;
-        if !report.gate_deployed && self.cfg.fallback_enabled {
+        if self.server.gate_holds(report.gate_deployed) {
             // Gate hold: every request serves its default plan unscored.
             for a in batch.iter() {
-                mcsim_obs::counter("loam.fallback.gate_hold", 1);
-                if let Some(t) = trace {
-                    t.decision(Decision::Fallback(Fallback {
-                        query_id: templates[a.template as usize].query_id,
-                        reason: "deployment gate held the model; serving default plan".into(),
-                    }));
-                }
-            }
-            for a in batch.iter() {
+                let eq = &templates[a.template as usize];
+                self.server.record_gate_hold(eq.query_id, trace);
                 decided.entry(a.template).or_insert((
                     CachedDecision {
-                        choice: templates[a.template as usize].default_idx,
+                        choice: eq.default_idx,
                         predicted: 0.0,
                         degraded: false,
                     },
@@ -860,7 +814,8 @@ impl ServeSession {
                     .and_then(|c| c.get(digests[a.template as usize]));
                 match cached {
                     Some(d) => {
-                        let base = base_resolution(&d, templates[a.template as usize].default_idx);
+                        let default_idx = templates[a.template as usize].default_idx;
+                        let base = Resolution::of_selection(d.choice, default_idx, d.degraded);
                         decided.insert(a.template, (d, base, true));
                     }
                     None => to_score.push(a.template),
@@ -904,7 +859,7 @@ impl ServeSession {
                         predicted: slice_costs[choice],
                         degraded: reason.is_some(),
                     };
-                    let base = base_resolution(&d, eq.default_idx);
+                    let base = Resolution::of_selection(choice, eq.default_idx, d.degraded);
                     if let Some(c) = &self.decisions {
                         c.insert(digests[t as usize], d);
                     }
@@ -948,16 +903,6 @@ impl ServeSession {
                 h
             })
             .collect()
-    }
-}
-
-fn base_resolution(d: &CachedDecision, default_idx: usize) -> Resolution {
-    if d.degraded {
-        Resolution::PredictorFallback
-    } else if d.choice == default_idx {
-        Resolution::Default
-    } else {
-        Resolution::Steered
     }
 }
 

@@ -28,7 +28,7 @@ fn main() {
     );
     let mut passing = Vec::new();
     for p in &projects {
-        let report = evaluate_filter(p, 0, 4, &cfg);
+        let report = evaluate_filter(p, 0, 4, &cfg, None);
         println!(
             "  {}: n_query {:.0}/day, growth {:.3}, stable {:.2} → {}",
             p.id,
@@ -89,7 +89,7 @@ fn main() {
 
     let test: Vec<&(Vec<Vec<f64>>, Vec<f64>)> = per_project.iter().skip(half).collect();
     let test_feats: Vec<Vec<Vec<f64>>> = test.iter().map(|(f, _)| f.clone()).collect();
-    let predicted = ranker.rank_projects(&test_feats);
+    let predicted = ranker.rank_projects(&test_feats, None);
     let truth_scores: Vec<f64> = test
         .iter()
         .map(|(_, l)| l.iter().sum::<f64>() / l.len().max(1) as f64)

@@ -86,7 +86,7 @@ fn inspect(project_n: usize, scale: f64) {
         stats.top_template_share * 100.0
     );
     let cfg = FilterConfig::scaled(scale * 0.05);
-    let report = evaluate_filter(&project, 0, 5, &cfg);
+    let report = evaluate_filter(&project, 0, 5, &cfg, None);
     println!(
         "  filter: n_query {:.0}/day, growth {:.3}, stable {:.2} → {}",
         report.n_query,

@@ -55,10 +55,8 @@ pub use tinynn;
 pub mod prelude {
     pub use loam_core::error::LoamError;
     pub use loam_core::explorer::{Candidate, CandidateSet, ExplorerConfig, PlanExplorer};
-    pub use loam_core::gate::{GateConfig, GateReport};
+    pub use loam_core::gate::{self, GateConfig, GateReport};
     pub use loam_core::inference::{select_plan, EnvStrategy, DEFAULT_MARGIN};
-    #[allow(deprecated)] // legacy surface; prefer RobustServer / ServeSession
-    pub use loam_core::inference::{select_plan_guarded, select_plan_guarded_traced};
     pub use loam_core::persist::{
         load_predictor, load_ranker, save_predictor, save_ranker, PersistError,
     };
@@ -70,15 +68,10 @@ pub mod prelude {
     };
     pub use loam_core::predictor::baselines::CostModel;
     pub use loam_core::predictor::train::{train, TrainConfig, TrainReport, TrainSample};
-    #[allow(deprecated)] // legacy surface; prefer RobustServer / ServeSession
-    pub use loam_core::robust::{execute_with_fallback, run_robust_serving, select_plan_robust};
     pub use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
-    pub use loam_core::selector::{
-        evaluate_filter, evaluate_filter_traced, ranker_features, FilterConfig, Ranker,
-    };
+    pub use loam_core::selector::{evaluate_filter, ranker_features, FilterConfig, Ranker};
     pub use loam_core::serving::RobustServer;
     pub use loam_core::theory::{Deviance, KsTest, LogNormal};
-    pub use loam_core::{validate_deployment, validate_deployment_traced};
     pub use loam_core::{AdaptiveCostPredictor, EnvSource, PlanFeaturizer};
     pub use mcsim_catalog::{
         Catalog, EnvMetrics, Project, ProjectId, ProjectProfile, QueryRepository, QuerySpec,

@@ -5,7 +5,6 @@
 //!
 //! The recorder is process-global, so everything lives in one test function
 //! — parallel test threads would otherwise interleave their metrics.
-#![allow(deprecated)] // still drives the run_robust_serving shim on purpose
 
 use loam::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -148,7 +147,7 @@ fn traced_pipeline_captures_spans_decisions_and_the_chrome_export() {
     let strategy = EnvStrategy::MeanHistorical(prepared.mean_env);
     let eval = evaluate_model_traced(&predictor, &strategy, &evaluated, Some(&ctx)).unwrap();
     assert!(eval.avg_cost > 0.0);
-    validate_deployment_traced(
+    gate::validate_traced(
         &predictor,
         &strategy,
         &evaluated,
@@ -238,16 +237,16 @@ fn chaos_serving_emits_fault_retry_and_fallback_counters() {
         },
         ..RobustConfig::default()
     };
-    let report = run_robust_serving(
-        &NanModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &robust_cfg,
-        None,
-    )
-    .expect("robust serving terminates");
+    let report = RobustServer::new(strategy, robust_cfg)
+        .expect("default margin is valid")
+        .serve_all(
+            &NanModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            None,
+        )
+        .expect("robust serving terminates");
 
     mcsim_obs::uninstall();
     let snap = recorder.snapshot();
@@ -326,7 +325,8 @@ fn chrome_export_stays_well_nested_when_stages_are_killed_mid_flight() {
     let ctx = TraceContext::new("kill-nesting");
     let mut killed_seen = false;
     for rec in prepared.repo.records().iter().take(12) {
-        let _ = exec.try_execute_traced(&rec.plan, &prepared.project.catalog, Some(&ctx));
+        let compiled = exec.compile(&rec.plan, &prepared.project.catalog);
+        let _ = exec.run(&compiled, None, Some(&ctx));
     }
     for ev in ctx.timeline() {
         killed_seen |= ev.killed;

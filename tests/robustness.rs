@@ -2,11 +2,6 @@
 //! degrade gracefully — it always terminates, never panics, and every
 //! degraded query leaves a typed [`Decision::Fallback`] provenance record
 //! whose `query_id` matches the query it degraded.
-//!
-//! Deliberately exercises the deprecated free-function surface
-//! (`run_robust_serving` & co.) so the shims stay behaviorally equivalent
-//! to [`loam_core::serving::RobustServer`]; new code should use the latter.
-#![allow(deprecated)]
 
 use loam::prelude::*;
 
@@ -113,16 +108,16 @@ fn aggressive_chaos_terminates_and_records_fallback_provenance() {
         .build();
 
     let ctx = TraceContext::new("robustness");
-    let report = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("robust serving must terminate with a report, never panic");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("default margin is valid")
+        .serve_all(
+            &NodeCountModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("robust serving must terminate with a report, never panic");
 
     // Every query landed on some rung of the ladder.
     assert_eq!(report.results.len(), evaluated.len());
@@ -169,16 +164,16 @@ fn nan_predictor_degrades_every_query_to_the_default_plan() {
     let mut exec = ChaosScenario::new(7).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("nan-predictor");
-    let report = run_robust_serving(
-        &NanModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("a broken predictor must degrade, not fail the run");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("default margin is valid")
+        .serve_all(
+            &NanModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("a broken predictor must degrade, not fail the run");
 
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
     let ids = fallback_ids(&ctx);
@@ -209,16 +204,16 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
     let mut exec = ChaosScenario::new(11).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("gate-hold");
-    let report = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("gate hold must degrade, not fail the run");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("default margin is valid")
+        .serve_all(
+            &NodeCountModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("gate hold must degrade, not fail the run");
 
     assert!(!report.gate_deployed);
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
@@ -231,22 +226,61 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
     // With the ladder disarmed, the same hold is ignored: queries serve
     // through normal guarded selection instead.
     let mut exec2 = ChaosScenario::new(11).fault_scale(0.0).build();
-    let report2 = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec2,
-        &prepared.project.catalog,
-        &RobustConfig {
-            fallback_enabled: false,
-            gate: GateConfig {
-                max_avg_ratio: 0.0,
-                ..GateConfig::default()
-            },
-            ..RobustConfig::default()
+    let disarmed = RobustConfig {
+        fallback_enabled: false,
+        gate: GateConfig {
+            max_avg_ratio: 0.0,
+            ..GateConfig::default()
         },
-        None,
-    )
-    .expect("disarmed ladder without faults still completes");
+        ..RobustConfig::default()
+    };
+    let report2 = RobustServer::new(strategy, disarmed)
+        .expect("default margin is valid")
+        .serve_all(
+            &NodeCountModel,
+            &evaluated,
+            &mut exec2,
+            &prepared.project.catalog,
+            None,
+        )
+        .expect("disarmed ladder without faults still completes");
     assert!(report2.results.iter().all(|r| !r.resolution.is_degraded()));
+}
+
+/// A query without plans, or whose default index is past its last plan,
+/// is a typed error from both serving loops — never a panic.
+#[test]
+fn malformed_candidate_sets_are_rejected_by_both_serving_loops() {
+    let mut plan = PlanTree::new();
+    let scan = plan.leaf(Operator::table_scan(0, 1, 1, vec![0]));
+    plan.set_root(scan);
+    let no_plans = EvaluatedQuery {
+        query_id: 1,
+        plans: Vec::new(),
+        costs: Vec::new(),
+        default_idx: 0,
+    };
+    let default_past_end = EvaluatedQuery {
+        query_id: 2,
+        plans: vec![plan],
+        costs: vec![vec![1.0]],
+        default_idx: 1,
+    };
+    let catalog = Catalog::new();
+    let server = RobustServer::new(EnvStrategy::NoEnv, RobustConfig::default()).unwrap();
+    let session = ServeSession::new(ServeConfig::builder().requests(4).build().unwrap()).unwrap();
+    for malformed in [no_plans, default_past_end] {
+        let queries = [malformed];
+        let mut exec = ChaosScenario::new(3).fault_scale(0.0).build();
+        let served = server.serve_all(&NodeCountModel, &queries, &mut exec, &catalog, None);
+        assert!(
+            matches!(served, Err(LoamError::InvalidConfig(_))),
+            "serve_all: {served:?}"
+        );
+        let run = session.run(&NodeCountModel, &queries, &catalog, None);
+        assert!(
+            matches!(run, Err(LoamError::InvalidConfig(_))),
+            "ServeSession::run: {run:?}"
+        );
+    }
 }

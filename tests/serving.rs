@@ -152,43 +152,6 @@ fn decision_log_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The simulation core is not a semantic knob: serving the same trace on
-/// the event-driven engine and on the dense per-tick reference engine
-/// yields bit-identical decision logs, even with faults armed and
-/// arrival-time cluster offsets in play.
-#[test]
-fn decision_log_is_bit_identical_across_engines() {
-    let (prepared, evaluated) = evaluated_fixture(14);
-    let catalog = &prepared.project.catalog;
-    let cfg = |engine| {
-        ServeConfig::builder()
-            .tenants(4)
-            .requests(48)
-            .batch_size(16)
-            .machines(8)
-            .warmup_ticks(4)
-            .fault_scale(2.0)
-            .gate(permissive_gate())
-            .engine(engine)
-            .seed(31)
-            .build()
-            .expect("valid config")
-    };
-    let event = ServeSession::new(cfg(EngineMode::EventDriven))
-        .unwrap()
-        .run(&NodeCountModel, &evaluated, catalog, None)
-        .unwrap();
-    let dense = ServeSession::new(cfg(EngineMode::DenseTick))
-        .unwrap()
-        .run(&NodeCountModel, &evaluated, catalog, None)
-        .unwrap();
-    assert_eq!(event.decision_log, dense.decision_log);
-    assert_eq!(event.completed, dense.completed);
-    assert_eq!(event.failed, dense.failed);
-    assert_eq!(event.total_cost.to_bits(), dense.total_cost.to_bits());
-    assert_eq!(event.total_retries, dense.total_retries);
-}
-
 #[test]
 fn batched_cached_serving_decides_like_single_query() {
     let (prepared, evaluated) = evaluated_fixture(12);
