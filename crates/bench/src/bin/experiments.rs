@@ -19,7 +19,7 @@
 //!   sec73  population-wide benefit estimate
 //!   thm1   Theorem 1 ordering checks
 //!
-//!   parallel  serial-vs-pool wall-clock benchmark over the fig5+fig7
+//!   parallel  one-thread-vs-pool wall-clock benchmark over the fig5+fig7
 //!             subset; writes BENCH_parallel.json
 //!   train     training hot-path benchmark (legacy allocating vs the
 //!             workspace engine, serial vs microbatch pool, allocations
@@ -57,14 +57,17 @@
 //! experiments compare <old.json> <new.json> [--threshold <pct>]
 //!
 //!   diff two BENCH_*.json reports. Timing reports (BENCH_parallel.json
-//!   and friends share the phase schema) gate on pool wall-clock;
-//!   BENCH_sweep.json reports diff cell-by-cell on deterministic metrics.
-//!   Exit codes: 0 ok, 1 regression past the threshold (default 25%), 2 on
-//!   parse errors, 3 when the reports are structurally incomparable
-//!   (mixed kinds or missing sweep cells)
+//!   and friends) match legs by name and thread count and gate each
+//!   matched leg's wall_s; BENCH_sweep.json reports diff cell-by-cell on
+//!   deterministic metrics. Exit codes: 0 ok, 1 regression past the
+//!   threshold (default 25%), 2 on parse errors, 3 when the reports are
+//!   structurally incomparable (mixed kinds, missing sweep cells, or no
+//!   leg in common)
 //!
 //! `--threads N` overrides the mcsim-par pool size for the whole run
-//! (equivalent to MCSIM_PAR_THREADS=N).
+//! (equivalent to MCSIM_PAR_THREADS=N). An unknown id or flag, or a flag
+//! value that does not parse, prints this usage and exits 2 before any
+//! work starts.
 //! ```
 
 use loam_bench::exps;
@@ -90,36 +93,96 @@ fn emit_metrics(id: &str, scale: Scale, recorder: &mcsim_obs::InMemoryRecorder) 
     );
 }
 
+const USAGE: &str = "usage: experiments <id|all> [--scale small|medium|full] [--threads N] \
+                     [--quick] [--spec FILE]\n       \
+                     experiments compare <old.json> <new.json> [--threshold <pct>]";
+
+/// Every id `main` dispatches on.
+const IDS: [&str; 24] = [
+    "all", "compare", "fig1", "fig5", "tab1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "fig15", "fig16", "sec73", "thm1", "parallel", "train", "trace", "chaos", "serve",
+    "exec", "infer", "sweep",
+];
+
+/// The checked command line.
+struct Args {
+    id: String,
+    /// `compare`'s two report paths.
+    paths: Vec<String>,
+    scale: Scale,
+    threads: Option<usize>,
+    threshold: f64,
+    quick: bool,
+    spec: Option<String>,
+}
+
+/// Parses the arguments after the program name, rejecting an unknown id,
+/// flag or stray argument and any flag value that does not parse.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let id = args.first().map_or("all", String::as_str);
+    if !IDS.contains(&id) {
+        return Err(format!("unknown experiment id `{id}`"));
+    }
+    let mut a = Args {
+        id: id.to_string(),
+        paths: Vec::new(),
+        scale: Scale::Small,
+        threads: None,
+        threshold: 25.0,
+        quick: false,
+        spec: None,
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let mut value = || rest.next().ok_or_else(|| format!("`{arg}` needs a value"));
+        match arg.as_str() {
+            "--scale" => {
+                let v = value()?;
+                a.scale = Scale::parse(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
+            }
+            "--threads" => {
+                let v = value()?;
+                a.threads = Some(v.parse().map_err(|_| format!("bad thread count `{v}`"))?);
+            }
+            "--threshold" => {
+                let v = value()?;
+                a.threshold = v.parse().map_err(|_| format!("bad threshold `{v}`"))?;
+            }
+            "--spec" => a.spec = Some(value()?.clone()),
+            "--quick" => a.quick = true,
+            p if a.id == "compare" && !p.starts_with("--") && a.paths.len() < 2 => {
+                a.paths.push(p.to_string());
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    if a.id == "compare" && a.paths.len() != 2 {
+        return Err("compare needs two report paths".to_string());
+    }
+    Ok(a)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let id = args.get(1).map(String::as_str).unwrap_or("all");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        id,
+        paths,
+        scale,
+        threads,
+        threshold,
+        quick,
+        spec,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let id = id.as_str();
 
     // `compare` is a pure file diff: no project context, no recorder.
     if id == "compare" {
-        let (Some(old_path), Some(new_path)) = (args.get(2), args.get(3)) else {
-            eprintln!("usage: experiments compare <old.json> <new.json> [--threshold <pct>]");
-            std::process::exit(2);
-        };
-        let threshold = args
-            .iter()
-            .position(|a| a == "--threshold")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(25.0);
-        std::process::exit(exps::compare::run(old_path, new_path, threshold));
+        std::process::exit(exps::compare::run(&paths[0], &paths[1], threshold));
     }
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Small);
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(n) = threads {
         mcsim_par::set_threads(n);
         eprintln!("pool size overridden: {n} thread(s)");
     }
@@ -135,19 +198,11 @@ fn main() {
     // `chaos`, `serve`, `exec`, `infer`, and `sweep` are context-free too,
     // but take the extra `--quick` flag (`sweep` also `--spec FILE`).
     if id == "chaos" || id == "serve" || id == "exec" || id == "infer" || id == "sweep" {
-        let quick = args.iter().any(|a| a == "--quick");
         match id {
             "chaos" => exps::chaos::run(scale, quick),
             "serve" => exps::serve::run(scale, quick),
             "exec" => exps::exec::run(scale, quick),
-            "sweep" => {
-                let spec_path = args
-                    .iter()
-                    .position(|a| a == "--spec")
-                    .and_then(|i| args.get(i + 1))
-                    .map(String::as_str);
-                exps::sweep::run(scale, quick, spec_path);
-            }
+            "sweep" => exps::sweep::run(scale, quick, spec.as_deref()),
             _ => exps::infer::run(scale, quick),
         }
         emit_metrics(id, scale, &recorder);
@@ -202,7 +257,7 @@ fn main() {
             let rows: Vec<_> = runs.iter().map(exps::fig11::evaluate_run).collect();
             exps::fig11::print(&rows);
         }
-        other => eprintln!("unknown experiment id `{other}`"),
+        other => unreachable!("`{other}` was checked against IDS"),
     };
 
     if id == "all" {

@@ -5,13 +5,11 @@
 //! queries through [`RobustServer::serve_all`] against chaos executors armed at
 //! increasing fault rates (0×, 1×, 2×, 4× the default
 //! [`FaultConfig::chaos`](mcsim_exec::FaultConfig::chaos) probabilities).
-//! Reports completion rate, degraded
-//! queries, retry counts, wasted work, and the cost overhead versus the
-//! fault-free baseline, and writes `BENCH_chaos.json` in the same
-//! `BenchReport` phase schema as `BENCH_parallel.json` / `BENCH_train.json`
-//! (the `compare` subcommand's parser ignores the chaos-specific extras).
+//! Writes one leg per level to `BENCH_chaos.json`, carrying its completion
+//! rate, degraded queries, retry counts, wasted work and total cost; the
+//! cost overhead of a level is its `total_cost` over the `fault_x0` leg's.
 
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
 use loam_core::pipeline::{evaluate_candidates, prepare_project, train_loam, PipelineConfig};
@@ -104,128 +102,36 @@ pub fn run(scale: Scale, quick: bool) {
     } else {
         &[0.0, 1.0, 2.0, 4.0]
     };
-    let outcomes = run_levels(scale, levels);
-    let base_cost = outcomes[0].report.total_cost().max(1e-9);
-
-    let mut t = Table::new([
-        "level",
-        "queries",
-        "completed",
-        "degraded",
-        "retries",
-        "speculative",
-        "wasted cost",
-        "cost overhead",
-        "wall (s)",
-    ]);
-    for o in &outcomes {
-        let r = &o.report;
-        t.row([
-            o.name.clone(),
-            r.results.len().to_string(),
-            format!("{:.1}%", r.completion_rate() * 100.0),
-            r.degraded_count().to_string(),
-            r.total_retries().to_string(),
-            r.results
-                .iter()
-                .map(|q| q.speculative_launches)
-                .sum::<u32>()
-                .to_string(),
-            format!("{:.0}", r.total_wasted_cost()),
-            format!("{:+.1}%", (r.total_cost() / base_cost - 1.0) * 100.0),
-            format!("{:.3}", o.wall_s),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "gate deployed: {}; fallback ladder armed at every level",
-        outcomes[0].report.gate_deployed
-    );
-
-    let json = report_json(scale, &outcomes);
-    let path = "BENCH_chaos.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    let report = report(scale, &run_levels(scale, levels));
+    println!("{}", report.table().render());
+    report.write();
 }
 
-/// Renders the sweep as a JSON document in the `BenchReport` shape: the
-/// fault-free level is every phase's `serial_s` baseline, the level's own
-/// wall-clock is `parallel_s`, so `compare` gates on serving-time blowup
-/// under faults. Chaos-specific fields ride along unparsed.
-fn report_json(scale: Scale, outcomes: &[LevelOutcome]) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let base_wall = outcomes[0].wall_s.max(1e-9);
-    let base_cost = outcomes[0].report.total_cost().max(1e-9);
-    let threads = 1; // robust serving is a serial loop per level
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}",
-                o.name,
-                base_wall,
-                o.wall_s,
-                base_wall / o.wall_s.max(1e-9)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let total_wall: f64 = outcomes.iter().map(|o| o.wall_s).sum();
-    let levels = outcomes
-        .iter()
-        .map(|o| {
-            let r = &o.report;
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"fault_scale\":{:.2},\"queries\":{},",
-                    "\"completion_rate\":{:.6},\"degraded\":{},\"retries\":{},",
-                    "\"speculative\":{},\"wasted_cost\":{:.3},\"total_cost\":{:.3},",
-                    "\"cost_overhead_pct\":{:.3}}}"
-                ),
-                o.name,
-                o.fault_scale,
-                r.results.len(),
-                r.completion_rate(),
-                r.degraded_count(),
-                r.total_retries(),
-                r.results
-                    .iter()
-                    .map(|q| q.speculative_launches)
-                    .sum::<u32>(),
-                r.total_wasted_cost(),
-                r.total_cost(),
-                (r.total_cost() / base_cost - 1.0) * 100.0
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"bench\":\"chaos\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"gate_deployed\":{},",
-            "\"levels\":[{}]}}"
-        ),
-        scale_name,
-        threads,
-        threads,
-        phases,
-        base_wall * outcomes.len() as f64,
-        total_wall,
-        base_wall * outcomes.len() as f64 / total_wall.max(1e-9),
-        outcomes[0].report.gate_deployed,
-        levels,
-    )
+/// One leg per fault level, run under the pool (scoring may fan out).
+fn report(scale: Scale, outcomes: &[LevelOutcome]) -> TimingReport {
+    let mut report = TimingReport::new("chaos", scale);
+    for o in outcomes {
+        let r = &o.report;
+        let speculative: u32 = r.results.iter().map(|q| q.speculative_launches).sum();
+        report.legs.push(
+            Leg::new(o.name.clone(), mcsim_par::threads(), o.wall_s)
+                .with("fault_scale", o.fault_scale)
+                .with("queries", r.results.len() as f64)
+                .with("completion_rate", r.completion_rate())
+                .with("degraded", r.degraded_count() as f64)
+                .with("retries", f64::from(r.total_retries()))
+                .with("speculative", f64::from(speculative))
+                .with("wasted_cost", r.total_wasted_cost())
+                .with("total_cost", r.total_cost())
+                .with("gate_deployed", f64::from(u8::from(r.gate_deployed))),
+        );
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
     use loam_core::robust::Resolution;
 
     /// The acceptance criterion of the chaos harness: at the default fault
@@ -255,32 +161,22 @@ mod tests {
         );
     }
 
-    /// The emitted JSON parses as a `BenchReport` (so `experiments compare`
-    /// can gate on it) and carries one phase per level.
+    /// Every fault level becomes one leg with its completion rate.
     #[test]
-    fn report_json_is_compare_compatible() {
-        let outcomes = run_levels(Scale::Small, &[0.0, 1.0]);
-        let json = report_json(Scale::Small, &outcomes);
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
+    fn timing_report_has_one_leg_per_fault_level() {
+        let r = report(Scale::Small, &run_levels(Scale::Small, &[0.0, 1.0]));
         assert_eq!(r.bench, "chaos");
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "fault_x0");
-        assert_eq!(r.phases[1].name, "fault_x1");
-        assert!(r.total.parallel_s > 0.0);
+        let names: Vec<&str> = r.legs.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["fault_x0", "fault_x1"]);
+        assert_eq!(r.legs[1].fact("fault_scale"), Some(1.0));
+        assert!(r.legs.iter().all(|l| l.wall_s > 0.0));
+        assert!(r.legs.iter().all(|l| l.fact("completion_rate").is_some()));
     }
 
-    /// The checked-in repo-root report stays parseable and in sync with the
-    /// schema (mirrors the `BENCH_train.json` test).
+    /// The checked-in repo-root report holds fault levels only.
     #[test]
     fn checked_in_bench_chaos_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_chaos.json"
-        ))
-        .expect("BENCH_chaos.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "chaos");
-        assert!(!r.phases.is_empty());
-        assert!(r.phases.iter().all(|p| p.name.starts_with("fault_x")));
+        let (r, _) = crate::report::checked_in("chaos");
+        assert!(r.legs.iter().all(|l| l.name.starts_with("fault_x")));
     }
 }

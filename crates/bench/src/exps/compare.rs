@@ -3,14 +3,11 @@
 //!
 //! Two report kinds are understood, dispatched on the `bench` field:
 //!
-//! * **Timing reports** (as written by `experiments parallel` and friends):
-//!   diffs per-phase and total wall-clock between an old (baseline) and a
-//!   new report and flags any phase whose `parallel_s` regressed past a
-//!   configurable percentage threshold. Phases may carry the
-//!   `BENCH_exec.json` scaling extras (`machines`, `queries`,
-//!   `events_per_s`) and the `degenerate` marker `experiments parallel`
-//!   sets when both legs ran at the same thread count; both are surfaced
-//!   in the diff but never gate it.
+//! * **Timing reports** ([`TimingReport`], as written by `experiments
+//!   parallel` and friends): legs are matched by name and thread count,
+//!   and a matched leg whose `wall_s` grew past a percentage threshold
+//!   regresses. A leg only one report has is listed but never gates;
+//!   facts ride along and never gate.
 //! * **Sweep reports** (`bench: "sweep"`, as written by
 //!   `experiments sweep`): diffs the scenario matrices cell-by-cell,
 //!   matching cells by `config_hash`, with per-metric gates —
@@ -24,148 +21,116 @@
 //! Exit codes are typed: [`EXIT_OK`] = within threshold,
 //! [`EXIT_REGRESSION`] = regression detected, [`EXIT_PARSE`] =
 //! unreadable/unparsable input, [`EXIT_DEGENERATE`] = structurally
-//! incomparable reports (mixed kinds, missing cells, or nothing matched).
+//! incomparable reports (mixed kinds, missing sweep cells, or nothing
+//! matched).
 
 use super::sweep::SweepReport;
+use crate::report::{Leg, TimingReport};
 use serde::{Deserialize, Value};
 
-/// Exit code: every phase stayed within the threshold.
+/// Exit code: every matched leg or cell stayed within the threshold.
 pub const EXIT_OK: i32 = 0;
-/// Exit code: at least one phase (or the total) regressed past the
+/// Exit code: at least one matched leg or cell regressed past the
 /// threshold.
 pub const EXIT_REGRESSION: i32 = 1;
 /// Exit code: a report could not be read or parsed.
 pub const EXIT_PARSE: i32 = 2;
 /// Exit code: the reports are structurally incomparable — different report
-/// kinds, sweep cells present on only one side, or no matching cells.
+/// kinds, sweep cells present on only one side, or nothing matched.
 pub const EXIT_DEGENERATE: i32 = 3;
 
-/// One phase row of a `BENCH_*.json` report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct PhaseRow {
-    /// Phase name (e.g. `fig7_context`).
-    pub name: String,
-    /// Serial-baseline wall-clock seconds.
-    pub serial_s: f64,
-    /// Pool wall-clock seconds (the figure the gate compares).
-    pub parallel_s: f64,
-    /// serial_s / parallel_s.
-    pub speedup: f64,
-    /// `BENCH_exec.json`: machines in the simulated pool.
-    pub machines: Option<u64>,
-    /// `BENCH_exec.json`: queries executed per engine leg.
-    pub queries: Option<u64>,
-    /// `BENCH_exec.json`: fault events drained per second by the event
-    /// engine.
-    pub events_per_s: Option<f64>,
-    /// `BENCH_parallel.json`: both legs ran at the same thread count, so
-    /// the speedup column is meaningless.
-    pub degenerate: Option<bool>,
-}
-
-impl PhaseRow {
-    /// Whether the phase carries the `degenerate: true` marker.
-    pub fn is_degenerate(&self) -> bool {
-        self.degenerate == Some(true)
-    }
-}
-
-/// The `total` block of a report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct TotalRow {
-    /// Serial-baseline total seconds.
-    pub serial_s: f64,
-    /// Pool total seconds.
-    pub parallel_s: f64,
-    /// serial_s / parallel_s.
-    pub speedup: f64,
-}
-
-/// A parsed `BENCH_*.json` report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct BenchReport {
-    /// Benchmark id (`parallel`).
-    pub bench: String,
-    /// Scale the report was produced at.
-    pub scale: String,
-    /// Thread count of the serial pass.
-    pub threads_serial: usize,
-    /// Thread count of the pool pass.
-    pub threads_parallel: usize,
-    /// Per-phase timings.
-    pub phases: Vec<PhaseRow>,
-    /// Whole-run timings.
-    pub total: TotalRow,
-}
-
-/// One compared phase: old/new seconds and the relative delta.
+/// One leg both reports have, matched by name and thread count.
 #[derive(Debug, Clone)]
-pub struct PhaseDelta {
-    /// Phase name.
-    pub name: String,
-    /// Baseline pool seconds.
+pub struct LegDelta {
+    /// The leg as `name@threads`.
+    pub leg: String,
+    /// Baseline wall-clock seconds.
     pub old_s: f64,
-    /// New pool seconds.
+    /// New wall-clock seconds.
     pub new_s: f64,
     /// Percent change ((new − old) / old × 100; positive = slower).
     pub delta_pct: f64,
 }
 
-/// The comparison outcome.
+/// The outcome of a leg-by-leg timing comparison.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    /// Per-phase deltas, in the new report's phase order, plus a final
-    /// `total` row.
-    pub deltas: Vec<PhaseDelta>,
-    /// Phases (or `total`) regressing past the threshold.
+    /// Matched legs, in the new report's order.
+    pub deltas: Vec<LegDelta>,
+    /// Legs only the baseline has, as `name@threads`.
+    pub only_old: Vec<String>,
+    /// Legs only the new report has, as `name@threads`.
+    pub only_new: Vec<String>,
+    /// Matched legs whose `wall_s` grew past the threshold.
     pub regressions: Vec<String>,
 }
 
-fn pct(old_s: f64, new_s: f64) -> f64 {
-    100.0 * (new_s - old_s) / old_s.max(1e-9)
+impl Comparison {
+    /// The typed exit code: no leg in common is [`EXIT_DEGENERATE`];
+    /// one-sided legs never gate.
+    pub fn exit_code(&self) -> i32 {
+        if self.deltas.is_empty() {
+            EXIT_DEGENERATE
+        } else if self.regressions.is_empty() {
+            EXIT_OK
+        } else {
+            EXIT_REGRESSION
+        }
+    }
 }
 
-/// Compares two parsed reports at a regression threshold (percent).
-pub fn compare(old: &BenchReport, new: &BenchReport, threshold_pct: f64) -> Comparison {
-    let mut deltas = Vec::new();
-    let mut regressions = Vec::new();
-    for np in &new.phases {
-        let Some(op) = old.phases.iter().find(|p| p.name == np.name) else {
-            // A phase the baseline never measured can't regress.
+/// Compares two timing reports leg by leg at a regression threshold
+/// (percent).
+pub fn compare(old: &TimingReport, new: &TimingReport, threshold_pct: f64) -> Comparison {
+    let key = |l: &Leg| format!("{}@{}", l.name, l.threads);
+    let find = |r: &TimingReport, k: &str| r.legs.iter().find(|l| key(l) == k).map(|l| l.wall_s);
+    let mut cmp = Comparison {
+        deltas: Vec::new(),
+        only_old: Vec::new(),
+        only_new: Vec::new(),
+        regressions: Vec::new(),
+    };
+    for ol in &old.legs {
+        if find(new, &key(ol)).is_none() {
+            cmp.only_old.push(key(ol));
+        }
+    }
+    for nl in &new.legs {
+        let Some(old_s) = find(old, &key(nl)) else {
+            cmp.only_new.push(key(nl));
             continue;
         };
-        let delta_pct = pct(op.parallel_s, np.parallel_s);
+        let delta_pct = 100.0 * (nl.wall_s - old_s) / old_s.max(1e-9);
         if delta_pct > threshold_pct {
-            regressions.push(np.name.clone());
+            cmp.regressions.push(key(nl));
         }
-        deltas.push(PhaseDelta {
-            name: np.name.clone(),
-            old_s: op.parallel_s,
-            new_s: np.parallel_s,
+        cmp.deltas.push(LegDelta {
+            leg: key(nl),
+            old_s,
+            new_s: nl.wall_s,
             delta_pct,
         });
     }
-    let total_delta = pct(old.total.parallel_s, new.total.parallel_s);
-    if total_delta > threshold_pct {
-        regressions.push("total".to_string());
-    }
-    deltas.push(PhaseDelta {
-        name: "total".to_string(),
-        old_s: old.total.parallel_s,
-        new_s: new.total.parallel_s,
-        delta_pct: total_delta,
-    });
-    Comparison {
-        deltas,
-        regressions,
-    }
+    cmp
 }
 
-/// Parses a report file. Errors are strings so the caller can decide the
+/// Reads a report file. Errors are strings so the caller can decide the
 /// exit code.
-pub fn load_report(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+fn parse<T: Deserialize>(path: &str, text: &str) -> Result<T, String> {
+    serde_json::from_str(text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
+}
+
+fn parse_both<T: Deserialize>(
+    a: &str,
+    a_text: &str,
+    b: &str,
+    b_text: &str,
+) -> Result<(T, T), String> {
+    Ok((parse(a, a_text)?, parse(b, b_text)?))
 }
 
 // ------------------------------------------------------------ sweep diff
@@ -361,14 +326,61 @@ fn run_sweep_diff(
     cmp.exit_code()
 }
 
+fn run_timing_diff(
+    old_path: &str,
+    old: &TimingReport,
+    new_path: &str,
+    new: &TimingReport,
+    threshold_pct: f64,
+) -> i32 {
+    println!(
+        "comparing {old_path} ({} scale, {} cores) -> {new_path} ({} scale, {} cores), \
+         threshold {threshold_pct:.0}%",
+        old.scale, old.host.cores, new.scale, new.host.cores
+    );
+    if old.bench != new.bench {
+        eprintln!(
+            "compare: warning: different benchmarks ({} vs {})",
+            old.bench, new.bench
+        );
+    }
+    let cmp = compare(old, new, threshold_pct);
+    println!(
+        "{:<28} {:>12} {:>12} {:>9}",
+        "leg", "old (s)", "new (s)", "delta"
+    );
+    for d in &cmp.deltas {
+        let flag = if d.delta_pct > threshold_pct {
+            "  REGRESSED"
+        } else {
+            ""
+        };
+        println!(
+            "{:<28} {:>12.3} {:>12.3} {:>+8.1}%{flag}",
+            d.leg, d.old_s, d.new_s, d.delta_pct
+        );
+    }
+    for (path, legs) in [(old_path, &cmp.only_old), (new_path, &cmp.only_new)] {
+        if !legs.is_empty() {
+            println!("only in {path} (not gated): {}", legs.join(", "));
+        }
+    }
+    match cmp.exit_code() {
+        EXIT_OK => println!("ok: no leg regressed more than {threshold_pct:.0}%"),
+        EXIT_REGRESSION => eprintln!(
+            "regression: {} exceeded the {threshold_pct:.0}% threshold",
+            cmp.regressions.join(", ")
+        ),
+        _ => eprintln!("degenerate: no leg matched by name and thread count"),
+    }
+    cmp.exit_code()
+}
+
 /// The full subcommand: loads both reports, dispatches on report kind
 /// (sweep vs timing), prints the diff table, and returns the process exit
 /// code ([`EXIT_OK`], [`EXIT_REGRESSION`], [`EXIT_PARSE`], or
 /// [`EXIT_DEGENERATE`]).
 pub fn run(old_path: &str, new_path: &str, threshold_pct: f64) -> i32 {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-    };
     let (old_text, new_text) = match (read(old_path), read(new_path)) {
         (Ok(o), Ok(n)) => (o, n),
         (Err(e), _) | (_, Err(e)) => {
@@ -385,183 +397,113 @@ pub fn run(old_path: &str, new_path: &str, threshold_pct: f64) -> i32 {
         );
         return EXIT_DEGENERATE;
     }
-    if old_sweep {
-        let parse = |path: &str, text: &str| -> Result<SweepReport, String> {
-            serde_json::from_str(text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
-        };
-        let (old, new) = match (parse(old_path, &old_text), parse(new_path, &new_text)) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("compare: {e}");
-                return EXIT_PARSE;
-            }
-        };
-        return run_sweep_diff(old_path, &old, new_path, &new, threshold_pct);
-    }
-    let parse = |path: &str, text: &str| -> Result<BenchReport, String> {
-        serde_json::from_str(text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
-    };
-    let (old, new) = match (parse(old_path, &old_text), parse(new_path, &new_text)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("compare: {e}");
-            return EXIT_PARSE;
-        }
-    };
-    println!(
-        "comparing {old_path} (scale {}, {} threads) -> {new_path} (scale {}, {} threads), \
-         threshold {threshold_pct:.0}%",
-        old.scale, old.threads_parallel, new.scale, new.threads_parallel
-    );
-    if old.bench != new.bench {
-        eprintln!(
-            "compare: warning: different benchmarks ({} vs {})",
-            old.bench, new.bench
-        );
-    }
-    if let Some(p) = new.phases.iter().find(|p| p.is_degenerate()) {
-        eprintln!(
-            "compare: warning: phase `{}` in {new_path} is marked degenerate \
-             (both legs ran at the same thread count) — its speedup is meaningless",
-            p.name
-        );
-    }
-    let cmp = compare(&old, &new, threshold_pct);
-    println!(
-        "{:<16} {:>12} {:>12} {:>9}",
-        "phase", "old (s)", "new (s)", "delta"
-    );
-    for d in &cmp.deltas {
-        let flag = if d.delta_pct > threshold_pct {
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        // Exec-scaling extras ride along the row when the new report has
-        // them (informational; the gate stays a pure timing diff).
-        let extra = new
-            .phases
-            .iter()
-            .find(|p| p.name == d.name)
-            .map(|p| {
-                let mut s = String::new();
-                if let Some(m) = p.machines {
-                    s.push_str(&format!("  machines={m}"));
-                }
-                if let Some(q) = p.queries {
-                    s.push_str(&format!(" queries={q}"));
-                }
-                if let Some(e) = p.events_per_s {
-                    s.push_str(&format!(" events/s={e:.0}"));
-                }
-                s
-            })
-            .unwrap_or_default();
-        println!(
-            "{:<16} {:>12.3} {:>12.3} {:>+8.1}%{flag}{extra}",
-            d.name, d.old_s, d.new_s, d.delta_pct
-        );
-    }
-    if cmp.regressions.is_empty() {
-        println!("ok: no phase regressed more than {threshold_pct:.0}%");
-        EXIT_OK
+    let code = if old_sweep {
+        parse_both(old_path, &old_text, new_path, &new_text)
+            .map(|(o, n)| run_sweep_diff(old_path, &o, new_path, &n, threshold_pct))
     } else {
-        eprintln!(
-            "regression: {} exceeded the {threshold_pct:.0}% threshold",
-            cmp.regressions.join(", ")
-        );
-        EXIT_REGRESSION
-    }
+        parse_both(old_path, &old_text, new_path, &new_text)
+            .map(|(o, n)| run_timing_diff(old_path, &o, new_path, &n, threshold_pct))
+    };
+    code.unwrap_or_else(|e| {
+        eprintln!("compare: {e}");
+        EXIT_PARSE
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(phase_s: f64, total_s: f64) -> BenchReport {
-        BenchReport {
-            bench: "parallel".into(),
-            scale: "small".into(),
-            threads_serial: 1,
-            threads_parallel: 8,
-            phases: vec![PhaseRow {
-                name: "fig7_context".into(),
-                serial_s: phase_s * 1.5,
-                parallel_s: phase_s,
-                speedup: 1.5,
-                machines: None,
-                queries: None,
-                events_per_s: None,
-                degenerate: None,
-            }],
-            total: TotalRow {
-                serial_s: total_s * 1.5,
-                parallel_s: total_s,
-                speedup: 1.5,
-            },
-        }
+    /// A parallel-bench report with the given `(name, threads, wall_s)` legs.
+    fn report(legs: &[(&str, usize, f64)]) -> TimingReport {
+        let mut r = TimingReport::new("parallel", crate::Scale::Small);
+        r.legs = legs
+            .iter()
+            .map(|&(name, threads, wall_s)| Leg::new(name, threads, wall_s))
+            .collect();
+        r
     }
 
     #[test]
     fn within_threshold_passes_and_regression_is_flagged() {
-        let old = report(10.0, 12.0);
-        let ok = compare(&old, &report(11.0, 13.0), 25.0);
-        assert!(ok.regressions.is_empty(), "{:?}", ok.regressions);
-        let bad = compare(&old, &report(14.0, 16.0), 25.0);
-        assert_eq!(bad.regressions, vec!["fig7_context", "total"]);
-        // Deltas carry the phase rows plus the total row.
+        let old = report(&[("fig7_context", 2, 10.0), ("fig7_eval", 2, 1.0)]);
+        let ok = compare(
+            &old,
+            &report(&[("fig7_context", 2, 11.0), ("fig7_eval", 2, 1.2)]),
+            25.0,
+        );
+        assert_eq!(ok.exit_code(), EXIT_OK, "{:?}", ok.regressions);
+        let bad = compare(
+            &old,
+            &report(&[("fig7_context", 2, 14.0), ("fig7_eval", 2, 1.0)]),
+            25.0,
+        );
+        assert_eq!(bad.exit_code(), EXIT_REGRESSION);
+        assert_eq!(bad.regressions, vec!["fig7_context@2"]);
         assert_eq!(bad.deltas.len(), 2);
         assert!(bad.deltas[0].delta_pct > 25.0);
     }
 
     #[test]
     fn speedups_are_not_regressions() {
-        let old = report(10.0, 12.0);
-        let fast = compare(&old, &report(5.0, 6.0), 25.0);
-        assert!(fast.regressions.is_empty());
+        let old = report(&[("fig7_context", 2, 10.0)]);
+        let fast = compare(&old, &report(&[("fig7_context", 2, 5.0)]), 25.0);
+        assert_eq!(fast.exit_code(), EXIT_OK);
         assert!(fast.deltas.iter().all(|d| d.delta_pct < 0.0));
     }
 
+    /// Legs pair up by name and thread count wherever they sit: a slower
+    /// 1-thread leg is not diffed against the 2-thread leg of that name.
     #[test]
-    fn checked_in_bench_report_parses_against_itself() {
-        // The repository ships BENCH_parallel.json; comparing it against
-        // itself must parse and report zero deltas. Skip silently if the
-        // test runs from an unexpected working directory.
-        let Ok(old) = load_report("../../BENCH_parallel.json") else {
-            return;
-        };
-        let cmp = compare(&old, &old, 25.0);
-        assert!(cmp.regressions.is_empty());
-        assert!(cmp.deltas.iter().all(|d| d.delta_pct.abs() < 1e-9));
+    fn legs_match_by_name_and_thread_count_not_position() {
+        let old = report(&[("fig7_context", 1, 20.0), ("fig7_context", 2, 10.0)]);
+        let new = report(&[("fig7_context", 2, 10.5), ("fig7_context", 1, 21.0)]);
+        let cmp = compare(&old, &new, 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_OK);
+        let legs: Vec<&str> = cmp.deltas.iter().map(|d| d.leg.as_str()).collect();
+        assert_eq!(legs, ["fig7_context@2", "fig7_context@1"]);
+        assert!(cmp.deltas.iter().all(|d| d.delta_pct.abs() < 6.0));
+    }
+
+    /// A leg on one side only is listed and never gates, however slow.
+    #[test]
+    fn one_sided_legs_are_listed_never_gated() {
+        let old = report(&[("fig5_sweep", 1, 1.0), ("fig7_eval", 8, 1.0)]);
+        let new = report(&[("fig5_sweep", 1, 1.0), ("fig7_eval", 4, 100.0)]);
+        let cmp = compare(&old, &new, 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_OK);
+        assert_eq!(cmp.only_old, vec!["fig7_eval@8"]);
+        assert_eq!(cmp.only_new, vec!["fig7_eval@4"]);
+    }
+
+    #[test]
+    fn no_common_leg_exits_degenerate() {
+        let old = report(&[("fig7_context", 1, 1.0)]);
+        let new = report(&[("fig7_context", 2, 1.0)]);
+        assert_eq!(compare(&old, &new, 25.0).exit_code(), EXIT_DEGENERATE);
+        assert_eq!(
+            compare(&old, &report(&[]), 25.0).exit_code(),
+            EXIT_DEGENERATE
+        );
     }
 
     #[test]
     fn parse_errors_are_typed_not_panics() {
-        assert!(load_report("/nonexistent/BENCH.json").is_err());
+        let missing = "/nonexistent/BENCH.json";
+        assert_eq!(run(missing, missing, 25.0), EXIT_PARSE);
     }
 
-    /// The exec scaling extras and the parallel degenerate marker parse out
-    /// of the shared schema; plain reports without them default cleanly.
+    /// Facts ride along each leg but never gate: only `wall_s` does.
     #[test]
-    fn exec_extras_and_degenerate_marker_parse() {
-        let json = r#"{"bench":"exec","scale":"small","threads_serial":1,
-            "threads_parallel":1,
-            "phases":[{"name":"exec_10k","serial_s":40.0,"parallel_s":1.0,
-                       "speedup":40.0,"machines":10000,"queries":1000,
-                       "events_per_s":52000.0},
-                      {"name":"warm","serial_s":1.0,"parallel_s":1.0,
-                       "speedup":1.0,"degenerate":true}],
-            "total":{"serial_s":41.0,"parallel_s":2.0,"speedup":20.5},
-            "headline":{"machines":10000,"queries":1000000}}"#;
-        let r: BenchReport = serde_json::from_str(json).expect("exec schema parses");
-        assert_eq!(r.phases[0].machines, Some(10_000));
-        assert_eq!(r.phases[0].queries, Some(1_000));
-        assert_eq!(r.phases[0].events_per_s, Some(52_000.0));
-        assert!(!r.phases[0].is_degenerate());
-        assert!(r.phases[1].is_degenerate());
-        // Extras never gate: a regression-free diff stays regression-free.
-        let cmp = compare(&r, &r, 25.0);
-        assert!(cmp.regressions.is_empty());
+    fn facts_parse_and_never_gate() {
+        let mut old = report(&[("event_10k", 1, 1.0)]);
+        old.legs[0] = old.legs[0].clone().with("machines", 10_000.0);
+        let json = canon::canonical_of(&old);
+        let parsed: TimingReport = serde_json::from_str(&json).expect("report parses");
+        assert_eq!(parsed.legs[0].fact("machines"), Some(10_000.0));
+        let mut new = parsed.clone();
+        new.legs[0].facts[0].1 = 1.0;
+        assert_eq!(compare(&parsed, &new, 25.0).exit_code(), EXIT_OK);
     }
 
     // ------------------------------------------------------- sweep diff
@@ -685,12 +627,8 @@ mod tests {
         let timing_path = dir.join("cmp_mixed_timing.json");
         let sweep = sweep_report(vec![sweep_cell(8, 100.0, "aa")]);
         std::fs::write(&sweep_path, canon::canonical_of(&sweep)).expect("write sweep");
-        std::fs::write(
-            &timing_path,
-            r#"{"bench":"parallel","scale":"small","threads_serial":1,"threads_parallel":2,
-               "phases":[],"total":{"serial_s":1.0,"parallel_s":1.0,"speedup":1.0}}"#,
-        )
-        .expect("write timing");
+        std::fs::write(&timing_path, canon::canonical_of(&report(&[("a", 1, 1.0)])))
+            .expect("write timing");
         let code = run(
             sweep_path.to_str().expect("utf8 path"),
             timing_path.to_str().expect("utf8 path"),

@@ -5,18 +5,16 @@
 //! seeded query stream through both simulation cores — the dense per-tick
 //! reference engine and the event-driven engine with lazy load evaluation
 //! — then runs the headline session: 10,000 machines × 1,000,000 queries
-//! on the event engine alone. Writes `BENCH_exec.json` in the shared
-//! `BenchReport` phase schema, mapping the dense engine to `serial_s` and
-//! the event engine to `parallel_s`, so `experiments compare` gates on the
-//! event engine's wall-clock; the scaling extras (`machines`, `queries`,
-//! `events_per_s`, `lazy_advances`) ride along each phase row.
+//! on the event engine alone. Writes `BENCH_exec.json` with one leg per
+//! engine and pool size (`dense_1k`, `event_1k`, ...) plus the `headline`
+//! leg, each carrying its pool size, query count and engine counters.
 //!
 //! Machine-failure rates are normalized to the pool (`FaultConfig::chaos`
 //! is calibrated for 200 machines), so every sweep level injects the same
 //! absolute fault traffic and the comparison across pool sizes is a pure
 //! simulation-core measurement.
 
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::Scale;
 use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode, EngineStats, Executor, FaultConfig};
 use mcsim_optimizer::{Knobs, NativeOptimizer};
@@ -127,8 +125,6 @@ pub fn run_leg(
 
 /// One sweep level: the same scenario on both engines.
 pub struct LevelOutcome {
-    /// Phase name (`exec_1k`, `exec_5k`, `exec_10k`).
-    pub name: String,
     /// Machines in the pool.
     pub machines: usize,
     /// Queries per engine leg.
@@ -137,13 +133,6 @@ pub struct LevelOutcome {
     pub dense: LegResult,
     /// The event-driven leg.
     pub event: LegResult,
-}
-
-impl LevelOutcome {
-    /// Dense wall over event wall.
-    pub fn speedup(&self) -> f64 {
-        self.dense.wall_s / self.event.wall_s.max(1e-9)
-    }
 }
 
 /// The headline event-only session.
@@ -156,12 +145,28 @@ pub struct Headline {
     pub leg: LegResult,
 }
 
-fn level_name(machines: usize) -> String {
+/// A pool size as a leg-name suffix: `1k` for 1,000 machines.
+fn pool_label(machines: usize) -> String {
     if machines.is_multiple_of(1000) {
-        format!("exec_{}k", machines / 1000)
+        format!("{}k", machines / 1000)
     } else {
-        format!("exec_{machines}")
+        machines.to_string()
     }
+}
+
+/// The timing leg of one engine run: a serial query loop on one thread.
+fn exec_leg(name: impl Into<String>, machines: usize, queries: usize, r: &LegResult) -> Leg {
+    let wall = r.wall_s.max(1e-9);
+    Leg::new(name, 1, r.wall_s)
+        .with("machines", machines as f64)
+        .with("queries", queries as f64)
+        .with("queries_per_s", queries as f64 / wall)
+        .with("events", r.stats.events as f64)
+        .with("events_per_s", r.stats.events as f64 / wall)
+        .with("lazy_advances", r.stats.lazy_advances as f64)
+        .with("heap_peak", r.stats.heap_peak as f64)
+        .with("completed", r.completed as f64)
+        .with("failed", r.failed as f64)
 }
 
 /// Runs the dense-vs-event sweep at every pool size. Returned for
@@ -195,7 +200,6 @@ pub fn run_levels(pool_sizes: &[usize], queries: usize) -> Vec<LevelOutcome> {
             assert_eq!(dense.completed, event.completed);
             assert_eq!(dense.failed, event.failed);
             LevelOutcome {
-                name: level_name(machines),
                 machines,
                 queries,
                 dense,
@@ -239,128 +243,35 @@ pub fn run(scale: Scale, quick: bool) {
         &[1_000, 5_000, 10_000]
     };
     let outcomes = run_levels(pool_sizes, queries);
-
-    let mut t = Table::new([
-        "pool",
-        "queries",
-        "dense (s)",
-        "event (s)",
-        "speedup",
-        "events",
-        "lazy evals",
-        "heap peak",
-    ]);
-    for o in &outcomes {
-        t.row([
-            o.machines.to_string(),
-            o.queries.to_string(),
-            format!("{:.3}", o.dense.wall_s),
-            format!("{:.3}", o.event.wall_s),
-            format!("{:.1}x", o.speedup()),
-            o.event.stats.events.to_string(),
-            o.event.stats.lazy_advances.to_string(),
-            o.event.stats.heap_peak.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let headline = if quick {
-        None
-    } else {
-        let h = run_headline(10_000, 1_000_000);
-        println!(
-            "headline: {} machines × {} queries in {:.1}s ({:.0} queries/s, {} events, \
-             {} lazy evaluations)",
-            h.machines,
-            h.queries,
-            h.leg.wall_s,
-            h.queries as f64 / h.leg.wall_s.max(1e-9),
-            h.leg.stats.events,
-            h.leg.stats.lazy_advances,
-        );
-        Some(h)
-    };
-
-    let json = report_json(scale, &outcomes, headline.as_ref());
-    let path = "BENCH_exec.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    let headline = (!quick).then(|| run_headline(10_000, 1_000_000));
+    let report = report(scale, &outcomes, headline.as_ref());
+    println!("{}", report.table().render());
+    report.write();
 }
 
-/// Renders the sweep as a JSON document in the `BenchReport` shape: dense
-/// is `serial_s`, event is `parallel_s`, so `compare` gates on event-engine
-/// wall-clock. The `machines`/`queries`/`events_per_s`/`lazy_advances`
-/// extras ride along each phase; the headline session is a top-level
-/// object `compare` ignores.
-fn report_json(scale: Scale, outcomes: &[LevelOutcome], headline: Option<&Headline>) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},",
-                    "\"speedup\":{:.4},\"machines\":{},\"queries\":{},",
-                    "\"events_per_s\":{:.3},\"lazy_advances\":{},\"heap_peak\":{}}}"
-                ),
-                o.name,
-                o.dense.wall_s,
-                o.event.wall_s,
-                o.speedup(),
-                o.machines,
-                o.queries,
-                o.event.stats.events as f64 / o.event.wall_s.max(1e-9),
-                o.event.stats.lazy_advances,
-                o.event.stats.heap_peak,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let dense_total: f64 = outcomes.iter().map(|o| o.dense.wall_s).sum();
-    let event_total: f64 = outcomes.iter().map(|o| o.event.wall_s).sum();
-    let headline_json = headline
-        .map(|h| {
-            format!(
-                concat!(
-                    ",\"headline\":{{\"machines\":{},\"queries\":{},\"wall_s\":{:.6},",
-                    "\"queries_per_s\":{:.3},\"events\":{},\"lazy_advances\":{},",
-                    "\"heap_peak\":{},\"completed\":{},\"failed\":{}}}"
-                ),
-                h.machines,
-                h.queries,
-                h.leg.wall_s,
-                h.queries as f64 / h.leg.wall_s.max(1e-9),
-                h.leg.stats.events,
-                h.leg.stats.lazy_advances,
-                h.leg.stats.heap_peak,
-                h.leg.completed,
-                h.leg.failed,
-            )
-        })
-        .unwrap_or_default();
-    format!(
-        concat!(
-            "{{\"bench\":\"exec\",\"scale\":\"{}\",",
-            "\"threads_serial\":1,\"threads_parallel\":1,",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}",
-            "{}}}"
-        ),
-        scale_name,
-        phases,
-        dense_total,
-        event_total,
-        dense_total / event_total.max(1e-9),
-        headline_json,
-    )
+/// One `dense_<pool>` and one `event_<pool>` leg per sweep level, then the
+/// `headline` leg when it ran.
+fn report(scale: Scale, outcomes: &[LevelOutcome], headline: Option<&Headline>) -> TimingReport {
+    let mut report = TimingReport::new("exec", scale);
+    for o in outcomes {
+        let pool = pool_label(o.machines);
+        let leg = |engine: &str, r: &LegResult| {
+            exec_leg(format!("{engine}_{pool}"), o.machines, o.queries, r)
+        };
+        report.legs.push(leg("dense", &o.dense));
+        report.legs.push(leg("event", &o.event));
+    }
+    if let Some(h) = headline {
+        report
+            .legs
+            .push(exec_leg("headline", h.machines, h.queries, &h.leg));
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
 
     /// The bench workload replays bit-identically on both engines — the
     /// assertion `run_levels` enforces at every sweep level, exercised at
@@ -383,65 +294,47 @@ mod tests {
         );
     }
 
-    /// The emitted JSON parses as a `BenchReport` with the scaling extras,
-    /// so `experiments compare` can gate on it.
+    /// Each level yields a dense and an event leg carrying the scaling
+    /// facts, and the headline its own leg.
     #[test]
-    fn report_json_is_compare_compatible() {
+    fn timing_report_names_each_engine_leg() {
         let levels = run_levels(&[48], 8);
         let headline = Headline {
             machines: 48,
             queries: 8,
             leg: levels[0].event,
         };
-        let json = report_json(Scale::Small, &levels, Some(&headline));
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
+        let r = report(Scale::Small, &levels, Some(&headline));
         assert_eq!(r.bench, "exec");
-        assert_eq!(r.phases.len(), 1);
-        assert_eq!(r.phases[0].name, "exec_48");
-        assert_eq!(r.phases[0].machines, Some(48));
-        assert_eq!(r.phases[0].queries, Some(8));
-        assert!(r.phases[0].events_per_s.is_some());
-        assert!(r.total.parallel_s > 0.0);
+        let names: Vec<&str> = r.legs.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["dense_48", "event_48", "headline"]);
+        let event = r.leg("event_48").expect("event leg");
+        assert_eq!(event.fact("machines"), Some(48.0));
+        assert_eq!(event.fact("queries"), Some(8.0));
+        assert!(event.fact("events_per_s").is_some());
+        assert!(r.legs.iter().all(|l| l.threads == 1 && l.wall_s > 0.0));
     }
 
-    /// The checked-in repo-root report stays parseable, carries the full
-    /// 1k/5k/10k sweep, and documents the acceptance headline: ≥ 1M
-    /// queries over 10k machines with the event engine ≥ 20× the dense
-    /// reference at the largest pool.
+    /// The checked-in repo-root report carries the full 1k/5k/10k sweep
+    /// and documents the acceptance headline: ≥ 1M queries over 10k
+    /// machines with the event engine ≥ 20× the dense reference at the
+    /// largest pool.
     #[test]
     fn checked_in_bench_exec_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_exec.json"
-        ))
-        .expect("BENCH_exec.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "exec");
-        let ten_k = r
-            .phases
-            .iter()
-            .find(|p| p.machines == Some(10_000))
-            .expect("the sweep must include the 10k pool");
+        let (r, _) = crate::report::checked_in("exec");
+        let wall = |name: &str| {
+            r.leg(name)
+                .unwrap_or_else(|| panic!("the sweep must include `{name}`"))
+                .wall_s
+        };
+        let ratio = wall("dense_10k") / wall("event_10k");
         assert!(
-            ten_k.speedup >= 20.0,
-            "event engine must be >= 20x dense at 10k machines, got {:.1}x",
-            ten_k.speedup
+            ratio >= 20.0,
+            "event engine must be >= 20x dense at 10k machines, got {ratio:.1}x"
         );
-        // The headline block is outside the BenchReport schema; parse it
-        // with a dedicated row type.
-        #[derive(serde::Deserialize)]
-        struct ExecReport {
-            headline: HeadlineRow,
-        }
-        #[derive(serde::Deserialize)]
-        struct HeadlineRow {
-            machines: u64,
-            queries: u64,
-            completed: u64,
-        }
-        let e: ExecReport = serde_json::from_str(&json).expect("headline block");
-        assert!(e.headline.machines >= 10_000);
-        assert!(e.headline.queries >= 1_000_000);
-        assert!(e.headline.completed > 0);
+        let h = r.leg("headline").expect("the headline leg");
+        assert!(h.fact("machines").unwrap_or(0.0) >= 10_000.0);
+        assert!(h.fact("queries").unwrap_or(0.0) >= 1_000_000.0);
+        assert!(h.fact("completed").unwrap_or(0.0) > 0.0);
     }
 }

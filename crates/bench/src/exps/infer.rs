@@ -5,14 +5,13 @@
 //! asserts every leg is bit-identical to the baseline, reports
 //! plans-predicted/sec per leg plus steady-state allocations per scoring
 //! pass (via the counting allocator installed by the `experiments` binary),
-//! and writes `BENCH_infer.json` in the same phase shape as
-//! `BENCH_parallel.json` so `experiments compare` can diff it.
+//! and writes each leg to `BENCH_infer.json`.
 //!
 //! The model is freshly initialized rather than trained: forward-pass cost
 //! does not depend on the weight values, and skipping training keeps the
 //! benchmark focused on the inference path itself.
 
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
 use loam_core::{AdaptiveCostPredictor, EnvStrategy, FeatureCache, InferWs, PlanExplorer};
@@ -28,6 +27,8 @@ const REPS: usize = 20;
 const QUICK_REPS: usize = 3;
 /// Candidate sets kept under `--quick`.
 const QUICK_QUERIES: usize = 12;
+/// The leg the warm allocation probe re-runs.
+const CACHED: &str = "batched_sparse_simd_cached";
 
 /// The scoring workload: per-query candidate sets plus the environment
 /// strategy the serving path would use.
@@ -49,7 +50,7 @@ impl Workload {
 }
 
 /// One measured leg of the benchmark.
-struct Leg {
+struct Timed {
     name: &'static str,
     /// Wall-clock seconds per scoring pass over the whole workload.
     seconds: f64,
@@ -58,7 +59,7 @@ struct Leg {
     bits: Vec<u64>,
 }
 
-impl Leg {
+impl Timed {
     fn plans_per_s(&self, plans: usize) -> f64 {
         plans as f64 / self.seconds.max(1e-12)
     }
@@ -103,7 +104,7 @@ fn time_leg(
     mode: KernelMode,
     reps: usize,
     mut pass: impl FnMut(&mut Vec<u64>),
-) -> Leg {
+) -> Timed {
     eprintln!("{name}...");
     let prev = set_kernel_mode(mode);
     let mut bits = Vec::new();
@@ -116,7 +117,7 @@ fn time_leg(
     let seconds = t.elapsed().as_secs_f64() / reps.max(1) as f64;
     set_kernel_mode(prev);
     assert_eq!(kept, bits, "{name}: predictions changed between passes");
-    Leg {
+    Timed {
         name,
         seconds,
         bits,
@@ -167,38 +168,33 @@ pub fn run(scale: Scale, quick: bool) {
     let mut out = Vec::new();
     let cache = FeatureCache::new();
 
-    let single_scalar = time_leg("single, scalar", KernelMode::Scalar, reps, |b| {
+    let single_scalar = time_leg("single_scalar", KernelMode::Scalar, reps, |b| {
         pass_single(&model, &w, b)
     });
-    let single_simd = time_leg("single, simd", KernelMode::Simd, reps, |b| {
+    let single_simd = time_leg("single_simd", KernelMode::Simd, reps, |b| {
         pass_single(&model, &w, b)
     });
-    let batched_dense_scalar = time_leg("batched dense, scalar", KernelMode::Scalar, reps, |b| {
+    let batched_dense_scalar = time_leg("batched_dense_scalar", KernelMode::Scalar, reps, |b| {
         pass_batched(&model, &w, &ref_sets, false, None, &mut ws, &mut out, b)
     });
-    let batched_dense_simd = time_leg("batched dense, simd", KernelMode::Simd, reps, |b| {
+    let batched_dense_simd = time_leg("batched_dense_simd", KernelMode::Simd, reps, |b| {
         pass_batched(&model, &w, &ref_sets, false, None, &mut ws, &mut out, b)
     });
-    let batched_sparse_simd = time_leg("batched sparse, simd", KernelMode::Simd, reps, |b| {
+    let batched_sparse_simd = time_leg("batched_sparse_simd", KernelMode::Simd, reps, |b| {
         pass_batched(&model, &w, &ref_sets, true, None, &mut ws, &mut out, b)
     });
-    let batched_cached = time_leg(
-        "batched sparse, simd, cached",
-        KernelMode::Simd,
-        reps,
-        |b| {
-            pass_batched(
-                &model,
-                &w,
-                &ref_sets,
-                true,
-                Some(&cache),
-                &mut ws,
-                &mut out,
-                b,
-            )
-        },
-    );
+    let batched_cached = time_leg(CACHED, KernelMode::Simd, reps, |b| {
+        pass_batched(
+            &model,
+            &w,
+            &ref_sets,
+            true,
+            Some(&cache),
+            &mut ws,
+            &mut out,
+            b,
+        )
+    });
 
     // Every optimized leg must reproduce the legacy path bit for bit.
     let legs = [
@@ -258,117 +254,44 @@ pub fn run(scale: Scale, quick: bool) {
         println!("warm cached scoring pass: 0 heap allocations ✓\n");
     }
 
-    let mut t = Table::new(["leg", "pass (s)", "plans/s", "speedup"]);
-    for leg in &legs {
-        t.row([
-            leg.name.to_string(),
-            format!("{:.4}", leg.seconds),
-            format!("{:.0}", leg.plans_per_s(plans)),
-            format!("{:.2}x", legs[0].seconds / leg.seconds.max(1e-12)),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let json = report_json(scale, queries, plans, reps, allocs_per_pass, &legs);
-    let path = "BENCH_infer.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    let report = report(scale, queries, plans, reps, allocs_per_pass, &legs);
+    println!("{}", report.table().render());
+    report.write();
 }
 
-/// Renders the report in the `BenchReport` phase shape: every optimized leg
-/// becomes a phase whose `serial_s` is the single-scalar baseline and whose
-/// `parallel_s` is the leg itself (the `compare` subcommand ignores the
-/// inference-specific extras).
-fn report_json(
+/// One leg per scoring path, timed per pass over the whole workload on the
+/// pool (the nn kernels fan out above the work gate); the cached leg also
+/// carries the warm pass's allocations.
+fn report(
     scale: Scale,
     queries: usize,
     plans: usize,
     reps: usize,
     allocs_per_pass_warm: u64,
-    legs: &[Leg],
-) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let baseline = &legs[0];
-    let mut phases = String::new();
-    for (i, leg) in legs[1..].iter().enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        phases.push_str(&format!(
-            "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\
-             \"speedup\":{:.4},\"plans_per_s\":{:.1}}}",
-            leg.name.replace(", ", "_").replace(' ', "_"),
-            baseline.seconds,
-            leg.seconds,
-            baseline.seconds / leg.seconds.max(1e-12),
-            leg.plans_per_s(plans),
-        ));
+    legs: &[Timed],
+) -> TimingReport {
+    let mut report = TimingReport::new("infer", scale);
+    for t in legs {
+        let leg = Leg::new(t.name, mcsim_par::threads(), t.seconds)
+            .with("plans_per_s", t.plans_per_s(plans))
+            .with("queries", queries as f64)
+            .with("plans", plans as f64)
+            .with("reps", reps as f64);
+        report.legs.push(if t.name == CACHED {
+            leg.with("allocs_per_pass_warm", allocs_per_pass_warm as f64)
+        } else {
+            leg
+        });
     }
-    let best = legs
-        .last()
-        .expect("at least the baseline leg must be present");
-    format!(
-        concat!(
-            "{{\"bench\":\"infer\",\"scale\":\"{}\",",
-            "\"threads_serial\":1,\"threads_parallel\":1,",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"queries\":{},\"plans\":{},\"reps\":{},",
-            "\"plans_per_s_single_scalar\":{:.1},",
-            "\"plans_per_s_best\":{:.1},",
-            "\"allocs_per_pass_warm\":{}}}"
-        ),
-        scale_name,
-        phases,
-        baseline.seconds,
-        best.seconds,
-        baseline.seconds / best.seconds.max(1e-12),
-        queries,
-        plans,
-        reps,
-        baseline.plans_per_s(plans),
-        best.plans_per_s(plans),
-        allocs_per_pass_warm,
-    )
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-        plans: u64,
-        allocs_per_pass_warm: u64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-        plans_per_s: f64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
-
-    fn leg(name: &'static str, seconds: f64) -> Leg {
-        Leg {
+    fn timed(name: &'static str, seconds: f64) -> Timed {
+        Timed {
             name,
             seconds,
             bits: Vec::new(),
@@ -376,57 +299,42 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_well_formed_and_compare_compatible() {
+    fn timing_report_has_one_leg_per_scoring_path() {
         let legs = [
-            leg("single, scalar", 1.0),
-            leg("single, simd", 0.8),
-            leg("batched sparse, simd, cached", 0.1),
+            timed("single_scalar", 1.0),
+            timed("single_simd", 0.8),
+            timed(CACHED, 0.1),
         ];
-        let json = report_json(Scale::Small, 10, 200, 5, 0, &legs);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(r.bench, "infer");
-        assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 1);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "single_simd");
-        assert!((r.phases[0].serial_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 0.8).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 1.25).abs() < 1e-9);
-        assert!((r.phases[0].plans_per_s - 250.0).abs() < 1e-6);
-        assert_eq!(r.phases[1].name, "batched_sparse_simd_cached");
-        assert!((r.total.serial_s - 1.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 0.1).abs() < 1e-9);
-        assert!((r.total.speedup - 10.0).abs() < 1e-9);
-        assert_eq!(r.plans, 200);
-        assert_eq!(r.allocs_per_pass_warm, 0);
+        let r = report(Scale::Small, 10, 200, 5, 0, &legs);
+        assert_eq!((r.bench.as_str(), r.scale.as_str()), ("infer", "small"));
+        let names: Vec<&str> = r.legs.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["single_scalar", "single_simd", CACHED]);
+        let simd = r.leg("single_simd").expect("simd leg");
+        assert_eq!(simd.threads, mcsim_par::threads() as u64);
+        assert_eq!(simd.wall_s, 0.8);
+        assert_eq!(simd.fact("plans_per_s"), Some(250.0));
+        assert_eq!(simd.fact("plans"), Some(200.0));
+        assert_eq!(simd.fact("allocs_per_pass_warm"), None);
+        assert_eq!(r.legs[2].fact("allocs_per_pass_warm"), Some(0.0));
     }
 
     #[test]
     fn checked_in_infer_report_parses_and_hits_the_speedup_target() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_infer.json"
-        ))
-        .expect("BENCH_infer.json must be checked in at the repo root");
-        let r: Report = serde_json::from_str(&json).expect("checked-in report must parse");
-        assert_eq!(r.bench, "infer");
-        assert!(r.phases.iter().any(|p| p.name == "batched_sparse_simd"));
+        let (r, _) = crate::report::checked_in("infer");
+        assert!(r.leg("batched_sparse_simd").is_some());
+        let baseline = r.leg("single_scalar").expect("the single-scalar leg");
+        let best = r.leg(CACHED).expect("the cached batched leg");
         assert_eq!(
-            r.allocs_per_pass_warm, 0,
+            best.fact("allocs_per_pass_warm"),
+            Some(0.0),
             "warm cached scoring must be allocation-free"
         );
-        // The PR's headline: batched+SIMD inference at least 5x the legacy
+        // The headline: batched+SIMD inference at least 5x the legacy
         // single-plan scalar path.
-        let best = r
-            .phases
-            .iter()
-            .find(|p| p.name == "batched_sparse_simd_cached")
-            .expect("cached batched leg must be present");
+        let speedup = baseline.wall_s / best.wall_s;
         assert!(
-            best.speedup >= 5.0,
-            "batched+SIMD+cached speedup {:.2}x is below the 5x target",
-            best.speedup
+            speedup >= 5.0,
+            "batched+SIMD+cached speedup {speedup:.2}x is below the 5x target"
         );
     }
 }

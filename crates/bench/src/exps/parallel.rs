@@ -1,283 +1,82 @@
 //! The parallel-compute benchmark: runs the fig5+fig7 experiment subset
-//! twice — once pinned to a single thread (the serial baseline) and once on
-//! the default pool — and reports wall-clock per phase plus the speedup,
-//! both as a table and as a `BENCH_parallel.json` report.
+//! once pinned to a single thread and once on the pool, and writes every
+//! phase at each thread count as a named leg of `BENCH_parallel.json`.
 
 use crate::exps::{common, fig5};
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::Scale;
 use loam_core::pipeline::evaluate_model;
 
-/// Wall-clock seconds of each phase of the fig5+fig7 subset.
-struct PhaseTimes {
-    /// (phase name, seconds) in execution order.
-    phases: Vec<(&'static str, f64)>,
-}
-
-impl PhaseTimes {
-    fn total(&self) -> f64 {
-        self.phases.iter().map(|p| p.1).sum()
-    }
-}
-
 /// Runs the fig5 load sweep, the fig7 project context (prepare + train +
-/// replay), and the fig7 model evaluation, timing each phase under whatever
-/// thread count is currently configured.
-fn run_phases(scale: Scale) -> PhaseTimes {
-    let mut phases = Vec::new();
+/// replay), and the fig7 model evaluation at `threads` pool threads, one
+/// leg per phase.
+fn run_phases(scale: Scale, threads: usize) -> Vec<Leg> {
+    let prev = mcsim_par::set_threads(threads);
+    let mut legs = Vec::new();
 
     let t = std::time::Instant::now();
     let sweep = fig5::sweep(scale);
-    phases.push(("fig5_sweep", t.elapsed().as_secs_f64()));
+    legs.push(Leg::new("fig5_sweep", threads, t.elapsed().as_secs_f64()));
     // Consume the sweep so the work cannot be considered dead.
     assert!(sweep.iter().map(|s| s.3).sum::<f64>().is_finite());
 
     let t = std::time::Instant::now();
     let run = common::run_project(1, scale);
-    phases.push(("fig7_context", t.elapsed().as_secs_f64()));
+    legs.push(Leg::new("fig7_context", threads, t.elapsed().as_secs_f64()));
 
     let t = std::time::Instant::now();
     let report =
         evaluate_model(&run.loam, &run.strategy, &run.evaluated).expect("model evaluation failed");
-    phases.push(("fig7_eval", t.elapsed().as_secs_f64()));
+    legs.push(Leg::new("fig7_eval", threads, t.elapsed().as_secs_f64()));
     assert_eq!(report.per_query.len(), run.evaluated.len());
 
-    PhaseTimes { phases }
+    mcsim_par::set_threads(prev);
+    legs
 }
 
-/// Renders the report as a JSON document. Both thread counts are the ones
-/// the legs actually ran with, not assumptions. When both legs ran at the
-/// same thread count the speedup signal is degenerate — every phase is
-/// marked `degenerate: true` so downstream tooling (`experiments compare`)
-/// knows not to read meaning into the ratio.
-fn report_json(
-    scale: Scale,
-    serial_threads: usize,
-    parallel_threads: usize,
-    serial: &PhaseTimes,
-    parallel: &PhaseTimes,
-) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let degenerate = serial_threads == parallel_threads;
-    let mark = if degenerate {
-        ",\"degenerate\":true"
+/// The thread counts to run at: 1, then the pool size if it is larger.
+/// A pool configured at one thread falls back to the machine's available
+/// parallelism, so an unconfigured run still exercises the pool.
+fn thread_counts(configured: usize, available: usize) -> Vec<usize> {
+    let pool = if configured > 1 {
+        configured
     } else {
-        ""
+        available
     };
-    let mut phases = String::new();
-    for (i, ((name, s), (_, p))) in serial.phases.iter().zip(&parallel.phases).enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        phases.push_str(&format!(
-            "{{\"name\":\"{name}\",\"serial_s\":{s:.6},\"parallel_s\":{p:.6},\
-             \"speedup\":{:.4}{mark}}}",
-            s / p.max(1e-9)
-        ));
+    if pool > 1 {
+        vec![1, pool]
+    } else {
+        vec![1]
     }
-    format!(
-        concat!(
-            "{{\"bench\":\"parallel\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}}}"
-        ),
-        scale_name,
-        serial_threads,
-        parallel_threads,
-        phases,
-        serial.total(),
-        parallel.total(),
-        serial.total() / parallel.total().max(1e-9),
-    )
 }
 
 /// Runs the benchmark and writes `BENCH_parallel.json` into the current
 /// directory.
 pub fn run(scale: Scale) {
-    println!("Parallel-compute benchmark — fig5+fig7 subset, serial vs pool\n");
-    // The pool-configured count (--threads / MCSIM_PAR_THREADS), unless the
-    // pool sits at a single thread — then the parallel leg defaults to the
-    // machine's available parallelism, so an unconfigured run still
-    // exercises the pool instead of silently producing a degenerate 1-vs-1
-    // report.
-    let configured = mcsim_par::threads();
-    let parallel_threads = if configured > 1 {
-        configured
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    if parallel_threads != configured {
-        eprintln!(
-            "note: pool configured with {configured} thread(s); parallel leg \
-             defaulted to the machine's {parallel_threads}"
-        );
+    println!("Parallel-compute benchmark — fig5+fig7 subset, one thread vs the pool\n");
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let counts = thread_counts(mcsim_par::threads(), available);
+    if counts.len() == 1 {
+        eprintln!("note: one core and a one-thread pool: running the 1-thread legs only");
     }
-    let serial_threads = 1;
-    if parallel_threads == serial_threads {
-        eprintln!(
-            "warning: both legs will run with {serial_threads} thread(s) — the speedup \
-             column is meaningless and every phase will be marked `degenerate: true` \
-             in BENCH_parallel.json; pass --threads N or set MCSIM_PAR_THREADS"
-        );
+    let mut report = TimingReport::new("parallel", scale);
+    for &threads in &counts {
+        eprintln!("{threads} thread(s)...");
+        report.legs.extend(run_phases(scale, threads));
     }
-
-    eprintln!("serial baseline ({serial_threads} thread)...");
-    let prev = mcsim_par::set_threads(serial_threads);
-    let serial = run_phases(scale);
-
-    eprintln!("parallel run ({parallel_threads} threads)...");
-    mcsim_par::set_threads(parallel_threads);
-    let parallel = run_phases(scale);
-    mcsim_par::set_threads(prev);
-
-    let mut t = Table::new(["phase", "serial (s)", "parallel (s)", "speedup"]);
-    for ((name, s), (_, p)) in serial.phases.iter().zip(&parallel.phases) {
-        t.row([
-            name.to_string(),
-            format!("{s:.3}"),
-            format!("{p:.3}"),
-            format!("{:.2}x", s / p.max(1e-9)),
-        ]);
-    }
-    t.row([
-        "total".to_string(),
-        format!("{:.3}", serial.total()),
-        format!("{:.3}", parallel.total()),
-        format!("{:.2}x", serial.total() / parallel.total().max(1e-9)),
-    ]);
-    println!("{}", t.render());
-    println!("threads: serial={serial_threads}, parallel={parallel_threads}");
-
-    let json = report_json(scale, serial_threads, parallel_threads, &serial, &parallel);
-    let path = "BENCH_parallel.json";
-    if serial_threads == parallel_threads && existing_is_nondegenerate(path) {
-        eprintln!(
-            "refusing to overwrite the non-degenerate {path} with a degenerate \
-             1-vs-1 run; pass --threads N or set MCSIM_PAR_THREADS to regenerate it"
-        );
-        return;
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-/// True when `path` holds a parseable report whose two legs ran at distinct
-/// thread counts. Missing or malformed files are treated as degenerate (and
-/// may therefore be overwritten freely).
-fn existing_is_nondegenerate(path: &str) -> bool {
-    #[derive(serde::Deserialize)]
-    struct ThreadCounts {
-        threads_serial: u64,
-        threads_parallel: u64,
-    }
-    let Ok(s) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    match serde_json::from_str::<ThreadCounts>(&s) {
-        Ok(t) => t.threads_serial != t.threads_parallel,
-        Err(_) => false,
-    }
+    println!("{}", report.table().render());
+    report.write();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-        degenerate: Option<bool>,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
-
+    /// One-thread legs always run; the pool legs only at a distinct count.
     #[test]
-    fn report_json_is_well_formed() {
-        let serial = PhaseTimes {
-            phases: vec![("a", 2.0), ("b", 4.0)],
-        };
-        let parallel = PhaseTimes {
-            phases: vec![("a", 1.0), ("b", 2.0)],
-        };
-        let json = report_json(Scale::Small, 1, 8, &serial, &parallel);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(r.bench, "parallel");
-        assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 8);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "a");
-        assert!((r.phases[0].serial_s - 2.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 2.0).abs() < 1e-9);
-        assert!(
-            r.phases[0].degenerate.is_none(),
-            "distinct thread counts are sound"
-        );
-        assert!((r.total.serial_s - 6.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 3.0).abs() < 1e-9);
-        assert!((r.total.speedup - 2.0).abs() < 1e-9);
-    }
-
-    /// The overwrite guard recognizes a checked-in non-degenerate report
-    /// and treats missing/garbage/degenerate files as fair game.
-    #[test]
-    fn overwrite_guard_classifies_existing_reports() {
-        let dir = std::env::temp_dir().join("mcsim-parallel-guard-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
-
-        let times = PhaseTimes {
-            phases: vec![("a", 2.0)],
-        };
-        let good = p("good.json");
-        std::fs::write(&good, report_json(Scale::Small, 1, 4, &times, &times)).unwrap();
-        assert!(existing_is_nondegenerate(&good));
-
-        let degen = p("degen.json");
-        std::fs::write(&degen, report_json(Scale::Small, 1, 1, &times, &times)).unwrap();
-        assert!(!existing_is_nondegenerate(&degen));
-
-        let junk = p("junk.json");
-        std::fs::write(&junk, "not json").unwrap();
-        assert!(!existing_is_nondegenerate(&junk));
-
-        assert!(!existing_is_nondegenerate(&p("missing.json")));
-    }
-
-    /// A run where both legs use the same thread count marks every phase
-    /// degenerate, so nobody mistakes a 1.0x "speedup" for a measurement.
-    #[test]
-    fn same_thread_count_marks_phases_degenerate() {
-        let times = PhaseTimes {
-            phases: vec![("a", 2.0), ("b", 4.0)],
-        };
-        let json = report_json(Scale::Small, 1, 1, &times, &times);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
-        assert!(r.phases.iter().all(|p| p.degenerate == Some(true)));
+    fn thread_counts_skip_a_second_one_thread_pass() {
+        assert_eq!(thread_counts(8, 2), vec![1, 8]);
+        assert_eq!(thread_counts(1, 4), vec![1, 4]);
+        assert_eq!(thread_counts(1, 1), vec![1]);
     }
 }

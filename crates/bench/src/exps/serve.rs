@@ -15,13 +15,11 @@
 //! Because the arrival trace, the guarded selection, and the per-request
 //! executors are all seeded, `single` and `batched` make bit-identical
 //! decisions — the phases differ only in wall-clock, so the QPS ratio is
-//! a pure measurement of batching + caching. Writes `BENCH_serve.json` in
-//! the `BenchReport` phase schema (`single` is every phase's `serial_s`
-//! baseline, so for the equal-traffic phases `speedup` *is* the QPS
-//! ratio); serve-specific fields (latency percentiles, shed rate, cache
-//! hit rates) ride along unparsed.
+//! a pure measurement of batching + caching. Writes `BENCH_serve.json`
+//! with one leg per phase carrying its QPS, latency percentiles, shed
+//! rate and cache hit rates.
 
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
 use loam_core::pipeline::{evaluate_candidates, prepare_project, train_loam, PipelineConfig};
@@ -66,8 +64,6 @@ fn base_config(scale: Scale, requests: usize) -> mcsim_serve::ServeConfigBuilder
 pub struct PhaseOutcome {
     /// Phase name (`single`, `batched`, ...).
     pub name: &'static str,
-    /// The phase's arrival shape (`poisson`, `bursty`, `diurnal`).
-    pub arrival: &'static str,
     /// The session report (carries its own wall-clock).
     pub report: ServeReport,
 }
@@ -150,16 +146,11 @@ pub fn run_phases(scale: Scale, quick: bool) -> Vec<PhaseOutcome> {
         .into_iter()
         .map(|(name, cfg)| {
             eprintln!("serving `{name}`...");
-            let arrival = cfg.arrival.name();
             let session = ServeSession::new(cfg).expect("serve config is valid");
             let report = session
                 .run(&predictor, &evaluated, catalog, None)
                 .expect("serving must terminate with a report");
-            PhaseOutcome {
-                name,
-                arrival,
-                report,
-            }
+            PhaseOutcome { name, report }
         })
         .collect()
 }
@@ -169,117 +160,39 @@ pub fn run_phases(scale: Scale, quick: bool) -> Vec<PhaseOutcome> {
 pub fn run(scale: Scale, quick: bool) {
     println!("Serving benchmark — batched + cached sessions vs single-query\n");
     let outcomes = run_phases(scale, quick);
-    let base_qps = outcomes[0].report.qps().max(1e-9);
-
-    let mut t = Table::new([
-        "phase",
-        "requests",
-        "shed",
-        "completed",
-        "qps",
-        "vs single",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-        "feat hit",
-        "dec hit",
-    ]);
-    for o in &outcomes {
-        let r = &o.report;
-        t.row([
-            o.name.to_string(),
-            r.requests.to_string(),
-            format!("{:.1}%", r.shed_rate() * 100.0),
-            r.completed.to_string(),
-            format!("{:.0}", r.qps()),
-            format!("{:.2}x", r.qps() / base_qps),
-            format!("{:.3}", r.latency.p50() * 1e3),
-            format!("{:.3}", r.latency.p95() * 1e3),
-            format!("{:.3}", r.latency.p99() * 1e3),
-            format!("{:.0}%", r.feature_hit_rate() * 100.0),
-            format!("{:.0}%", r.decision_hit_rate() * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "gate deployed: {}; decisions identical across phases at equal seed",
-        outcomes[0].report.gate_deployed
-    );
-
-    let json = report_json(scale, &outcomes);
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    let report = report(scale, &outcomes);
+    println!("{}", report.table().render());
+    report.write();
 }
 
-/// Renders the sweep as `BenchReport`-shaped JSON: the `single` phase is
-/// every phase's `serial_s` baseline and each phase's own wall-clock is
-/// `parallel_s`, so `speedup` is the QPS ratio and `compare` gates on
-/// serving-throughput regressions.
-fn report_json(scale: Scale, outcomes: &[PhaseOutcome]) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let base_wall = outcomes[0].report.wall_s.max(1e-9);
-    let threads = mcsim_par::ThreadPool::global().threads();
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            let r = &o.report;
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},",
-                    "\"speedup\":{:.4},\"serve\":{{\"arrival\":\"{}\",\"requests\":{},",
-                    "\"shed\":{},\"shed_rate\":{:.6},\"completed\":{},\"failed\":{},",
-                    "\"batches\":{},\"qps\":{:.3},\"p50_ms\":{:.6},\"p95_ms\":{:.6},",
-                    "\"p99_ms\":{:.6},\"feature_hit_rate\":{:.6},",
-                    "\"decision_hit_rate\":{:.6}}}}}"
-                ),
-                o.name,
-                base_wall,
-                r.wall_s,
-                base_wall / r.wall_s.max(1e-9),
-                o.arrival,
-                r.requests,
-                r.shed,
-                r.shed_rate(),
-                r.completed,
-                r.failed,
-                r.batches,
-                r.qps(),
-                r.latency.p50() * 1e3,
-                r.latency.p95() * 1e3,
-                r.latency.p99() * 1e3,
-                r.feature_hit_rate(),
-                r.decision_hit_rate(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let total_wall: f64 = outcomes.iter().map(|o| o.report.wall_s).sum();
-    format!(
-        concat!(
-            "{{\"bench\":\"serve\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"gate_deployed\":{}}}"
-        ),
-        scale_name,
-        threads,
-        threads,
-        phases,
-        base_wall * outcomes.len() as f64,
-        total_wall,
-        base_wall * outcomes.len() as f64 / total_wall.max(1e-9),
-        outcomes[0].report.gate_deployed,
-    )
+/// One leg per phase, run on the whole pool.
+fn report(scale: Scale, outcomes: &[PhaseOutcome]) -> TimingReport {
+    let mut report = TimingReport::new("serve", scale);
+    for o in outcomes {
+        let r = &o.report;
+        report.legs.push(
+            Leg::new(o.name, mcsim_par::threads(), r.wall_s)
+                .with("requests", r.requests as f64)
+                .with("shed", r.shed as f64)
+                .with("shed_rate", r.shed_rate())
+                .with("completed", r.completed as f64)
+                .with("failed", r.failed as f64)
+                .with("batches", r.batches as f64)
+                .with("qps", r.qps())
+                .with("p50_ms", r.latency.p50() * 1e3)
+                .with("p95_ms", r.latency.p95() * 1e3)
+                .with("p99_ms", r.latency.p99() * 1e3)
+                .with("feature_hit_rate", r.feature_hit_rate())
+                .with("decision_hit_rate", r.decision_hit_rate())
+                .with("gate_deployed", f64::from(u8::from(r.gate_deployed))),
+        );
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
 
     /// The headline acceptance criterion: batching + caching at least
     /// doubles sustained QPS over the single-query baseline while making
@@ -308,43 +221,33 @@ mod tests {
         assert!(batched.feature_cache_misses > 0);
     }
 
-    /// The emitted JSON parses as a `BenchReport` (so `experiments
-    /// compare` can gate on it) and the phase speedup is the QPS ratio.
+    /// Every phase becomes a leg on the pool with its QPS beside it.
     #[test]
-    fn report_json_is_compare_compatible() {
+    fn timing_report_has_one_leg_per_phase() {
         let outcomes = run_phases(Scale::Small, true);
-        let json = report_json(Scale::Small, &outcomes);
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
+        let r = report(Scale::Small, &outcomes);
         assert_eq!(r.bench, "serve");
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "single");
-        assert_eq!(r.phases[1].name, "batched");
-        assert!((r.phases[0].speedup - 1.0).abs() < 1e-9);
-        assert!(r.total.parallel_s > 0.0);
+        let names: Vec<&str> = r.legs.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["single", "batched"]);
+        for (leg, o) in r.legs.iter().zip(&outcomes) {
+            assert_eq!(leg.threads, mcsim_par::threads() as u64);
+            assert!(leg.wall_s > 0.0);
+            assert!(leg.fact("qps").is_some_and(|q| q > 0.0));
+            assert_eq!(leg.fact("requests"), Some(o.report.requests as f64));
+        }
     }
 
-    /// The checked-in repo-root report stays parseable and in sync with
-    /// the schema (mirrors the `BENCH_chaos.json` test).
+    /// The checked-in repo-root report shows batching + caching at least
+    /// doubling throughput over the single-query phase.
     #[test]
     fn checked_in_bench_serve_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serve.json"
-        ))
-        .expect("BENCH_serve.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "serve");
-        assert!(!r.phases.is_empty());
-        assert_eq!(r.phases[0].name, "single");
-        let batched = r
-            .phases
-            .iter()
-            .find(|p| p.name == "batched")
-            .expect("a batched phase");
+        let (r, _) = crate::report::checked_in("serve");
+        assert_eq!(r.legs[0].name, "single");
+        let batched = r.leg("batched").expect("a batched leg");
+        let ratio = r.legs[0].wall_s / batched.wall_s;
         assert!(
-            batched.speedup >= 2.0,
-            "checked-in report must show >= 2x QPS, got {:.2}x",
-            batched.speedup
+            ratio >= 2.0,
+            "checked-in report must show >= 2x QPS, got {ratio:.2}x"
         );
     }
 }

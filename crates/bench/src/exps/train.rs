@@ -1,14 +1,12 @@
 //! The training hot-path benchmark: times the fig7 project's DANN training
 //! phase three ways — the legacy allocating path serially, the workspace
 //! engine serially, and the workspace engine on a multi-thread pool — and
-//! reports wall-clock, speedup, allocations per optimizer step (via the
-//! counting allocator installed by the `experiments` binary), and a
-//! bit-identity check between the serial and parallel workspace runs.
-//! Writes `BENCH_train.json` in the same shape as `BENCH_parallel.json`
-//! (plus training-specific extra fields), so `experiments compare` can diff
-//! it.
+//! records each as a leg of `BENCH_train.json` with its allocations per
+//! optimizer step (via the counting allocator installed by the
+//! `experiments` binary), after checking the three legs' weights are
+//! bit-identical.
 
-use crate::report::Table;
+use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
 use loam_core::{train, train_reference, AdaptiveCostPredictor, TrainReport};
@@ -18,13 +16,6 @@ use mcsim_catalog::ProjectId;
 /// four threads so the microbatch fan-out is actually exercised even on
 /// small machines (determinism makes the results identical either way).
 const MIN_PARALLEL_THREADS: usize = 4;
-
-struct Leg {
-    name: &'static str,
-    threads: usize,
-    report: TrainReport,
-    weights: Vec<u32>,
-}
 
 /// Allocations per optimizer step once warm (the last epoch, which has no
 /// warmup allocations left).
@@ -46,6 +37,17 @@ fn weight_bits(p: &AdaptiveCostPredictor) -> Vec<u32> {
         .chain(p.dom_head.params())
         .flat_map(|prm| prm.value.data.iter().map(|v| v.to_bits()))
         .collect()
+}
+
+/// The timing leg of one training run, with its allocation counts.
+fn train_leg(name: &str, threads: usize, r: &TrainReport) -> Leg {
+    let allocs = |a: Option<&u64>| a.copied().unwrap_or(0) as f64;
+    Leg::new(name, threads, r.seconds)
+        .with("epochs", r.epoch_seconds.len() as f64)
+        .with("steps", r.steps as f64)
+        .with("allocs_per_step_warm", steady_allocs_per_step(r))
+        .with("first_epoch_allocs", allocs(r.epoch_allocs.first()))
+        .with("last_epoch_allocs", allocs(r.epoch_allocs.last()))
 }
 
 /// Runs the benchmark and writes `BENCH_train.json` into the current
@@ -74,8 +76,8 @@ pub fn run(scale: Scale) {
     );
 
     // Each leg trains a fresh predictor from the same seed (mirroring
-    // `train_loam`) under its own thread count.
-    let leg = |name: &'static str, threads: usize, reference: bool| -> Leg {
+    // `train_loam`) under its own thread count, and returns its weights.
+    let train_run = |name: &str, threads: usize, reference: bool| -> (Leg, Vec<u32>) {
         eprintln!("{name} ({threads} thread(s))...");
         let prev = mcsim_par::set_threads(threads);
         let mut p = AdaptiveCostPredictor::new(cfg.seed ^ 0x10a0, true);
@@ -88,208 +90,76 @@ pub fn run(scale: Scale) {
             &cfg.train_cfg,
         );
         mcsim_par::set_threads(prev);
-        Leg {
-            name,
-            threads,
-            report,
-            weights: weight_bits(&p),
-        }
+        (train_leg(name, threads, &report), weight_bits(&p))
     };
 
-    let legacy = leg("legacy allocating, serial", 1, true);
-    let ws_serial = leg("workspace engine, serial", 1, false);
-    let ws_parallel = leg("workspace engine, pool", parallel_threads, false);
+    let (legacy, legacy_weights) = train_run("fig7_train_legacy", 1, true);
+    let (serial, serial_weights) = train_run("fig7_train", 1, false);
+    let (pool, pool_weights) = train_run("fig7_train", parallel_threads, false);
 
     // Determinism: the workspace engine must be bit-identical at any thread
     // count AND bit-identical to the legacy allocating path.
     assert_eq!(
-        ws_serial.weights, ws_parallel.weights,
+        serial_weights, pool_weights,
         "serial and parallel workspace weights diverged"
     );
     assert_eq!(
-        legacy.weights, ws_serial.weights,
+        legacy_weights, serial_weights,
         "legacy and workspace weights diverged"
     );
     println!("weights bit-identical across legacy / serial ws / {parallel_threads}-thread ws ✓\n");
 
-    let mut t = Table::new([
-        "leg",
-        "threads",
-        "train (s)",
-        "speedup",
-        "allocs/step (warm)",
-    ]);
-    for l in [&legacy, &ws_serial, &ws_parallel] {
-        t.row([
-            l.name.to_string(),
-            l.threads.to_string(),
-            format!("{:.3}", l.report.seconds),
-            format!("{:.2}x", legacy.report.seconds / l.report.seconds.max(1e-9)),
-            format!("{:.1}", steady_allocs_per_step(&l.report)),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let json = report_json(scale, &legacy, &ws_serial, &ws_parallel);
-    let path = "BENCH_train.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-/// Renders the report as a JSON document in the `BenchReport` shape (the
-/// `compare` subcommand's parser ignores the training-specific extras).
-fn report_json(scale: Scale, legacy: &Leg, ws_serial: &Leg, ws_parallel: &Leg) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let (ls, ss, ps) = (
-        legacy.report.seconds,
-        ws_serial.report.seconds,
-        ws_parallel.report.seconds,
-    );
-    let phases = format!(
-        concat!(
-            "{{\"name\":\"fig7_train\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "{{\"name\":\"fig7_train_serial\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}"
-        ),
-        ls,
-        ps,
-        ls / ps.max(1e-9),
-        ls,
-        ss,
-        ls / ss.max(1e-9),
-    );
-    let epoch_seconds = |l: &Leg| {
-        l.report
-            .epoch_seconds
-            .iter()
-            .map(|s| format!("{s:.6}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        concat!(
-            "{{\"bench\":\"train\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"epochs\":{},\"steps\":{},",
-            "\"allocs_per_step_legacy\":{:.1},",
-            "\"allocs_per_step_ws_warm\":{:.1},",
-            "\"ws_first_epoch_allocs\":{},",
-            "\"ws_last_epoch_allocs\":{},",
-            "\"epoch_seconds_legacy\":[{}],",
-            "\"epoch_seconds_ws_parallel\":[{}]}}"
-        ),
-        scale_name,
-        legacy.threads,
-        ws_parallel.threads,
-        phases,
-        ls,
-        ps,
-        ls / ps.max(1e-9),
-        ws_parallel.report.epoch_seconds.len(),
-        ws_parallel.report.steps,
-        steady_allocs_per_step(&legacy.report),
-        steady_allocs_per_step(&ws_parallel.report),
-        ws_parallel
-            .report
-            .epoch_allocs
-            .first()
-            .copied()
-            .unwrap_or(0),
-        ws_parallel.report.epoch_allocs.last().copied().unwrap_or(0),
-        epoch_seconds(legacy),
-        epoch_seconds(ws_parallel),
-    )
+    let mut report = TimingReport::new("train", scale);
+    report.legs = vec![legacy, serial, pool];
+    println!("{}", report.table().render());
+    report.write();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
-
-    fn leg(name: &'static str, threads: usize, secs: f64) -> Leg {
-        Leg {
-            name,
-            threads,
-            report: TrainReport {
-                cost_loss: vec![0.5, 0.4],
-                domain_loss: vec![0.7, 0.6],
-                seconds: secs,
-                epoch_seconds: vec![secs / 2.0, secs / 2.0],
-                epoch_allocs: vec![100, 0],
-                steps: 20,
-            },
-            weights: Vec::new(),
+    fn train_report(secs: f64) -> TrainReport {
+        TrainReport {
+            cost_loss: vec![0.5, 0.4],
+            domain_loss: vec![0.7, 0.6],
+            seconds: secs,
+            epoch_seconds: vec![secs / 2.0, secs / 2.0],
+            epoch_allocs: vec![100, 0],
+            steps: 20,
         }
     }
 
     #[test]
-    fn report_json_is_well_formed_and_compare_compatible() {
-        let legacy = leg("legacy", 1, 4.0);
-        let ws_serial = leg("ws serial", 1, 2.0);
-        let ws_parallel = leg("ws pool", 4, 1.0);
-        let json = report_json(Scale::Small, &legacy, &ws_serial, &ws_parallel);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(r.bench, "train");
-        assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 4);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "fig7_train");
-        assert!((r.phases[0].serial_s - 4.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 4.0).abs() < 1e-9);
-        assert_eq!(r.phases[1].name, "fig7_train_serial");
-        assert!((r.phases[1].speedup - 2.0).abs() < 1e-9);
-        assert!((r.total.serial_s - 4.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.total.speedup - 4.0).abs() < 1e-9);
+    fn train_leg_carries_steps_and_allocations() {
+        let l = train_leg("fig7_train", 4, &train_report(1.5));
+        assert_eq!(
+            (l.name.as_str(), l.threads, l.wall_s),
+            ("fig7_train", 4, 1.5)
+        );
+        assert_eq!(l.fact("epochs"), Some(2.0));
+        assert_eq!(l.fact("steps"), Some(20.0));
+        assert_eq!(l.fact("allocs_per_step_warm"), Some(0.0));
+        assert_eq!(l.fact("first_epoch_allocs"), Some(100.0));
+        assert_eq!(l.fact("last_epoch_allocs"), Some(0.0));
     }
 
     #[test]
     fn steady_allocs_use_the_last_epoch() {
-        let l = leg("x", 1, 1.0);
         // 2 epochs, 20 steps → 10 steps/epoch; last epoch had 0 allocs.
-        assert_eq!(steady_allocs_per_step(&l.report), 0.0);
+        assert_eq!(steady_allocs_per_step(&train_report(1.0)), 0.0);
     }
 
+    /// The checked-in report has the legacy leg and the workspace engine
+    /// at one thread and at the forced pool size.
     #[test]
     fn checked_in_train_report_parses_against_itself() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_train.json"
-        ))
-        .expect("BENCH_train.json must be checked in at the repo root");
-        let r: Report = serde_json::from_str(&json).expect("checked-in report must parse");
-        assert_eq!(r.bench, "train");
-        assert_eq!(r.phases.len(), 2);
-        assert!(r.phases.iter().any(|p| p.name == "fig7_train"));
+        let (r, _) = crate::report::checked_in("train");
+        let has = |name: &str, threads: fn(u64) -> bool| {
+            r.legs.iter().any(|l| l.name == name && threads(l.threads))
+        };
+        assert!(has("fig7_train_legacy", |t| t == 1));
+        assert!(has("fig7_train", |t| t == 1));
+        assert!(has("fig7_train", |t| t >= MIN_PARALLEL_THREADS as u64));
     }
 }

@@ -33,9 +33,10 @@ use tinynn::Mat;
 /// A cached featurization: node-feature matrix plus tree structure.
 pub type CachedFeatures = Arc<(Mat, TreeStructure)>;
 
-/// Default shard count: enough that a dozen concurrent workers rarely
-/// collide, small enough that an idle cache stays cheap.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
+/// Shard count: enough that a dozen concurrent workers rarely collide,
+/// small enough that an idle cache stays cheap. A power of two, so the
+/// shard index is a mask.
+pub const CACHE_SHARDS: usize = 16;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
@@ -48,12 +49,12 @@ impl CacheKey {
     /// The shard a key lands in: an FNV-style remix of the plan signature
     /// with the environment fingerprint, so plans that differ only in their
     /// environment block still spread across shards.
-    fn shard(&self, mask: usize) -> usize {
+    fn shard(&self) -> usize {
         let mut h = self.plan.0 ^ self.env ^ (self.use_env as u64);
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
-        (h as usize) & mask
+        (h as usize) & (CACHE_SHARDS - 1)
     }
 }
 
@@ -65,32 +66,15 @@ struct Shard {
 }
 
 /// Identity-keyed, thread-safe, hash-sharded featurization cache.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FeatureCache {
-    shards: Box<[Shard]>,
-    mask: usize,
-}
-
-impl Default for FeatureCache {
-    fn default() -> Self {
-        FeatureCache::with_shards(DEFAULT_CACHE_SHARDS)
-    }
+    shards: [Shard; CACHE_SHARDS],
 }
 
 impl FeatureCache {
-    /// An empty cache with [`DEFAULT_CACHE_SHARDS`] shards.
+    /// An empty cache with [`CACHE_SHARDS`] shards.
     pub fn new() -> FeatureCache {
         FeatureCache::default()
-    }
-
-    /// An empty cache with at least `n` shards (rounded up to a power of
-    /// two so the shard index is a mask, never a division).
-    pub fn with_shards(n: usize) -> FeatureCache {
-        let n = n.max(1).next_power_of_two();
-        FeatureCache {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            mask: n - 1,
-        }
     }
 
     /// Featurizes `plan` through the cache: returns the stored features on
@@ -107,7 +91,7 @@ impl FeatureCache {
             use_env: featurizer.use_env,
             env: env_fingerprint(&env),
         };
-        let shard = &self.shards[key.shard(self.mask)];
+        let shard = &self.shards[key.shard()];
         {
             let map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(hit) = map.get(&key) {
@@ -124,11 +108,6 @@ impl FeatureCache {
         let features = Arc::new(featurizer.featurize(plan, env));
         let mut map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(key).or_insert(features))
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Cumulative `(cache_hits, cache_misses)` of shard `i`.
@@ -304,8 +283,7 @@ mod tests {
 
     #[test]
     fn shard_counters_sum_to_the_totals() {
-        let cache = FeatureCache::with_shards(4);
-        assert_eq!(cache.shard_count(), 4);
+        let cache = FeatureCache::new();
         let f = PlanFeaturizer::default();
         // 8 distinct plans, each looked up twice: 8 misses + 8 hits.
         for table in 0..8 {
@@ -316,20 +294,15 @@ mod tests {
         assert_eq!(cache.hits(), 8);
         assert_eq!(cache.misses(), 8);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        let (sh, sm) = (0..4).fold((0, 0), |(h, m), i| {
+        let (sh, sm) = (0..CACHE_SHARDS).fold((0, 0), |(h, m), i| {
             let (a, b) = cache.shard_stats(i);
             (h + a, m + b)
         });
         assert_eq!((sh, sm), (8, 8));
         // Distinct plans must not all land in one shard.
-        let occupied = (0..4).filter(|&i| cache.shard_stats(i).1 > 0).count();
-        assert!(occupied > 1, "8 plans across 4 shards can't all collide");
-    }
-
-    #[test]
-    fn shard_count_rounds_up_to_a_power_of_two() {
-        assert_eq!(FeatureCache::with_shards(1).shard_count(), 1);
-        assert_eq!(FeatureCache::with_shards(3).shard_count(), 4);
-        assert_eq!(FeatureCache::with_shards(0).shard_count(), 1);
+        let occupied = (0..CACHE_SHARDS)
+            .filter(|&i| cache.shard_stats(i).1 > 0)
+            .count();
+        assert!(occupied > 1, "8 plans across 16 shards can't all collide");
     }
 }

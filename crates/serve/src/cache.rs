@@ -14,8 +14,8 @@
 //! version ([`DecisionCache::bump_model_version`], called when a retrained
 //! model is swapped in) invalidates every older entry without a scan.
 //!
-//! Like the feature cache, the map is hash-sharded so concurrent serving
-//! workers don't serialize on one lock.
+//! Only `ServeSession::run`'s select phase touches the cache, on the
+//! calling thread, so one lock suffices.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,47 +39,23 @@ struct Entry {
     version: u64,
 }
 
-/// Sharded, versioned decision cache.
-#[derive(Debug)]
+/// Versioned decision cache.
+#[derive(Debug, Default)]
 pub struct DecisionCache {
-    shards: Box<[Mutex<HashMap<u64, Entry>>]>,
-    mask: usize,
+    map: Mutex<HashMap<u64, Entry>>,
     version: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for DecisionCache {
-    fn default() -> Self {
-        DecisionCache::with_shards(16)
-    }
-}
-
 impl DecisionCache {
-    /// An empty cache with 16 shards at model version 0.
+    /// An empty cache at model version 0.
     pub fn new() -> DecisionCache {
         DecisionCache::default()
     }
 
-    /// An empty cache with at least `n` shards (rounded up to a power of
-    /// two).
-    pub fn with_shards(n: usize) -> DecisionCache {
-        let n = n.max(1).next_power_of_two();
-        DecisionCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n - 1,
-            version: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Entry>> {
-        let mut h = key;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        &self.shards[(h as usize) & self.mask]
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The current model version.
@@ -98,7 +74,7 @@ impl DecisionCache {
     /// version count as misses and are evicted.
     pub fn get(&self, key: u64) -> Option<CachedDecision> {
         let version = self.model_version();
-        let mut map = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.map();
         match map.get(&key) {
             Some(e) if e.version == version => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -119,8 +95,7 @@ impl DecisionCache {
     /// Stores a decision under the current model version.
     pub fn insert(&self, key: u64, decision: CachedDecision) {
         let version = self.model_version();
-        let mut map = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, Entry { decision, version });
+        self.map().insert(key, Entry { decision, version });
     }
 
     /// Cumulative hits.
@@ -145,10 +120,7 @@ impl DecisionCache {
 
     /// Number of stored entries (live and stale).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.map().len()
     }
 
     /// True if nothing is stored.
@@ -158,9 +130,7 @@ impl DecisionCache {
 
     /// Drops every entry (counters keep accumulating).
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.map().clear();
     }
 }
 
@@ -178,7 +148,7 @@ mod tests {
 
     #[test]
     fn insert_then_hit() {
-        let c = DecisionCache::with_shards(4);
+        let c = DecisionCache::new();
         assert!(c.get(1).is_none());
         c.insert(1, d(2));
         assert_eq!(c.get(1).unwrap().choice, 2);
@@ -206,7 +176,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let c = DecisionCache::with_shards(2);
+        let c = DecisionCache::new();
         for k in 0..128u64 {
             c.insert(k, d(k as usize));
         }
