@@ -6,8 +6,11 @@
 //! * **Timing reports** ([`TimingReport`], as written by `experiments
 //!   parallel` and friends): legs are matched by name and thread count,
 //!   and a matched leg whose `wall_s` grew past a percentage threshold
-//!   regresses. A leg only one report has is listed but never gates;
-//!   facts ride along and never gate.
+//!   regresses. A matched leg did the same work only when every size fact
+//!   (`queries`, `plans`, `requests`, `epochs`, `steps`) both sides carry
+//!   is equal; one that did different work (e.g. a `--quick` run against a
+//!   full baseline) is listed but never gates, and neither does a leg only
+//!   one report has. Other facts ride along and never gate.
 //! * **Sweep reports** (`bench: "sweep"`, as written by
 //!   `experiments sweep`): diffs the scenario matrices cell-by-cell,
 //!   matching cells by `config_hash`, with per-metric gates —
@@ -21,8 +24,8 @@
 //! Exit codes are typed: [`EXIT_OK`] = within threshold,
 //! [`EXIT_REGRESSION`] = regression detected, [`EXIT_PARSE`] =
 //! unreadable/unparsable input, [`EXIT_DEGENERATE`] = structurally
-//! incomparable reports (mixed kinds, missing sweep cells, or nothing
-//! matched).
+//! incomparable reports (mixed kinds, missing sweep cells, or no leg or
+//! cell matched that did the same work).
 
 use super::sweep::SweepReport;
 use crate::report::{Leg, TimingReport};
@@ -36,8 +39,15 @@ pub const EXIT_REGRESSION: i32 = 1;
 /// Exit code: a report could not be read or parsed.
 pub const EXIT_PARSE: i32 = 2;
 /// Exit code: the reports are structurally incomparable — different report
-/// kinds, sweep cells present on only one side, or nothing matched.
+/// kinds, sweep cells present on only one side, or nothing matched that did
+/// the same work.
 pub const EXIT_DEGENERATE: i32 = 3;
+
+/// The facts that size a leg's work. Two legs of one name and thread count
+/// are compared only when every size fact both carry is equal. (`machines`
+/// is not one: exec legs already carry the pool size in their names,
+/// `event_10k`.)
+const SIZE_FACTS: [&str; 5] = ["queries", "plans", "requests", "epochs", "steps"];
 
 /// One leg both reports have, matched by name and thread count.
 #[derive(Debug, Clone)]
@@ -55,8 +65,11 @@ pub struct LegDelta {
 /// The outcome of a leg-by-leg timing comparison.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    /// Matched legs, in the new report's order.
+    /// Matched legs that did the same work, in the new report's order.
     pub deltas: Vec<LegDelta>,
+    /// Matched legs whose size facts differ, as `name@threads (fact old vs
+    /// new, ...)`; never gated.
+    pub different_work: Vec<String>,
     /// Legs only the baseline has, as `name@threads`.
     pub only_old: Vec<String>,
     /// Legs only the new report has, as `name@threads`.
@@ -66,8 +79,8 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// The typed exit code: no leg in common is [`EXIT_DEGENERATE`];
-    /// one-sided legs never gate.
+    /// The typed exit code: no leg in common that did the same work is
+    /// [`EXIT_DEGENERATE`]; one-sided and different-work legs never gate.
     pub fn exit_code(&self) -> i32 {
         if self.deltas.is_empty() {
             EXIT_DEGENERATE
@@ -79,13 +92,26 @@ impl Comparison {
     }
 }
 
+/// The size facts two legs both carry with different values, as
+/// `fact old vs new`.
+fn size_mismatches(old: &Leg, new: &Leg) -> Vec<String> {
+    SIZE_FACTS
+        .iter()
+        .filter_map(|&f| match (old.fact(f), new.fact(f)) {
+            (Some(o), Some(n)) if o != n => Some(format!("{f} {o} vs {n}")),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Compares two timing reports leg by leg at a regression threshold
 /// (percent).
 pub fn compare(old: &TimingReport, new: &TimingReport, threshold_pct: f64) -> Comparison {
     let key = |l: &Leg| format!("{}@{}", l.name, l.threads);
-    let find = |r: &TimingReport, k: &str| r.legs.iter().find(|l| key(l) == k).map(|l| l.wall_s);
+    let find = |r: &TimingReport, k: &str| r.legs.iter().find(|l| key(l) == k).cloned();
     let mut cmp = Comparison {
         deltas: Vec::new(),
+        different_work: Vec::new(),
         only_old: Vec::new(),
         only_new: Vec::new(),
         regressions: Vec::new(),
@@ -96,10 +122,17 @@ pub fn compare(old: &TimingReport, new: &TimingReport, threshold_pct: f64) -> Co
         }
     }
     for nl in &new.legs {
-        let Some(old_s) = find(old, &key(nl)) else {
+        let Some(ol) = find(old, &key(nl)) else {
             cmp.only_new.push(key(nl));
             continue;
         };
+        let sizes = size_mismatches(&ol, nl);
+        if !sizes.is_empty() {
+            cmp.different_work
+                .push(format!("{} ({})", key(nl), sizes.join(", ")));
+            continue;
+        }
+        let old_s = ol.wall_s;
         let delta_pct = 100.0 * (nl.wall_s - old_s) / old_s.max(1e-9);
         if delta_pct > threshold_pct {
             cmp.regressions.push(key(nl));
@@ -360,6 +393,12 @@ fn run_timing_diff(
             d.leg, d.old_s, d.new_s, d.delta_pct
         );
     }
+    if !cmp.different_work.is_empty() {
+        println!(
+            "different work (not gated): {}",
+            cmp.different_work.join(", ")
+        );
+    }
     for (path, legs) in [(old_path, &cmp.only_old), (new_path, &cmp.only_new)] {
         if !legs.is_empty() {
             println!("only in {path} (not gated): {}", legs.join(", "));
@@ -371,7 +410,9 @@ fn run_timing_diff(
             "regression: {} exceeded the {threshold_pct:.0}% threshold",
             cmp.regressions.join(", ")
         ),
-        _ => eprintln!("degenerate: no leg matched by name and thread count"),
+        _ => {
+            eprintln!("degenerate: no leg matched by name and thread count that did the same work")
+        }
     }
     cmp.exit_code()
 }
@@ -484,6 +525,52 @@ mod tests {
         assert_eq!(
             compare(&old, &report(&[]), 25.0).exit_code(),
             EXIT_DEGENERATE
+        );
+    }
+
+    /// A leg of one name and thread count whose size facts differ (a
+    /// `--quick` run against a full baseline) is listed, never gated; a
+    /// size fact only one side carries does not make the work differ.
+    #[test]
+    fn legs_that_did_different_work_are_listed_not_gated() {
+        let mut old = report(&[("event_1k", 1, 1.0), ("batched", 1, 1.0)]);
+        old.legs[0] = old.legs[0].clone().with("queries", 400.0);
+        old.legs[1] = old.legs[1].clone().with("queries", 60.0);
+        let mut new = report(&[("event_1k", 1, 100.0), ("batched", 1, 1.1)]);
+        new.legs[0] = new.legs[0].clone().with("queries", 60.0);
+        new.legs[1] = new.legs[1]
+            .clone()
+            .with("queries", 60.0)
+            .with("plans", 900.0);
+        let cmp = compare(&old, &new, 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_OK, "{:?}", cmp.regressions);
+        assert_eq!(cmp.different_work, vec!["event_1k@1 (queries 400 vs 60)"]);
+        let legs: Vec<&str> = cmp.deltas.iter().map(|d| d.leg.as_str()).collect();
+        assert_eq!(legs, ["batched@1"]);
+        // The same-work leg still gates.
+        new.legs[1].wall_s = 2.0;
+        assert_eq!(compare(&old, &new, 25.0).exit_code(), EXIT_REGRESSION);
+    }
+
+    /// When every matched leg did different work, nothing is comparable.
+    #[test]
+    fn no_comparable_leg_exits_degenerate() {
+        let sized = |wall_s, epochs| {
+            report(&[("workspace", 2, wall_s)]).legs[0]
+                .clone()
+                .with("epochs", epochs)
+                .with("steps", 10.0 * epochs)
+        };
+        let mut old = report(&[]);
+        old.legs.push(sized(1.0, 15.0));
+        let mut new = report(&[]);
+        new.legs.push(sized(1.0, 3.0));
+        let cmp = compare(&old, &new, 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_DEGENERATE);
+        assert!(cmp.deltas.is_empty());
+        assert_eq!(
+            cmp.different_work,
+            vec!["workspace@2 (epochs 15 vs 3, steps 150 vs 30)"]
         );
     }
 

@@ -6,6 +6,14 @@
 //! candidate plans across queries, so the cache turns repeat featurization
 //! into an `Arc` clone.
 //!
+//! An entry stores the feature matrix as its CSR index ([`SparseRows`],
+//! built once per miss), not as the dense matrix: feature rows are ~90%
+//! zeros, the first tree convolution consumes exactly that index, and a
+//! scoring batch appends the cached indexes of its plans
+//! (`tinynn::ForestWs::stack_sparse`) instead of copying dense rows and
+//! re-indexing them. `entry.0.to_dense()` gives the dense matrix back bit for
+//! bit.
+//!
 //! The key combines the plan's structural [`PlanSignature`] (a hash over
 //! the canonical plan serialization, including predicate constants — the
 //! same identity the plan explorer dedupes by), the featurizer mode, and a
@@ -21,17 +29,25 @@
 //! ([`FeatureCache::shard_stats`]); the process-wide
 //! `loam.featurize.cache_hits` / `loam.featurize.cache_misses` counters are
 //! unchanged.
+//!
+//! A miss is counted only by the lookup whose insert fills the entry, so
+//! [`FeatureCache::misses`] equals the number of distinct plans cached
+//! (absent [`FeatureCache::clear`]) whatever the thread timing: when two
+//! threads miss on the same key at once, both featurize, the first insert
+//! wins, and the other lookup counts as a hit.
 
 use super::plan_vec::{EnvSource, PlanFeaturizer};
 use mcsim_plan::{PlanSignature, PlanTree};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tinynn::tcn::TreeStructure;
-use tinynn::Mat;
+use tinynn::SparseRows;
 
-/// A cached featurization: node-feature matrix plus tree structure.
-pub type CachedFeatures = Arc<(Mat, TreeStructure)>;
+/// A cached featurization: the CSR index of the node-feature matrix plus
+/// the tree structure.
+pub type CachedFeatures = Arc<(SparseRows, TreeStructure)>;
 
 /// Shard count: enough that a dozen concurrent workers rarely collide,
 /// small enough that an idle cache stays cheap. A power of two, so the
@@ -46,6 +62,14 @@ struct CacheKey {
 }
 
 impl CacheKey {
+    fn new(featurizer: &PlanFeaturizer, plan: &PlanTree, env: &EnvSource<'_>) -> CacheKey {
+        CacheKey {
+            plan: PlanSignature::of(plan),
+            use_env: featurizer.use_env,
+            env: env_fingerprint(env),
+        }
+    }
+
     /// The shard a key lands in: an FNV-style remix of the plan signature
     /// with the environment fingerprint, so plans that differ only in their
     /// environment block still spread across shards.
@@ -65,6 +89,18 @@ struct Shard {
     misses: AtomicU64,
 }
 
+impl Shard {
+    fn count(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            mcsim_obs::counter("loam.featurize.cache_hits", 1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            mcsim_obs::counter("loam.featurize.cache_misses", 1);
+        }
+    }
+}
+
 /// Identity-keyed, thread-safe, hash-sharded featurization cache.
 #[derive(Debug, Default)]
 pub struct FeatureCache {
@@ -78,36 +114,51 @@ impl FeatureCache {
     }
 
     /// Featurizes `plan` through the cache: returns the stored features on
-    /// a hit, otherwise computes them with `featurizer` and stores them.
-    /// Hit results are bit-identical to a fresh featurization.
+    /// a hit, otherwise computes them with `featurizer`, indexes their
+    /// nonzeros and stores them. Hit results index exactly the matrix a
+    /// fresh featurization returns.
     pub fn featurize(
         &self,
         featurizer: &PlanFeaturizer,
         plan: &PlanTree,
         env: EnvSource<'_>,
     ) -> CachedFeatures {
-        let key = CacheKey {
-            plan: PlanSignature::of(plan),
-            use_env: featurizer.use_env,
-            env: env_fingerprint(&env),
-        };
-        let shard = &self.shards[key.shard()];
-        {
-            let map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = map.get(&key) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                mcsim_obs::counter("loam.featurize.cache_hits", 1);
-                return Arc::clone(hit);
-            }
+        let key = CacheKey::new(featurizer, plan, &env);
+        if let Some(hit) = self.lookup(&key) {
+            return hit;
         }
         // Compute outside the lock so concurrent misses on different plans
-        // featurize in parallel; a duplicate concurrent miss on the same
-        // plan just overwrites with an identical value.
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        mcsim_obs::counter("loam.featurize.cache_misses", 1);
-        let features = Arc::new(featurizer.featurize(plan, env));
+        // featurize in parallel.
+        let (x, tree) = featurizer.featurize(plan, env);
+        let mut rows = SparseRows::from_dense(&x);
+        rows.shrink_to_fit();
+        self.fill(key, Arc::new((rows, tree)))
+    }
+
+    /// The entry under `key`, counted as a hit, if there is one.
+    fn lookup(&self, key: &CacheKey) -> Option<CachedFeatures> {
+        let shard = &self.shards[key.shard()];
+        let map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
+        let hit = map.get(key).map(Arc::clone);
+        if hit.is_some() {
+            shard.count(true);
+        }
+        hit
+    }
+
+    /// Stores `features` under `key` after a lookup missed. A concurrent
+    /// miss on the same plan may have filled the entry meanwhile (with an
+    /// identical value): then that entry is kept and this lookup counts as
+    /// a hit. Otherwise this insert fills the entry and counts the miss.
+    fn fill(&self, key: CacheKey, features: CachedFeatures) -> CachedFeatures {
+        let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(key).or_insert(features))
+        let (entry, hit) = match map.entry(key) {
+            Entry::Occupied(filled) => (Arc::clone(filled.get()), true),
+            Entry::Vacant(slot) => (Arc::clone(slot.insert(features)), false),
+        };
+        shard.count(hit);
+        entry
     }
 
     /// Cumulative `(cache_hits, cache_misses)` of shard `i`.
@@ -229,7 +280,8 @@ mod tests {
         let hit = cache.featurize(&f, &plan, EnvSource::Uniform(env));
         let fresh = f.featurize(&plan, EnvSource::Uniform(env));
         assert!(Arc::ptr_eq(&first, &hit), "second call must be a hit");
-        assert_eq!(hit.0, fresh.0);
+        assert_eq!(hit.0, SparseRows::from_dense(&fresh.0));
+        assert_eq!(hit.0.to_dense(), fresh.0);
         assert_eq!(hit.1, fresh.1);
         assert_eq!(cache.len(), 1);
     }
@@ -279,6 +331,47 @@ mod tests {
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    /// Forces the race: two lookups of one plan both miss before either
+    /// fills the entry. The first fill counts the miss; the second keeps
+    /// the stored entry and counts a hit.
+    #[test]
+    fn a_miss_that_loses_the_fill_race_counts_as_a_hit() {
+        let cache = FeatureCache::new();
+        let f = PlanFeaturizer::default();
+        let plan = chain_plan(3, 1);
+        let key = CacheKey::new(&f, &plan, &EnvSource::None);
+        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key).is_none());
+        let computed = || {
+            let (x, tree) = f.featurize(&plan, EnvSource::None);
+            Arc::new((SparseRows::from_dense(&x), tree))
+        };
+        let first = cache.fill(key, computed());
+        let second = cache.fill(key, computed());
+        assert!(Arc::ptr_eq(&first, &second), "the first fill is kept");
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+    }
+
+    /// Concurrent lookups of the same plans: each distinct plan is one miss,
+    /// every other lookup a hit, whichever thread wins each race.
+    #[test]
+    fn concurrent_duplicate_misses_count_once() {
+        let cache = FeatureCache::new();
+        let f = PlanFeaturizer::default();
+        let plans: Vec<PlanTree> = (0..160u32)
+            .map(|i| chain_plan(2 + i as usize % 3, i % 7))
+            .collect();
+        let got = mcsim_par::ThreadPool::new(8)
+            .parallel_map(&plans, |p| cache.featurize(&f, p, EnvSource::None));
+        assert_eq!(cache.len(), 21);
+        assert_eq!(cache.misses(), cache.len() as u64);
+        assert_eq!(cache.hits() + cache.misses(), plans.len() as u64);
+        for (p, entry) in plans.iter().zip(&got) {
+            let hit = cache.featurize(&f, p, EnvSource::None);
+            assert!(Arc::ptr_eq(entry, &hit), "every lookup returns the entry");
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@ pub trait CostModel: Send + Sync {
     /// Predicted costs for a batch of plans under one environment. The
     /// default is a per-plan [`predict`](Self::predict) loop (the `cache`
     /// is a featurization hint models may ignore); models with a batched
-    /// forward override this so one padded inference amortizes over the
-    /// whole batch. Implementations must return bit-identical values to
-    /// per-plan `predict`.
+    /// forward override this so one forward amortizes over the whole batch.
+    /// Implementations must return bit-identical values to per-plan
+    /// `predict`.
     fn predict_batch(
         &self,
         plans: &[&PlanTree],

@@ -18,7 +18,7 @@ pub const EMB_DIM: usize = 32;
 
 /// Caller-owned workspace for batched inference: the cached-feature refs,
 /// the stacked forest buffers, and the cost-head activations. One warm
-/// instance per serving worker; after the largest batch shape has been seen,
+/// instance per scoring thread; after the largest batch shape has been seen,
 /// scoring a batch performs zero heap allocations (given warm feature-cache
 /// hits).
 #[derive(Debug)]
@@ -26,8 +26,12 @@ pub struct InferWs {
     feats: Vec<CachedFeatures>,
     forest: ForestWs,
     head: MlpWs,
-    /// When true (the default), conv1 consumes a CSR index of the stacked
-    /// feature matrix — bit-identical and faster on ~90%-zero feature rows.
+    /// Picks the conv1 kernel of the uncached path only: when true (the
+    /// default), conv1 consumes a CSR index of the stacked feature matrix,
+    /// otherwise the dense rows. Cached features are always CSR, so a batch
+    /// scored through a [`FeatureCache`] runs the CSR kernel whatever this
+    /// says. Both kernels give the same bits; CSR is faster on ~90%-zero
+    /// feature rows.
     pub sparse: bool,
 }
 
@@ -147,11 +151,14 @@ impl AdaptiveCostPredictor {
     }
 
     /// [`predict_batch`](Self::predict_batch) into caller-owned buffers:
-    /// `out` receives one cost per plan (cleared first). With a warm
-    /// [`InferWs`] and a warm [`FeatureCache`], a steady-state scoring batch
-    /// performs zero heap allocations; without a cache, plans are featurized
-    /// directly into the stacked (structure-of-arrays) batch matrix, so no
-    /// per-plan feature matrices exist either way.
+    /// `out` receives one cost per plan (cleared first). With a cache, the
+    /// plans' cached CSR indexes are appended into one batch index that
+    /// conv1 reads directly: no dense batch matrix is copied and no index
+    /// is rebuilt. Without one, plans are featurized directly into the
+    /// stacked (structure-of-arrays) batch matrix, so no per-plan feature
+    /// matrices exist either way. With a warm [`InferWs`] and a warm
+    /// [`FeatureCache`], a steady-state scoring batch performs zero heap
+    /// allocations.
     pub fn predict_batch_into(
         &self,
         plans: &[&PlanTree],
@@ -178,7 +185,7 @@ impl AdaptiveCostPredictor {
                         .iter()
                         .map(|p| c.featurize(&self.featurizer, p, env.clone())),
                 );
-                forest.stack_with(plans.len(), |i| (&feats[i].0, &feats[i].1));
+                forest.stack_sparse(feats.iter().map(|f| (&f.0, &f.1)));
             }
             None => {
                 let (x, tree, bounds) = forest.stacked_parts_mut();

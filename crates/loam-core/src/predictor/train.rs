@@ -15,10 +15,11 @@
 //! `SlotState` — gradient buffers, layer workspaces, and scratch — so the
 //! per-sample forward/backward work runs through tinynn's allocation-free
 //! `_ws` kernels and performs zero heap allocation after the first step.
-//! Plan-feature rows are ~90% zeros, so `prepare` also builds a CSR nonzero
-//! index per plan ([`SparseRows`]) and the encoder's first conv layer — the
-//! dominant share of a step's multiply-accumulates — runs its sparse
-//! kernels, which are bit-identical to the dense ones.
+//! Plan-feature rows are ~90% zeros, and the feature cache `prepare`
+//! featurizes through stores each plan as a CSR nonzero index
+//! (`tinynn::SparseRows`), so the encoder's first conv layer — the dominant
+//! share of a step's multiply-accumulates — runs its sparse kernels straight
+//! off the cached entries, bit-identically to the dense ones.
 //! Slots are distributed over persistent worker threads (spawned once per
 //! `train` call, synchronized with barriers) and their gradients are folded
 //! in slot-index order, so the final weights are bit-identical regardless of
@@ -38,7 +39,7 @@ use std::sync::{Barrier, Mutex, RwLock};
 use tinynn::workspace::alloc_probe;
 use tinynn::{
     cross_entropy_logits, cross_entropy_logits_into, lambda_schedule, mse, mse_into,
-    reverse_gradient, AdamConfig, GradSet, Mat, MlpWs, SparseRows, TcnWs, Workspace,
+    reverse_gradient, AdamConfig, GradSet, Mat, MlpWs, TcnWs, Workspace,
 };
 
 /// One labeled training sample: a historical default plan, its logged
@@ -123,17 +124,12 @@ impl TrainReport {
 
 /// Immutable per-call context shared by every engine.
 struct Ctx<'a> {
+    /// The samples' cached features: each a CSR nonzero index plus the tree
+    /// (static across epochs), which conv1 consumes directly.
     feats: &'a [CachedFeatures],
     labels: &'a [f32],
+    /// The candidates' cached features, same layout.
     cand_feats: &'a [CachedFeatures],
-    /// CSR nonzero indexes of the sample feature matrices (built once in
-    /// `prepare`; the features are static across epochs). Feature rows are
-    /// ~90% zeros, so conv1 — the dominant share of a step's
-    /// multiply-accumulates — runs on these instead of the dense rows,
-    /// bit-identically.
-    nz: &'a [SparseRows],
-    /// CSR indexes of the candidate feature matrices.
-    cand_nz: &'a [SparseRows],
     /// Adversarial objective active (adaptive AND candidates present).
     dann: bool,
 }
@@ -258,8 +254,7 @@ fn process_slot(
     let lam = -(desc.lambda as f32);
     for pos in start..end {
         let i = desc.batch[pos];
-        let (_, tree) = &*ctx.feats[i];
-        let nz = &ctx.nz[i];
+        let (nz, tree) = &*ctx.feats[i];
         p.plan_emb.forward_ws_sparse(nz, tree, tcn_ws);
 
         // Cost objective on the default plan.
@@ -287,8 +282,7 @@ fn process_slot(
 
         if ctx.dann {
             // One candidate plan per default plan (label 1).
-            let (_, ctree) = &*ctx.cand_feats[desc.cand[pos]];
-            let cnz = &ctx.cand_nz[desc.cand[pos]];
+            let (cnz, ctree) = &*ctx.cand_feats[desc.cand[pos]];
             p.plan_emb.forward_ws_sparse(cnz, ctree, tcn_ws);
             p.dom_head.forward_ws(tcn_ws.emb(), dom_ws);
             *ld += cross_entropy_logits_into(dom_ws.out(), &[1], gd);
@@ -453,8 +447,10 @@ fn prepare(
 
     // Pre-featurize everything once, in parallel, through the identity-keyed
     // cache: duplicate plans (within samples, or between samples and
-    // candidates under the same environment) featurize exactly once, and the
-    // per-plan work fans out across the pool.
+    // candidates under the same environment) share one entry, and the
+    // per-plan work fans out across the pool. Two workers that miss on the
+    // same plan at once both featurize it; the first insert wins, the other
+    // result is dropped, and that lookup counts as a hit.
     let _span = mcsim_obs::span("featurize");
     let cache = FeatureCache::new();
     let featurizer = predictor.featurizer;
@@ -492,17 +488,11 @@ pub fn train(
 ) -> TrainReport {
     let started = std::time::Instant::now();
     let (feats, labels, cand_feats) = prepare(predictor, samples, candidates, mean_env);
-    // Index the static feature matrices' nonzeros once; every epoch's conv1
-    // work then touches only stored entries.
     let pool = mcsim_par::ThreadPool::global();
-    let nz: Vec<SparseRows> = pool.parallel_map(&feats, |f| SparseRows::from_dense(&f.0));
-    let cand_nz: Vec<SparseRows> = pool.parallel_map(&cand_feats, |f| SparseRows::from_dense(&f.0));
     let ctx = Ctx {
         feats: &feats,
         labels: &labels,
         cand_feats: &cand_feats,
-        nz: &nz,
-        cand_nz: &cand_nz,
         dann: cfg.adaptive && !cand_feats.is_empty(),
     };
     let adam = AdamConfig {
@@ -650,9 +640,10 @@ fn train_parallel(
 
 /// The legacy allocating training path, kept as a bit-exact cross-check and
 /// benchmark baseline: every sample runs through the allocating wrapper
-/// APIs (`forward`/`backward` with per-call caches and temporaries), with
-/// the same microbatch fold staging and RNG schedule as [`train`], so its
-/// final weights are bit-identical to the workspace engine's.
+/// APIs (`forward`/`backward` with per-call caches and temporaries) over
+/// dense feature matrices (each cached index densified per use), with the
+/// same microbatch fold staging and RNG schedule as [`train`], so its final
+/// weights are bit-identical to the workspace engine's.
 pub fn train_reference(
     predictor: &mut AdaptiveCostPredictor,
     samples: &[TrainSample],
@@ -696,8 +687,8 @@ pub fn train_reference(
                 let mut slot_ld = 0.0f32;
                 for (k, &i) in slot_batch.iter().enumerate() {
                     let pos = s * chunk + k;
-                    let (x, tree) = &*feats[i];
-                    let (emb, cache) = predictor.plan_emb.forward(x, tree);
+                    let (nz, tree) = &*feats[i];
+                    let (emb, cache) = predictor.plan_emb.forward(&nz.to_dense(), tree);
 
                     // Cost objective on the default plan.
                     let (pred, cost_cache) = predictor.cost_head.forward(&emb);
@@ -721,8 +712,8 @@ pub fn train_reference(
 
                     if dann {
                         // One candidate plan per default plan (label 1).
-                        let (cx, ctree) = &*cand_feats[cand[pos]];
-                        let (cemb, ccache) = predictor.plan_emb.forward(cx, ctree);
+                        let (cnz, ctree) = &*cand_feats[cand[pos]];
+                        let (cemb, ccache) = predictor.plan_emb.forward(&cnz.to_dense(), ctree);
                         let (logits, dom_cache) = predictor.dom_head.forward(&cemb);
                         let (sample_ld, mut gd) = cross_entropy_logits(&logits, &[1]);
                         slot_ld += sample_ld;

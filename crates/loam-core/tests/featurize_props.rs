@@ -6,6 +6,7 @@ use loam_core::AdaptiveCostPredictor;
 use mcsim_catalog::{EnvMetrics, ProjectId, ProjectProfile};
 use mcsim_optimizer::{Knobs, NativeOptimizer, OptimizerFlags};
 use proptest::prelude::*;
+use tinynn::SparseRows;
 
 fn plans_for_seed(seed: u64) -> Vec<mcsim_plan::PlanTree> {
     let mut prof = ProjectProfile::random(seed);
@@ -80,10 +81,12 @@ proptest! {
             for source in [EnvSource::None, EnvSource::Uniform(env)] {
                 let fresh = featurizer.featurize(plan, source.clone());
                 // First lookup populates the cache, second must hit; both
-                // return exactly what a fresh featurization would.
+                // return the index of exactly what a fresh featurization
+                // would.
                 let miss = cache.featurize(&featurizer, plan, source.clone());
                 let hit = cache.featurize(&featurizer, plan, source);
-                prop_assert_eq!(&fresh.0, &miss.0);
+                prop_assert_eq!(&SparseRows::from_dense(&fresh.0), &miss.0);
+                prop_assert_eq!(&miss.0.to_dense(), &fresh.0);
                 prop_assert_eq!(&fresh.1, &miss.1);
                 prop_assert!(std::sync::Arc::ptr_eq(&miss, &hit), "second lookup must hit");
             }

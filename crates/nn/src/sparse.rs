@@ -83,6 +83,46 @@ impl SparseRows {
         self.dim = x.cols;
     }
 
+    /// Releases the capacity the branchless scan left past the nonzeros, so
+    /// a long-lived index (a feature-cache entry) holds only what it stores.
+    pub fn shrink_to_fit(&mut self) {
+        self.starts.shrink_to_fit();
+        self.cols.shrink_to_fit();
+        self.vals.shrink_to_fit();
+    }
+
+    /// Empties the index and sets its dense width, keeping the buffers, so
+    /// rows can be appended with [`SparseRows::extend_from`].
+    pub fn clear(&mut self, dim: usize) {
+        self.starts.clear();
+        self.starts.push(0);
+        self.cols.clear();
+        self.vals.clear();
+        self.rows = 0;
+        self.dim = dim;
+    }
+
+    /// Appends every row of `other` below the rows already indexed, reusing
+    /// the buffers (no allocation once the largest batch has been seen).
+    /// Indexes appended one after another are exactly the index
+    /// [`SparseRows::from_dense`] builds from their matrices stacked: each
+    /// row keeps its nonzeros, only the row offsets shift.
+    pub fn extend_from(&mut self, other: &SparseRows) {
+        assert_eq!(
+            other.dim, self.dim,
+            "inconsistent feature widths in a batch"
+        );
+        if self.starts.is_empty() {
+            self.starts.push(0);
+        }
+        let base = self.cols.len() as u32;
+        self.starts
+            .extend(other.starts.iter().skip(1).map(|&s| s + base));
+        self.cols.extend_from_slice(&other.cols);
+        self.vals.extend_from_slice(&other.vals);
+        self.rows += other.rows;
+    }
+
     /// Number of rows in the underlying matrix.
     pub fn rows(&self) -> usize {
         self.rows
@@ -204,6 +244,37 @@ mod tests {
         // …and going back to the big shape still matches a fresh build.
         s.assign_from_dense(&big);
         assert_eq!(s, SparseRows::from_dense(&big));
+    }
+
+    #[test]
+    fn appended_indexes_equal_the_index_of_the_stack() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let parts: Vec<Mat> = [3, 1, 5]
+            .iter()
+            .map(|&r| featurelike(r, 21, &mut rng))
+            .collect();
+        let mut stacked = Mat::zeros(0, 21);
+        let mut s = SparseRows::default();
+        s.clear(21);
+        for p in &parts {
+            stacked.data.extend_from_slice(&p.data);
+            stacked.rows += p.rows;
+            let mut owned = SparseRows::from_dense(p);
+            owned.shrink_to_fit();
+            assert_eq!(owned, SparseRows::from_dense(p));
+            s.extend_from(&owned);
+        }
+        assert_eq!(s, SparseRows::from_dense(&stacked));
+        // Clearing keeps the buffers and restarts at zero rows.
+        let caps = (s.starts.capacity(), s.cols.capacity(), s.vals.capacity());
+        s.clear(21);
+        assert_eq!(s, SparseRows::from_dense(&Mat::zeros(0, 21)));
+        s.extend_from(&SparseRows::from_dense(&parts[1]));
+        assert_eq!(s, SparseRows::from_dense(&parts[1]));
+        assert_eq!(
+            (s.starts.capacity(), s.cols.capacity(), s.vals.capacity()),
+            caps
+        );
     }
 
     #[test]

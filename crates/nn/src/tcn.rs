@@ -533,19 +533,24 @@ pub struct TcnCache {
     ws: TcnWs,
 }
 
-/// Reusable buffers for [`Tcn::forward_forest_ws`]: the stacked node matrix
-/// and offset tree structure of the whole batch, the shared convolution
-/// activations, and the per-tree pooled/embedding rows. One warm instance
-/// per serving worker; never reallocates once the largest batch shape has
-/// been seen.
+/// Reusable buffers for [`Tcn::forward_forest_ws`]: the stacked node rows
+/// (dense, or as one CSR index) and offset tree structure of the whole
+/// batch, the shared convolution activations, and the per-tree
+/// pooled/embedding rows. One warm instance per serving worker; never
+/// reallocates once the largest batch shape has been seen.
 #[derive(Debug, Clone, Default)]
 pub struct ForestWs {
     x: Mat,
     tree: TreeStructure,
     /// Prefix node offsets: tree `b` owns rows `bounds[b]..bounds[b+1]`.
     bounds: Vec<usize>,
-    /// CSR view of `x`, rebuilt in place by the sparse forward.
+    /// CSR view of the batch: appended per tree by
+    /// [`ForestWs::stack_sparse`], or rebuilt in place from `x` by the
+    /// sparse forward of a densely stacked batch.
     sx: SparseRows,
+    /// True when the batch was stacked as CSR rows into `sx` (and `x` is
+    /// stale); false when it was stacked densely into `x`.
+    csr_input: bool,
     /// CSR view of the post-ReLU `h1` (≈half exact zeros), rebuilt in place
     /// by the SIMD-mode sparse forward so conv2 can skip them too.
     sh1: SparseRows,
@@ -578,45 +583,63 @@ impl ForestWs {
     /// `bounds` holds `ntrees + 1` prefix offsets starting at 0 and ending
     /// at `x.rows`.
     pub fn stacked_parts_mut(&mut self) -> (&mut Mat, &mut TreeStructure, &mut Vec<usize>) {
+        self.csr_input = false;
         (&mut self.x, &mut self.tree, &mut self.bounds)
     }
 
-    /// Stacks `n` trees (produced by `item`, called twice per index: once to
-    /// size the batch, once to fill it) into the workspace's batch buffers
-    /// per the [`ForestWs::stacked_parts_mut`] contract. Closure-based so
-    /// callers holding trees behind `Arc`s or caches can stack without first
-    /// materializing a slice of references.
-    pub fn stack_with<'a>(
+    /// Stacks the dense node matrices of `items` into the workspace's batch
+    /// buffers per the [`ForestWs::stacked_parts_mut`] contract.
+    fn stack_dense(&mut self, items: &[(&Mat, &TreeStructure)]) {
+        self.start_batch(false);
+        let in_dim = items.first().map_or(self.x.cols.max(1), |(x, _)| x.cols);
+        let total: usize = items.iter().map(|(x, _)| x.rows).sum();
+        self.x.resize_in_place(total, in_dim);
+        let mut off = 0;
+        for &(xi, ti) in items {
+            assert_eq!(xi.cols, in_dim, "inconsistent feature widths in a batch");
+            self.x.data[off * in_dim..(off + xi.rows) * in_dim].copy_from_slice(&xi.data);
+            self.push_tree(xi.rows, ti, off);
+            off += xi.rows;
+        }
+    }
+
+    /// Stacks trees whose node features are already CSR-indexed (e.g. the
+    /// entries of a feature cache): appends each tree's nonzeros and offset
+    /// child links, so no dense batch matrix is copied and no index is
+    /// rebuilt. [`Tcn::forward_forest_stacked_ws`] then runs conv1 straight
+    /// off the appended index; the embeddings are bitwise those of stacking
+    /// the dense rows (see [`SparseRows::extend_from`]).
+    pub fn stack_sparse<'a>(
         &mut self,
-        n: usize,
-        item: impl Fn(usize) -> (&'a Mat, &'a TreeStructure),
+        items: impl IntoIterator<Item = (&'a SparseRows, &'a TreeStructure)>,
     ) {
+        self.start_batch(true);
+        let mut items = items.into_iter().peekable();
+        let dim = items.peek().map_or(self.sx.dim(), |(x, _)| x.dim());
+        self.sx.clear(dim);
+        for (xi, ti) in items {
+            let off = self.sx.rows();
+            self.sx.extend_from(xi);
+            self.push_tree(xi.rows(), ti, off);
+        }
+    }
+
+    /// Empties the tree and bounds buffers for a new batch.
+    fn start_batch(&mut self, csr_input: bool) {
+        self.csr_input = csr_input;
         self.tree.left.clear();
         self.tree.right.clear();
         self.bounds.clear();
         self.bounds.push(0);
-        if n == 0 {
-            self.x.resize_in_place(0, self.x.cols.max(1));
-            return;
-        }
-        let in_dim = item(0).0.cols;
-        let total: usize = (0..n).map(|i| item(i).0.rows).sum();
-        self.x.resize_in_place(total, in_dim);
-        let mut off = 0;
-        for i in 0..n {
-            let (xi, ti) = item(i);
-            assert_eq!(xi.rows, ti.len(), "tree/feature row mismatch");
-            assert_eq!(xi.cols, in_dim, "inconsistent feature widths in a batch");
-            self.x.data[off * in_dim..(off + xi.rows) * in_dim].copy_from_slice(&xi.data);
-            self.tree
-                .left
-                .extend(ti.left.iter().map(|c| c.map(|j| j + off)));
-            self.tree
-                .right
-                .extend(ti.right.iter().map(|c| c.map(|j| j + off)));
-            off += xi.rows;
-            self.bounds.push(off);
-        }
+    }
+
+    /// Appends one tree of `rows` nodes stacked at row `off`.
+    fn push_tree(&mut self, rows: usize, t: &TreeStructure, off: usize) {
+        assert_eq!(rows, t.len(), "tree/feature row mismatch");
+        let shift = |c: &Option<usize>| c.map(|j| j + off);
+        self.tree.left.extend(t.left.iter().map(shift));
+        self.tree.right.extend(t.right.iter().map(shift));
+        self.bounds.push(off + rows);
     }
 
     /// Bytes held by the batch buffers.
@@ -711,7 +734,7 @@ impl Tcn {
     }
 
     /// Batched ("forest") encoding: stacks every tree's node features into
-    /// one padded node matrix with offset child indices, so both convolution
+    /// one node matrix with offset child indices, so both convolution
     /// layers run as a single fused kernel invocation over all nodes of the
     /// batch, then pools each tree's row segment and projects the whole
     /// pooled batch through one matmul. The embeddings land in `ws.emb()`,
@@ -723,7 +746,7 @@ impl Tcn {
     /// shares the per-segment kernel with the single-tree path, and the
     /// projection computes each output row as an independent dot product.
     pub fn forward_forest_ws(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_with(items.len(), |i| items[i]);
+        ws.stack_dense(items);
         self.forward_forest_stacked_ws(ws, false);
     }
 
@@ -732,16 +755,18 @@ impl Tcn {
     /// (see the [`crate::sparse`] module docs), and the main single-thread
     /// win of the inference hot path: plan-feature rows are ~90% zeros.
     pub fn forward_forest_ws_sparse(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_with(items.len(), |i| items[i]);
+        ws.stack_dense(items);
         self.forward_forest_stacked_ws(ws, true);
     }
 
     /// The compute half of the forest forward: consumes a batch already
-    /// stacked into `ws` (via [`ForestWs::stack_with`] or written directly
+    /// stacked into `ws` (via [`ForestWs::stack_sparse`] or written directly
     /// through [`ForestWs::stacked_parts_mut`]) and leaves the embeddings in
-    /// `ws.emb()`. When `sparse`, conv1 runs over a CSR index of the stacked
-    /// matrix, rebuilt in place — under [`KernelMode::Simd`] through the
-    /// lane-rows kernel, otherwise through the scalar CSR kernel; the result
+    /// `ws.emb()`. A batch stacked from CSR rows always runs conv1 over that
+    /// index. A densely stacked batch does so when `sparse` is set, over an
+    /// index rebuilt in place from the dense rows, and otherwise runs the
+    /// dense kernel. The CSR conv1 goes through the lane-rows kernel under
+    /// [`KernelMode::Simd`] and the scalar CSR kernel otherwise; the result
     /// is bitwise identical every way.
     pub fn forward_forest_stacked_ws(&self, ws: &mut ForestWs, sparse: bool) {
         let ForestWs {
@@ -749,6 +774,7 @@ impl Tcn {
             tree,
             bounds,
             sx,
+            csr_input,
             sh1,
             wt,
             wt2,
@@ -763,9 +789,14 @@ impl Tcn {
             emb.resize_in_place(0, self.emb_dim());
             return;
         }
+        let rows = if *csr_input { sx.rows() } else { x.rows };
         debug_assert_eq!(bounds[0], 0, "bounds must start at 0");
-        debug_assert_eq!(bounds[ntrees], x.rows, "bounds must end at x.rows");
-        if sparse && kernel_mode() == KernelMode::Simd {
+        debug_assert_eq!(bounds[ntrees], rows, "bounds must end at the last row");
+        let csr = *csr_input || sparse;
+        if csr && !*csr_input {
+            sx.assign_from_dense(x);
+        }
+        if csr && kernel_mode() == KernelMode::Simd {
             // conv1 through the sparse node kernel over the feature
             // nonzeros. conv2's input is the post-ReLU `h1` (skipping its
             // exact zeros is bit-exact too — see the `crate::sparse` module
@@ -774,7 +805,6 @@ impl Tcn {
             // kernel only below ~60% density, so the choice is gated on the
             // measured nonzero count. Either way the bits are identical —
             // the gate is a pure performance decision.
-            sx.assign_from_dense(x);
             self.conv1.forward_ws_sparse_blocked(sx, tree, wt, h1);
             sh1.assign_from_dense(h1);
             if sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
@@ -782,8 +812,7 @@ impl Tcn {
             } else {
                 self.conv2.forward_ws(h1, tree, h2);
             }
-        } else if sparse {
-            sx.assign_from_dense(x);
+        } else if csr {
             self.conv1.forward_ws_sparse(sx, tree, h1);
             self.conv2.forward_ws(h1, tree, h2);
         } else {
@@ -999,6 +1028,7 @@ impl Tcn {
 mod tests {
     use super::*;
     use crate::loss::mse;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1095,18 +1125,18 @@ mod tests {
         tcn.forward_forest_ws_sparse(&items, &mut ws_s);
         assert_eq!(ws_d.emb(), ws_s.emb(), "sparse forest forward diverged");
 
-        // Stacking through the closure API + the prestacked entry point is
-        // the cached serving path; it must match too (both modes).
+        // Stacking densely + the prestacked entry point must match too
+        // (both modes).
         for sparse in [false, true] {
             let mut ws_p = ForestWs::default();
-            ws_p.stack_with(items.len(), |i| items[i]);
+            ws_p.stack_dense(&items);
             tcn.forward_forest_stacked_ws(&mut ws_p, sparse);
             assert_eq!(ws_d.emb(), ws_p.emb(), "prestacked (sparse={sparse})");
         }
 
         // Empty prestacked batch.
         let mut ws_e = ForestWs::default();
-        ws_e.stack_with(0, |_| unreachable!());
+        ws_e.stack_dense(&[]);
         tcn.forward_forest_stacked_ws(&mut ws_e, true);
         assert_eq!(ws_e.emb().rows, 0);
     }
@@ -1414,5 +1444,102 @@ mod tests {
             err < 1.0,
             "mean abs error {err} should beat trivial baseline"
         );
+    }
+
+    /// `ntrees` random binary trees of 1..=12 nodes with feature-like rows
+    /// over `dim` columns: a one-hot slot, a few random entries, and a
+    /// `-0.0` that the CSR index drops.
+    fn random_forest(ntrees: usize, dim: usize, rng: &mut StdRng) -> Vec<(Mat, TreeStructure)> {
+        (0..ntrees)
+            .map(|_| {
+                let n = rng.gen_range(1..=12usize);
+                let mut t = TreeStructure {
+                    left: vec![None; n],
+                    right: vec![None; n],
+                };
+                for i in 1..n {
+                    loop {
+                        let p = rng.gen_range(0..i);
+                        let slot = if rng.gen_bool(0.5) {
+                            &mut t.left[p]
+                        } else {
+                            &mut t.right[p]
+                        };
+                        if slot.is_none() {
+                            *slot = Some(i);
+                            break;
+                        }
+                    }
+                }
+                let mut x = Mat::zeros(n, dim);
+                for r in 0..n {
+                    x.set(r, rng.gen_range(0..dim), 1.0);
+                    for _ in 0..3 {
+                        x.set(r, rng.gen_range(0..dim), rng.gen_range(-1.5..1.5f32));
+                    }
+                    x.set(r, rng.gen_range(0..dim), -0.0);
+                }
+                (x, t)
+            })
+            .collect()
+    }
+
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Stacking cached CSR rows ([`ForestWs::stack_sparse`]) gives
+        /// bitwise the embeddings of the dense forest forward, under both
+        /// kernel modes and both `sparse` flags, on fresh workspaces and on
+        /// warm ones reused after a larger batch; and the appended index is
+        /// exactly the index of the stacked dense matrix.
+        #[test]
+        fn csr_stacking_matches_dense_stacking(seed in 0u64..1_000_000, ntrees in 0usize..6) {
+            let _guard = crate::kernels::MODE_TEST_MUTEX
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            use crate::kernels::{set_kernel_mode, KernelMode};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tcn = Tcn::new(30, 10, 6, 4, &mut rng);
+            let forest = random_forest(ntrees, 30, &mut rng);
+            let sparse: Vec<SparseRows> = forest.iter().map(|(x, _)| SparseRows::from_dense(x)).collect();
+            let items: Vec<(&Mat, &TreeStructure)> = forest.iter().map(|(x, t)| (x, t)).collect();
+            let big = random_forest(8, 30, &mut rng);
+            let big_sparse: Vec<SparseRows> = big.iter().map(|(x, _)| SparseRows::from_dense(x)).collect();
+            let prev = set_kernel_mode(KernelMode::Scalar);
+            for mode in [KernelMode::Scalar, KernelMode::Simd] {
+                set_kernel_mode(mode);
+                let mut dense = ForestWs::default();
+                tcn.forward_forest_ws(&items, &mut dense);
+                for warm in [false, true] {
+                    for flag in [false, true] {
+                        let mut ws = ForestWs::default();
+                        if warm {
+                            ws.stack_sparse(big_sparse.iter().zip(big.iter().map(|(_, t)| t)));
+                            tcn.forward_forest_stacked_ws(&mut ws, flag);
+                        }
+                        ws.stack_sparse(sparse.iter().zip(forest.iter().map(|(_, t)| t)));
+                        tcn.forward_forest_stacked_ws(&mut ws, flag);
+                        prop_assert_eq!(
+                            bits(ws.emb()),
+                            bits(dense.emb()),
+                            "{:?} warm={} sparse={}", mode, warm, flag
+                        );
+                        prop_assert_eq!((ws.emb().rows, ws.emb().cols), (ntrees, 4));
+                        if ntrees == 0 {
+                            prop_assert_eq!((ws.sx.rows(), ws.sx.nnz()), (0, 0));
+                        } else {
+                            prop_assert_eq!(&ws.sx, &SparseRows::from_dense(&dense.x));
+                        }
+                        prop_assert_eq!(&ws.bounds, &dense.bounds);
+                        prop_assert_eq!(&ws.tree, &dense.tree);
+                    }
+                }
+            }
+            set_kernel_mode(prev);
+        }
     }
 }

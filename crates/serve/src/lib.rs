@@ -15,10 +15,13 @@
 //!   and robustness knobs, and [`ServeSession::run`] drives the whole
 //!   optimize → gate → execute path over the
 //!   [`RobustServer`](loam_core::serving::RobustServer) engine;
-//! * request batching — distinct templates in a batch are scored with
-//!   **one** padded forest forward (`tinynn::Tcn::forward_forest_ws` via
-//!   [`CostModel::predict_batch`](loam_core::predictor::baselines::CostModel::predict_batch)),
-//!   bit-identical to single-query scoring;
+//! * request batching — the distinct templates a batch must score are
+//!   split into at most one contiguous run per pool thread, balanced by
+//!   plan-tree nodes, and each run is scored by one forest forward
+//!   ([`CostModel::predict_batch_into`](loam_core::predictor::baselines::CostModel::predict_batch_into),
+//!   which stacks the plans' cached CSR feature rows without padding) on
+//!   its own warm workspace, all in one fan-out; bit-identical to
+//!   single-query scoring;
 //! * [`DecisionCache`] — plan-signature → guarded-decision cache with
 //!   model-version invalidation, alongside the sharded
 //!   [`FeatureCache`](loam_core::featurize::FeatureCache);

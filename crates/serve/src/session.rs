@@ -38,6 +38,7 @@ use mcsim_obs::trace::TraceContext;
 use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Admission-control policy applied to the arrival trace.
@@ -488,11 +489,20 @@ pub struct ServeSession {
     cluster: ClusterConfig,
     features: Option<FeatureCache>,
     decisions: Option<DecisionCache>,
-    /// Warm inference workspace + cost buffer reused by every scoring batch
-    /// of the session (`run` takes `&self`, so the scratch sits behind a
-    /// mutex; batches score one at a time on the calling thread).
-    scratch: Mutex<(InferWs, Vec<f64>)>,
+    /// One warm inference workspace + cost buffer per scoring run of a
+    /// batch (at most the pool size), reused by every batch of the session.
+    /// The session owns them rather than the pool threads: pool workers are
+    /// scoped threads spawned per fan-out, so thread-local workspaces would
+    /// start cold every batch. (`run` takes `&self`, so they sit behind a
+    /// mutex, which the select phase holds for one batch at a time.)
+    scorers: Mutex<Vec<(InferWs, Vec<f64>)>>,
 }
+
+/// Rough multiply-adds per plan-tree node of one forward of the default
+/// predictor (both tree convolutions), in the units of the pool's work
+/// gate. It only decides whether a batch is worth a fan-out, never what the
+/// batch computes.
+const NODE_WORK: usize = 1 << 16;
 
 impl ServeSession {
     /// Builds a session from a validated configuration.
@@ -518,7 +528,7 @@ impl ServeSession {
             cluster,
             features,
             decisions,
-            scratch: Mutex::new((InferWs::new(), Vec::new())),
+            scorers: Mutex::new(Vec::new()),
         })
     }
 
@@ -559,7 +569,10 @@ impl ServeSession {
     ///
     /// 1. **Select**, in arrival order on the calling thread: admission
     ///    control, batching, per-batch dedupe, decision-cache lookups and
-    ///    inserts, one batched forward per batch, and the margin guard.
+    ///    inserts, and the margin guard. Each batch's candidates are scored
+    ///    in one fan-out of up to one batched forward per pool thread, over
+    ///    contiguous runs of templates balanced by plan-tree nodes; the
+    ///    costs come back in template order.
     /// 2. **Execute**: one order-preserving fan-out over every admitted
     ///    request, each on its own per-request executor, down the fallback
     ///    ladder. The outcomes are folded into the report in sequence
@@ -830,19 +843,46 @@ impl ServeSession {
                     s.attr("requests", batch.len());
                     s
                 });
-                // One forest forward over every candidate of every
-                // to-be-scored template.
+                // Every candidate of every to-be-scored template, split into
+                // contiguous runs of templates balanced by node count: one
+                // forest forward per run, each on its own warm workspace, in
+                // one fan-out. A plan's cost does not depend on the batch it
+                // is scored in, so the split never changes a bit. A batch
+                // below the pool's work gate is one run, scored inline.
                 let mut refs: Vec<&PlanTree> = Vec::new();
                 let mut bounds = Vec::with_capacity(to_score.len() + 1);
+                let mut nodes = Vec::with_capacity(to_score.len());
                 bounds.push(0);
                 for &t in &to_score {
-                    refs.extend(templates[t as usize].plans.iter());
+                    let plans = &templates[t as usize].plans;
+                    refs.extend(plans.iter());
                     bounds.push(refs.len());
+                    nodes.push(plans.iter().map(PlanTree::len).sum::<usize>());
                 }
-                let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-                let (infer_ws, costs) = &mut *scratch;
-                self.server
-                    .score_batch_into(model, &refs, self.features.as_ref(), infer_ws, costs);
+                let pool = mcsim_par::ThreadPool::global();
+                let work = nodes.iter().sum::<usize>().saturating_mul(NODE_WORK);
+                let k = if work < mcsim_par::min_parallel_work() {
+                    1
+                } else {
+                    pool.threads()
+                };
+                let runs = balanced_runs(&nodes, k);
+                let mut scorers = self.scorers.lock().unwrap_or_else(|e| e.into_inner());
+                if scorers.len() < runs.len() {
+                    scorers.resize_with(runs.len(), || (InferWs::new(), Vec::new()));
+                }
+                let jobs: Vec<_> = runs.iter().zip(scorers.iter_mut()).collect();
+                pool.for_each(jobs, |(run, (ws, costs))| {
+                    let plans = &refs[bounds[run.start]..bounds[run.end]];
+                    self.server
+                        .score_batch_into(model, plans, self.features.as_ref(), ws, costs);
+                });
+                // The runs' costs back to back are in template order, like
+                // `refs`; resolve serially in that order.
+                let costs: Vec<f64> = scorers[..runs.len()]
+                    .iter()
+                    .flat_map(|(_, c)| c.iter().copied())
+                    .collect();
                 for (i, &t) in to_score.iter().enumerate() {
                     let eq = &templates[t as usize];
                     let slice_refs = &refs[bounds[i]..bounds[i + 1]];
@@ -904,6 +944,26 @@ impl ServeSession {
             })
             .collect()
     }
+}
+
+/// Splits items of the given `weights` into at most `k` (≥ 1) contiguous,
+/// non-empty runs of roughly equal total weight: each item joins the
+/// `k`-th of the total its weight's midpoint falls in, so every run
+/// boundary lies within half an item of its even share.
+fn balanced_runs(weights: &[usize], k: usize) -> Vec<Range<usize>> {
+    let total = weights.iter().sum::<usize>().max(1);
+    let mut runs: Vec<Range<usize>> = Vec::with_capacity(k);
+    let (mut before, mut last) = (0, usize::MAX);
+    for (i, &w) in weights.iter().enumerate() {
+        let share = ((2 * before + w) * k / (2 * total)).min(k - 1);
+        match runs.last_mut() {
+            Some(run) if share == last => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+        last = share;
+        before += w;
+    }
+    runs
 }
 
 /// Which arrivals admission control drops, simulated deterministically in
@@ -977,6 +1037,35 @@ fn request_seed(seed: u64, seq: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balanced_runs_are_contiguous_and_balanced() {
+        let weights = [30, 10, 25, 5, 40, 20, 15, 35];
+        for k in 1..=10 {
+            let runs = balanced_runs(&weights, k);
+            assert!(!runs.is_empty() && runs.len() <= k, "k={k}: {runs:?}");
+            assert_eq!(runs[0].start, 0);
+            assert_eq!(runs.last().unwrap().end, weights.len());
+            for pair in runs.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "k={k}: {runs:?}");
+            }
+            assert!(runs.iter().all(|r| !r.is_empty()), "k={k}: {runs:?}");
+        }
+        let sums = |k| -> Vec<usize> {
+            balanced_runs(&weights, k)
+                .into_iter()
+                .map(|r| weights[r].iter().sum())
+                .collect()
+        };
+        assert_eq!(sums(1), [180]);
+        assert_eq!(sums(2), [70, 110]);
+        assert_eq!(sums(4), [40, 30, 60, 50]);
+        // All weights zero: one run.
+        assert_eq!(balanced_runs(&[0, 0, 0], 2), vec![0..3]);
+        // More runs than items: one item per run.
+        assert_eq!(balanced_runs(&[3, 4], 8), [0..1, 1..2]);
+        assert!(balanced_runs(&[], 4).is_empty());
+    }
 
     #[test]
     fn decision_digest_fingerprints_the_log_exactly() {

@@ -200,6 +200,81 @@ fn batched_cached_serving_decides_like_single_query() {
     assert!(batched.batches < single.batches, "batching must amortize");
 }
 
+/// Serving the real predictor goes through the forest forward, the feature
+/// cache and the per-batch scoring fan-out. With every batch scored (no
+/// decision cache), the report and the feature-cache counts must not depend
+/// on the thread count, and every served prediction must be the chosen
+/// plan's single-plan cost.
+#[test]
+fn real_model_serving_is_thread_invariant_and_scores_like_predict() {
+    let (prepared, evaluated) = evaluated_fixture(17);
+    let catalog = &prepared.project.catalog;
+    let model = AdaptiveCostPredictor::new(5, true);
+    for feature_cache in [true, false] {
+        let cfg = ServeConfig::builder()
+            .tenants(4)
+            .requests(96)
+            .batch_size(16)
+            .feature_cache(feature_cache)
+            .decision_cache(false)
+            .machines(8)
+            .warmup_ticks(4)
+            .gate(permissive_gate())
+            .seed(21)
+            .build()
+            .expect("valid config");
+        let serve = |threads| {
+            let prev = mcsim_par::set_threads(threads);
+            let session = ServeSession::new(cfg.clone()).expect("session");
+            let report = session
+                .run(&model, &evaluated, catalog, None)
+                .expect("serve");
+            mcsim_par::set_threads(prev);
+            (session, report)
+        };
+        let (session, baseline) = serve(1);
+        assert!(baseline.gate_deployed);
+        let lookups = baseline.feature_cache_hits + baseline.feature_cache_misses;
+        assert_eq!(lookups > 0, feature_cache, "feature cache {feature_cache}");
+
+        let env = session.server().strategy().env_source();
+        let mut scored = 0;
+        for rec in &baseline.decision_log {
+            if let RequestOutcome::Served {
+                choice,
+                predicted_bits,
+                ..
+            } = rec.outcome
+            {
+                let plan = &evaluated[rec.template as usize].plans[choice];
+                assert_eq!(
+                    predicted_bits,
+                    model.predict(plan, env.clone()).to_bits(),
+                    "request {} (feature cache {feature_cache})",
+                    rec.seq
+                );
+                scored += 1;
+            }
+        }
+        assert_eq!(scored, baseline.admitted);
+
+        for threads in [2, 8] {
+            let (_, report) = serve(threads);
+            assert_eq!(
+                thread_invariant_summary(&report),
+                thread_invariant_summary(&baseline),
+                "serving must be bit-identical at {threads} threads \
+                 (feature cache {feature_cache})"
+            );
+            assert_eq!(
+                (report.feature_cache_hits, report.feature_cache_misses),
+                (baseline.feature_cache_hits, baseline.feature_cache_misses),
+                "feature-cache counts at {threads} threads"
+            );
+        }
+    }
+}
+
 #[test]
 fn model_update_invalidates_cached_decisions() {
     let (prepared, evaluated) = evaluated_fixture(13);
