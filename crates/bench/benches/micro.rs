@@ -4,7 +4,7 @@
 //! exploration, GBDT prediction, the parallel compute layer (serial vs.
 //! pool matmul, dense vs. sparse inputs, cached vs. uncached featurization),
 //! and the training hot path (fused vs. unfused linear+ReLU, workspace-reuse
-//! vs. allocating MLP train step).
+//! vs. allocating MLP train step, one encoder forward plus backward).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use loam_core::explorer::PlanExplorer;
@@ -187,6 +187,38 @@ fn benches(c: &mut Criterion) {
             grads.zero();
             mlp.backward_ws(&mx, &ws, &grad, &mut grads.mats, None, &mut scratch);
             loss
+        })
+    });
+
+    // One sample of the encoder's training step at training shapes: a warm
+    // sparse forward plus backward of an 18-node plan (the mean project_p1
+    // sample) through the predictor's 169 → 128 → 64 encoder. The weights
+    // stay fixed, so conv1's transposes are built once and then reused.
+    let step_plan = queries
+        .iter()
+        .find_map(|q| {
+            let set = explorer.explore(&optimizer, q);
+            set.plans().into_iter().find(|p| p.len() == 18).cloned()
+        })
+        .expect("an 18-node candidate plan");
+    let (step_x, step_tree) = featurizer.featurize(&step_plan, EnvSource::Uniform(env));
+    let step_sx = tinynn::SparseRows::from_dense(&step_x);
+    let tcn = &predictor.plan_emb;
+    let mut tcn_ws = tinynn::TcnWs::default();
+    let mut tcn_grads = tinynn::GradSet::from_shapes(&tcn.grad_shapes());
+    let gemb = Mat::from_fn(1, tcn.emb_dim(), |_, j| (j % 7) as f32 / 7.0 - 0.4);
+    c.bench_function("tcn_train_step", |b| {
+        b.iter(|| {
+            tcn.forward_ws_sparse(black_box(&step_sx), &step_tree, &mut tcn_ws);
+            tcn_grads.zero();
+            tcn.backward_ws_sparse(
+                &step_sx,
+                &step_tree,
+                &tcn_ws,
+                &gemb,
+                &mut tcn_grads.mats,
+                &mut scratch,
+            );
         })
     });
 

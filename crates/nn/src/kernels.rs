@@ -21,8 +21,11 @@
 //!
 //! The mode is a process-wide atomic so benchmarks can compare both paths on
 //! identical inputs and tests can assert their bitwise equality. Elementwise
-//! epilogues (ReLU clamp, softmax scaling, `axpy`) touch every element
-//! exactly once, so any vector width is trivially bit-identical there.
+//! epilogues (ReLU clamp, softmax scaling) touch every element exactly once,
+//! so any vector width is trivially bit-identical there. For the same reason
+//! `axpy` (`out += a·x`, the inner loop of every backward matmul) does not
+//! depend on the mode at all: both modes run one plain loop that the
+//! compiler vectorizes to the target's full width.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

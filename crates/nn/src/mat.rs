@@ -116,7 +116,7 @@ impl Mat {
 
     /// `self @ other` (m×k · k×n → m×n).
     ///
-    /// Cache-blocked over k-panels with an unrolled axpy inner loop, and
+    /// Cache-blocked over k-panels with a vectorized axpy inner loop, and
     /// parallelized over output-row blocks above [`mcsim_par::min_parallel_work`].
     /// Serial and parallel paths share the same per-row kernel, and every
     /// output element accumulates in ascending-k order, so results are
@@ -346,53 +346,13 @@ pub(crate) fn run_row_blocked(
     }
 }
 
-/// `out += a * x`: dispatches on the process-wide [`crate::kernels`] mode.
-/// Each output element is touched exactly once, so the unroll width never
-/// changes any accumulation order — both modes are bit-identical.
+/// `out += a * x`, one `o + a·b` per element. Elementwise, so any vector
+/// width gives the same bits: both [`crate::kernels`] modes share this plain
+/// loop, which the compiler vectorizes to the target's full width.
 #[inline]
 pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-    match crate::kernels::kernel_mode() {
-        crate::kernels::KernelMode::Scalar => axpy_scalar(out, a, x),
-        crate::kernels::KernelMode::Simd => axpy_unrolled8(out, a, x),
-    }
-}
-
-/// Reference `out += a * x`, unrolled by 4.
-#[inline]
-fn axpy_scalar(out: &mut [f32], a: f32, x: &[f32]) {
-    let n = out.len();
-    let (main_o, tail_o) = out.split_at_mut(n - n % 4);
-    let (main_x, tail_x) = x.split_at(n - n % 4);
-    for (o, b) in main_o.chunks_exact_mut(4).zip(main_x.chunks_exact(4)) {
-        o[0] += a * b[0];
-        o[1] += a * b[1];
-        o[2] += a * b[2];
-        o[3] += a * b[3];
-    }
-    for (o, &b) in tail_o.iter_mut().zip(tail_x) {
-        *o += a * b;
-    }
-}
-
-/// `out += a * x` retiring 8 elements per iteration. Elementwise, so
-/// bit-identical to [`axpy_scalar`] at any width; the wider straight-line
-/// body vectorizes to full-width SIMD.
-#[inline]
-fn axpy_unrolled8(out: &mut [f32], a: f32, x: &[f32]) {
-    let n = out.len();
-    let (main_o, tail_o) = out.split_at_mut(n - n % 8);
-    let (main_x, tail_x) = x.split_at(n - n % 8);
-    for (o, b) in main_o.chunks_exact_mut(8).zip(main_x.chunks_exact(8)) {
-        o[0] += a * b[0];
-        o[1] += a * b[1];
-        o[2] += a * b[2];
-        o[3] += a * b[3];
-        o[4] += a * b[4];
-        o[5] += a * b[5];
-        o[6] += a * b[6];
-        o[7] += a * b[7];
-    }
-    for (o, &b) in tail_o.iter_mut().zip(tail_x) {
+    debug_assert_eq!(out.len(), x.len(), "axpy length mismatch");
+    for (o, &b) in out.iter_mut().zip(x) {
         *o += a * b;
     }
 }
@@ -558,9 +518,10 @@ mod tests {
         assert_eq!(fused, want);
     }
 
-    /// The unrolled-8 kernels must reproduce the scalar reference bit for
-    /// bit across lengths that exercise every 8/4/tail split, both at the
-    /// kernel level and through a full matmul.
+    /// The unrolled-8 dot must reproduce the scalar reference bit for bit
+    /// across lengths that exercise every 8/4/tail split, `axpy` must be its
+    /// definition `base[i] + a * x[i]` element by element, and every matmul
+    /// must agree under both kernel modes.
     #[test]
     fn unrolled8_kernels_match_scalar_bitwise() {
         use crate::kernels::{set_kernel_mode, KernelMode, MODE_TEST_MUTEX};
@@ -575,14 +536,15 @@ mod tests {
                 "dot length {n}"
             );
             let base: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let (mut oa, mut ob) = (base.clone(), base.clone());
-            axpy_scalar(&mut oa, 0.7, &x);
-            axpy_unrolled8(&mut ob, 0.7, &x);
-            let (ba, bb): (Vec<u32>, Vec<u32>) = (
-                oa.iter().map(|v| v.to_bits()).collect(),
-                ob.iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(ba, bb, "axpy length {n}");
+            let mut out = base.clone();
+            axpy(&mut out, 0.7, &x);
+            for (i, (&o, (&b, &xi))) in out.iter().zip(base.iter().zip(&x)).enumerate() {
+                assert_eq!(
+                    o.to_bits(),
+                    (b + 0.7 * xi).to_bits(),
+                    "axpy length {n}, element {i}"
+                );
+            }
         }
         // End to end: every matmul variant under both modes.
         let a = Mat::randn(6, 13, 1.0, &mut rng);

@@ -187,10 +187,11 @@ impl TreeConvLayer {
     /// [`TreeConvLayer::forward_ws_sparse`] through the lane-rows kernel of
     /// the `convsimd` module: instead of `od` branchy passes over each CSR
     /// row, every stored nonzero streams one sequential multiply-add row
-    /// against the transposed weights (rebuilt in place into `wt` — zero
-    /// allocation once warm). Bitwise identical to the scalar sparse kernel,
-    /// and through it to the dense forward; see the `convsimd` module docs
-    /// for the lane argument. The inference hot path's conv1 kernel.
+    /// against the transposed weights (kept in `wt`, rebuilt in place only
+    /// when the layer's weight stamp changes — zero allocation once warm).
+    /// Bitwise identical to the scalar sparse kernel, and through it to the
+    /// dense forward; see the `convsimd` module docs for the lane argument.
+    /// The conv1 kernel of both the inference and the training hot path.
     pub(crate) fn forward_ws_sparse_blocked(
         &self,
         x: &SparseRows,
@@ -506,6 +507,9 @@ pub struct TcnWs {
     pooled: Mat,
     argmax: Vec<usize>,
     emb: Mat,
+    /// Transposed conv1 weights for the SIMD-mode sparse forward, rebuilt
+    /// only when conv1's weight stamp changes (once per training step).
+    wt: ConvTransposes,
 }
 
 impl TcnWs {
@@ -514,7 +518,7 @@ impl TcnWs {
         &self.emb
     }
 
-    /// Bytes held by the activation buffers.
+    /// Bytes held by the activation buffers and the weight transposes.
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f32>();
         (self.h1.data.capacity()
@@ -523,6 +527,7 @@ impl TcnWs {
             + self.emb.data.capacity())
             * f
             + self.argmax.capacity() * std::mem::size_of::<usize>()
+            + self.wt.bytes()
     }
 }
 
@@ -555,7 +560,7 @@ pub struct ForestWs {
     /// by the SIMD-mode sparse forward so conv2 can skip them too.
     sh1: SparseRows,
     /// Transposed conv1 weights for the SIMD-mode sparse kernel, rebuilt in
-    /// place per forward.
+    /// place when conv1's weight stamp changes.
     wt: ConvTransposes,
     /// Transposed conv2 weights, same role as `wt`.
     wt2: ConvTransposes,
@@ -702,6 +707,7 @@ impl Tcn {
             pooled,
             argmax,
             emb,
+            ..
         } = ws;
         self.conv1.forward_ws(x, tree, h1);
         self.conv2.forward_ws(h1, tree, h2);
@@ -712,6 +718,9 @@ impl Tcn {
     /// Allocation-free encoding from a sparse feature view: conv1 consumes
     /// the CSR index directly (bitwise identical to [`Tcn::forward_ws`] on
     /// the dense matrix), and the dense downstream layers are unchanged.
+    /// Under [`KernelMode::Simd`] conv1 runs the register-strip kernel over
+    /// the workspace's weight transposes, as the forest forward does; the
+    /// scalar CSR kernel otherwise. The bits are the same either way.
     pub fn forward_ws_sparse(&self, x: &SparseRows, tree: &TreeStructure, ws: &mut TcnWs) {
         let TcnWs {
             h1,
@@ -719,8 +728,13 @@ impl Tcn {
             pooled,
             argmax,
             emb,
+            wt,
         } = ws;
-        self.conv1.forward_ws_sparse(x, tree, h1);
+        if kernel_mode() == KernelMode::Simd {
+            self.conv1.forward_ws_sparse_blocked(x, tree, wt, h1);
+        } else {
+            self.conv1.forward_ws_sparse(x, tree, h1);
+        }
         self.conv2.forward_ws(h1, tree, h2);
         pool_into(h2, pooled, argmax);
         self.proj.forward_into(pooled, emb);
@@ -1336,6 +1350,96 @@ mod tests {
             );
             assert_eq!(db, sb, "grad {i} diverged between dense and sparse");
         }
+    }
+
+    /// A training slot keeps one warm workspace across steps. After an Adam
+    /// step gives conv1 a new weight stamp, the SIMD sparse forward must
+    /// rebuild the workspace's transposes. conv1 is 37 wide, one 32-float
+    /// strip plus a tail, so the register-strip kernel's main loop runs.
+    /// Under both modes the warm workspace must match a fresh one and the
+    /// dense forward bit for bit, and the sparse backward the dense one.
+    #[test]
+    fn warm_sparse_workspace_matches_dense_after_a_weight_update() {
+        let _guard = crate::kernels::MODE_TEST_MUTEX
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        use crate::kernels::{set_kernel_mode, KernelMode};
+        let (id, od) = (30, 37);
+        let tree = TreeStructure {
+            left: vec![Some(1), Some(3), None, None, Some(5), None],
+            right: vec![Some(2), Some(4), None, None, None, None],
+        };
+        let prev = set_kernel_mode(KernelMode::Scalar);
+        for mode in [KernelMode::Scalar, KernelMode::Simd] {
+            set_kernel_mode(mode);
+            let mut rng = StdRng::seed_from_u64(41);
+            let mut tcn = Tcn::new(id, od, 7, 3, &mut rng);
+            let mut x = Mat::zeros(tree.len(), id);
+            for r in 0..tree.len() {
+                x.set(r, r % 26, 1.0);
+                for k in 0..4 {
+                    x.set(r, (r * 7 + k * 5) % 26, rng.gen_range(-1.5..1.5f32));
+                }
+                // Tail columns (28, 29) land past `id - id % 4` = 28.
+                x.set(r, 28 + r % 2, rng.gen_range(-1.5..1.5f32));
+            }
+            let sx = SparseRows::from_dense(&x);
+            let g = Mat::randn(1, 3, 1.0, &mut rng);
+            let shapes = tcn.grad_shapes();
+            let zeroed = || -> Vec<Mat> { shapes.iter().map(|&(r, c)| Mat::zeros(r, c)).collect() };
+            let mut scratch = Workspace::new();
+
+            let mut warm = TcnWs::default();
+            tcn.forward_ws(&x, &tree, &mut warm);
+            let activations = warm.bytes();
+            tcn.forward_ws_sparse(&sx, &tree, &mut warm);
+            let h1_before = bits(&warm.h1);
+            if mode == KernelMode::Simd {
+                let transposes = 3 * id * od * std::mem::size_of::<f32>();
+                assert!(
+                    warm.bytes() >= activations + transposes,
+                    "transposes uncounted"
+                );
+            } else {
+                assert_eq!(
+                    warm.bytes(),
+                    activations,
+                    "scalar mode builds no transposes"
+                );
+            }
+
+            // One training step: real gradients, then Adam (a new stamp).
+            let mut grads = zeroed();
+            tcn.backward_ws_sparse(&sx, &tree, &warm, &g, &mut grads, &mut scratch);
+            tcn.add_grads(&grads);
+            tcn.adam_step(0.05, 1, &AdamConfig::default());
+
+            tcn.forward_ws_sparse(&sx, &tree, &mut warm);
+            assert_ne!(
+                bits(&warm.h1),
+                h1_before,
+                "{mode:?}: the step must move conv1"
+            );
+            let mut fresh = TcnWs::default();
+            tcn.forward_ws_sparse(&sx, &tree, &mut fresh);
+            let mut dense = TcnWs::default();
+            tcn.forward_ws(&x, &tree, &mut dense);
+            for (name, other) in [("fresh", &fresh), ("dense", &dense)] {
+                assert_eq!(bits(&warm.h1), bits(&other.h1), "{mode:?}: h1 vs {name}");
+                assert_eq!(
+                    bits(warm.emb()),
+                    bits(other.emb()),
+                    "{mode:?}: emb vs {name}"
+                );
+            }
+            let (mut gs, mut gd) = (zeroed(), zeroed());
+            tcn.backward_ws_sparse(&sx, &tree, &warm, &g, &mut gs, &mut scratch);
+            tcn.backward_ws(&x, &tree, &dense, &g, &mut gd, &mut scratch);
+            for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
+                assert_eq!(bits(s), bits(d), "{mode:?}: grad {i}");
+            }
+        }
+        set_kernel_mode(prev);
     }
 
     #[test]
