@@ -221,6 +221,21 @@ fn benches(c: &mut Criterion) {
             );
         })
     });
+    // The backward half of the same step on its own, over the activations
+    // the last forward left in the workspace.
+    c.bench_function("tcn_backward_sparse", |b| {
+        b.iter(|| {
+            tcn_grads.zero();
+            tcn.backward_ws_sparse(
+                black_box(&step_sx),
+                &step_tree,
+                &tcn_ws,
+                &gemb,
+                &mut tcn_grads.mats,
+                &mut scratch,
+            );
+        })
+    });
 
     // Single-plan vs. batched forest scoring of the same candidate set: the
     // per-plan loop pays one full forward (and its featurization) per plan,

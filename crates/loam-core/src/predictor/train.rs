@@ -19,7 +19,9 @@
 //! featurizes through stores each plan as a CSR nonzero index
 //! (`tinynn::SparseRows`), so the encoder's first conv layer — the dominant
 //! share of a step's multiply-accumulates — runs its sparse kernels straight
-//! off the cached entries, bit-identically to the dense ones.
+//! off the cached entries. The second conv layer's forward and backward
+//! skip the exact zeros ReLU leaves in its input and its gradient. All of
+//! it is bit-identical to the dense kernels.
 //! Slots are distributed over persistent worker threads (spawned once per
 //! `train` call, synchronized with barriers) and their gradients are folded
 //! in slot-index order, so the final weights are bit-identical regardless of
@@ -181,11 +183,10 @@ impl SlotState {
             + self.cost_ws.bytes()
             + self.dom_ws.bytes()
             + self.scratch.bytes()
-            + 4 * (self.target.data.len()
-                + self.gc.data.len()
-                + self.gd.data.len()
-                + self.gdom.data.len()
-                + self.gemb.data.len())
+            + [&self.target, &self.gc, &self.gd, &self.gdom, &self.gemb]
+                .iter()
+                .map(|m| m.data.capacity() * std::mem::size_of::<f32>())
+                .sum::<usize>()
     }
 }
 

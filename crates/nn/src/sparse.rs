@@ -1,29 +1,37 @@
-//! Compressed sparse row views of static feature matrices.
+//! Compressed sparse row views of feature, activation and gradient matrices.
 //!
 //! Plan-feature rows are mostly zeros (one-hot operator slots plus hashed
 //! table/column encodings leave ~90% of the feature width empty), and the
 //! features of a cached plan never change across training epochs. Indexing
 //! the nonzeros once lets the first tree-conv layer — the dominant share of
 //! a training step's multiply-accumulates — iterate only the stored entries.
+//! Post-ReLU activations and ReLU-masked gradients are mostly zeros too, so
+//! the second layer's forward and backward index them per sample.
 //!
 //! ## Bit-identity with the dense kernels
 //!
 //! The sparse kernels are drop-in replacements for their dense counterparts,
 //! not approximations: `sparse_dot` reproduces the dense `dot`'s exact
 //! accumulation shape (four position-indexed lanes, `c % 4`, combined as
-//! `((s0 + s1) + (s2 + s3)) + tail`), and the sparse weight-gradient kernels
+//! `((s0 + s1) + (s2 + s3)) + tail`), and the sparse backward kernels
 //! accumulate per output element in the same ascending-`k` order as
-//! `Mat::matmul_tn`. A skipped term is a product of a `±0.0` input with a
-//! weight, i.e. some `±0.0`, and dropping it can never change an
-//! accumulator's bits: a lane starts at `+0.0`; adding `±0.0` keeps it
-//! `+0.0` exactly (`+0.0 + ±0.0 == +0.0` under round-to-nearest); two
-//! nonzero addends can only cancel to `+0.0`, never `-0.0`; so a lane is
-//! always either `+0.0` or nonzero, and in both states `s + ±0.0 == s`
-//! bitwise. The argument needs nothing from the data — it holds for
-//! plan-feature rows (which always carry the operator one-hot `1.0`) and
-//! equally for post-ReLU activation rows, including all-zero ones, which is
-//! what lets the inference path's second convolution skip the ≈half of `h1`
-//! that ReLU zeroed.
+//! `Mat::matmul_tn` and `Mat::matmul`. A skipped term is a product of a
+//! `±0.0` input or gradient entry with a finite weight or activation, i.e.
+//! some `±0.0`, and dropping it can never change an accumulator's bits: a
+//! lane starts at `+0.0`; adding `±0.0` keeps it `+0.0` exactly
+//! (`+0.0 + ±0.0 == +0.0` under round-to-nearest); two nonzero addends can
+//! only cancel to `+0.0`, never `-0.0`; so a lane is always either `+0.0` or
+//! nonzero, and in both states `s + ±0.0 == s` bitwise. The same holds one
+//! level up: a gradient accumulator that starts at `+0.0` and only ever
+//! receives such sums is never `-0.0` either, so skipping the add of a sum
+//! that is exactly `+0.0` (a weight-gradient column no gathered row stores)
+//! leaves it unchanged. The argument needs nothing from the data — it holds
+//! for plan-feature rows (which always carry the operator one-hot `1.0`),
+//! for post-ReLU activation rows, and for ReLU-masked gradient rows
+//! (whichever `±0.0` the mask or the upstream gradient left), all-zero rows
+//! included. That is what lets the second convolution skip the entries of
+//! `h1` that ReLU zeroed, and its backward the entries of its gradient the
+//! mask zeroed.
 
 use crate::mat::Mat;
 
@@ -165,6 +173,48 @@ impl SparseRows {
     }
 }
 
+/// The distinct columns a group of CSR rows stores, as a list in first-seen
+/// order plus a membership mask. Reused across calls: clearing costs one
+/// write per listed column, not one per dense column.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnSet {
+    cols: Vec<u32>,
+    seen: Vec<bool>,
+}
+
+impl ColumnSet {
+    /// Empties the set and sizes its mask for columns `0..dim`, keeping the
+    /// buffers.
+    pub(crate) fn clear(&mut self, dim: usize) {
+        for &c in &self.cols {
+            self.seen[c as usize] = false;
+        }
+        self.cols.clear();
+        self.seen.resize(dim, false);
+    }
+
+    /// Adds each of `cols` that is not in the set yet.
+    pub(crate) fn extend(&mut self, cols: &[u32]) {
+        for &c in cols {
+            let seen = &mut self.seen[c as usize];
+            if !*seen {
+                *seen = true;
+                self.cols.push(c);
+            }
+        }
+    }
+
+    /// The columns in the set, each once.
+    pub(crate) fn as_slice(&self) -> &[u32] {
+        &self.cols
+    }
+
+    /// Heap bytes held by the list and the mask.
+    pub(crate) fn bytes(&self) -> usize {
+        self.cols.capacity() * std::mem::size_of::<u32>() + self.seen.capacity()
+    }
+}
+
 /// Sparse · dense dot product, bitwise identical to `dot(x_dense, w)`: the
 /// four-lane accumulation of the dense kernel is replicated by routing each
 /// stored entry to the lane its column occupies there (`c % 4` within the
@@ -283,6 +333,22 @@ mod tests {
         let s = SparseRows::from_dense(&x);
         assert_eq!(s.nnz(), 1);
         assert_eq!(s.row(0), (&[2u32][..], &[3.0f32][..]));
+    }
+
+    #[test]
+    fn column_set_lists_each_column_once_and_clears() {
+        let mut s = ColumnSet::default();
+        s.clear(10);
+        s.extend(&[3, 7]);
+        s.extend(&[1, 3, 9, 7]);
+        assert_eq!(s.as_slice(), &[3, 7, 1, 9]);
+        // Clearing forgets every member, also when the width shrinks.
+        s.clear(8);
+        s.extend(&[7, 1, 7]);
+        assert_eq!(s.as_slice(), &[7, 1]);
+        s.clear(10);
+        s.extend(&[9, 3]);
+        assert_eq!(s.as_slice(), &[9, 3]);
     }
 
     /// The lane-replicating sparse dot is bitwise identical to the dense

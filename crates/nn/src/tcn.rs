@@ -19,7 +19,7 @@ use crate::kernels::{kernel_mode, KernelMode};
 use crate::linear::{relu_mask_into, Linear};
 use crate::mat::{axpy, dot, run_row_blocked, Mat};
 use crate::param::{AdamConfig, Param, WeightsGen};
-use crate::sparse::{sparse_dot, SparseRows};
+use crate::sparse::{sparse_dot, ColumnSet, SparseRows};
 use crate::workspace::Workspace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -305,9 +305,9 @@ impl TreeConvLayer {
     /// Allocation-free backward over a sparse input view; bitwise identical
     /// to [`TreeConvLayer::backward_ws`] with `grad_in: None` (the sparse
     /// path serves the encoder's first layer, whose input never needs a
-    /// gradient). The weight-gradient kernels touch only stored nonzeros of
-    /// `x` while keeping the dense kernels' per-element ascending-node
-    /// accumulation order.
+    /// gradient). The weight-gradient kernel touches only stored nonzeros of
+    /// `x`, and only the columns they occupy, while keeping the dense
+    /// kernels' per-element ascending-node accumulation order.
     pub fn backward_ws_sparse(
         &self,
         x: &SparseRows,
@@ -322,16 +322,82 @@ impl TreeConvLayer {
         let id = x.dim();
         scratch.with(grad_out.rows, grad_out.cols, |scratch, gpre| {
             relu_mask_into(h, grad_out, gpre);
-            scratch.with(od, id, |scratch, dw| {
-                tn_sparse_into(gpre, x, dw);
-                grads[0].add_assign(dw);
-                tn_gather_sparse_into(gpre, x, &tree.left, dw);
-                grads[1].add_assign(dw);
-                tn_gather_sparse_into(gpre, x, &tree.right, dw);
-                grads[2].add_assign(dw);
-                scratch.with(1, od, |_, db| {
-                    gpre.col_sums_into(db);
-                    grads[3].add_assign(db);
+            scratch.with_index(|scratch, index| {
+                scratch.with(id, od, |_, dwt| {
+                    let cols = &mut index.cols;
+                    add_tn_sparse(gpre, x, Some, dwt, cols, &mut grads[0]);
+                    add_tn_sparse(gpre, x, |k| tree.left[k], dwt, cols, &mut grads[1]);
+                    add_tn_sparse(gpre, x, |k| tree.right[k], dwt, cols, &mut grads[2]);
+                });
+            });
+            scratch.with(1, od, |_, db| {
+                gpre.col_sums_into(db);
+                grads[3].add_assign(db);
+            });
+        });
+    }
+
+    /// [`TreeConvLayer::backward_ws`] with an input gradient, driven by a
+    /// CSR index of the ReLU-masked gradient instead of dense products over
+    /// it: the second layer's backward in training, where the mask zeroes
+    /// most of the gradient. The three weight gradients take one `axpy` of
+    /// an input row per stored gradient entry `(k, r)`, the input gradient
+    /// one `axpy` of a weight row per stored `(i, k)`. Each element still
+    /// sums its terms in ascending `k`, and every skipped term is a `±0.0`
+    /// gradient entry times a finite activation or weight, so the bits are
+    /// the dense kernel's (see the [`crate::sparse`] module docs). The index
+    /// is rebuilt in place in `scratch`: a warm call allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn backward_ws_masked(
+        &self,
+        x: &Mat,
+        h: &Mat,
+        tree: &TreeStructure,
+        grad_out: &Mat,
+        grads: &mut [Mat],
+        grad_in: &mut Mat,
+        scratch: &mut Workspace,
+    ) {
+        assert_eq!(grads.len(), 4, "tree conv grad layout");
+        let od = self.out_dim();
+        let id = x.cols;
+        scratch.with(grad_out.rows, grad_out.cols, |scratch, gpre| {
+            relu_mask_into(h, grad_out, gpre);
+            scratch.with_index(|scratch, index| {
+                let sg = &mut index.grad;
+                sg.assign_from_dense(gpre);
+                scratch.with(od, id, |scratch, dw| {
+                    tn_csr_into(sg, x, Some, dw);
+                    grads[0].add_assign(dw);
+                    tn_csr_into(sg, x, |k| tree.left[k], dw);
+                    grads[1].add_assign(dw);
+                    tn_csr_into(sg, x, |k| tree.right[k], dw);
+                    grads[2].add_assign(dw);
+                    scratch.with(1, od, |_, db| {
+                        gpre.col_sums_into(db);
+                        grads[3].add_assign(db);
+                    });
+                });
+                // Input gradient: the self term, then each child's term
+                // summed on its own and added to the child's row, in the
+                // order of the dense kernel's two `scatter_add`s.
+                grad_in.resize_in_place(x.rows, id);
+                for i in 0..x.rows {
+                    csr_row_matmul(sg.row(i), &self.w_self.value, grad_in.row_mut(i));
+                }
+                scratch.with(1, id, |_, via| {
+                    for (w, idx) in [
+                        (&self.w_left.value, &tree.left),
+                        (&self.w_right.value, &tree.right),
+                    ] {
+                        for (i, &j) in idx.iter().enumerate() {
+                            let Some(j) = j else { continue };
+                            csr_row_matmul(sg.row(i), w, &mut via.data);
+                            for (o, &v) in grad_in.row_mut(j).iter_mut().zip(&via.data) {
+                                *o += v;
+                            }
+                        }
+                    }
                 });
             });
         });
@@ -402,42 +468,73 @@ fn tn_gather_into(gpre: &Mat, x: &Mat, idx: &[Option<usize>], out: &mut Mat) {
     }
 }
 
-/// `out = gpreᵀ @ x` over the sparse view: per output element the
-/// accumulation is ascending node order with one add per node, the same
-/// order as [`Mat::matmul_tn`] — nodes where `x` stores no value for a
-/// column are skipped (their dense product is an exact zero).
-fn tn_sparse_into(gpre: &Mat, x: &SparseRows, out: &mut Mat) {
-    out.resize_in_place(gpre.cols, x.dim());
-    out.fill(0.0);
-    let id = x.dim();
-    for k in 0..x.rows() {
-        let (cols, vals) = x.row(k);
-        let grow = gpre.row(k);
-        for (r, &g) in grow.iter().enumerate() {
-            let orow = &mut out.data[r * id..(r + 1) * id];
-            for (&c, &v) in cols.iter().zip(vals) {
-                orow[c as usize] += g * v;
-            }
+/// Adds `gpreᵀ @ gather(x)` into `grad` (`od × id`): the weight gradient
+/// of one filter over a CSR input, where `gather(k)` is the row of `x` node
+/// `k` sees through the filter (its own, or a child's). The product
+/// accumulates transposed in `dwt` (`id × od` scratch, contents unspecified
+/// on entry), one `od`-wide `axpy` per stored nonzero, and only the columns
+/// the gathered rows store (`cols`) are zeroed, filled and then added row by
+/// row into `grad`. Per element that is [`Mat::matmul_tn`]'s sum: ascending
+/// node order, one add per node, then one add into `grad`. A skipped term
+/// is a `±0.0` input times a gradient entry, and a skipped column would
+/// add an exact `+0.0` sum; neither moves a bit (see the [`crate::sparse`]
+/// module docs).
+fn add_tn_sparse(
+    gpre: &Mat,
+    x: &SparseRows,
+    gather: impl Fn(usize) -> Option<usize>,
+    dwt: &mut Mat,
+    cols: &mut ColumnSet,
+    grad: &mut Mat,
+) {
+    let od = gpre.cols;
+    cols.clear(x.dim());
+    for k in 0..gpre.rows {
+        if let Some(j) = gather(k) {
+            cols.extend(x.row(j).0);
+        }
+    }
+    for &c in cols.as_slice() {
+        dwt.row_mut(c as usize).fill(0.0);
+    }
+    for k in 0..gpre.rows {
+        let Some(j) = gather(k) else { continue };
+        let g = gpre.row(k);
+        let (cs, vs) = x.row(j);
+        for (&c, &v) in cs.iter().zip(vs) {
+            axpy(dwt.row_mut(c as usize), v, g);
+        }
+    }
+    for r in 0..od {
+        let grow = grad.row_mut(r);
+        for &c in cols.as_slice() {
+            grow[c as usize] += dwt.data[c as usize * od + r];
         }
     }
 }
 
-/// Sparse analog of [`tn_gather_into`]: the child-filter weight gradient
-/// without materializing the gather, iterating only stored nonzeros.
-fn tn_gather_sparse_into(gpre: &Mat, x: &SparseRows, idx: &[Option<usize>], out: &mut Mat) {
-    out.resize_in_place(gpre.cols, x.dim());
+/// `out = gᵀ @ gather(x)` from the CSR index `sg` of `g`: one `axpy` of the
+/// gathered input row per stored gradient entry `(k, r)`, in ascending `k`,
+/// the order of [`Mat::matmul_tn`] and [`tn_gather_into`].
+fn tn_csr_into(sg: &SparseRows, x: &Mat, gather: impl Fn(usize) -> Option<usize>, out: &mut Mat) {
+    out.resize_in_place(sg.dim(), x.cols);
     out.fill(0.0);
-    let id = x.dim();
-    for (k, &j) in idx.iter().enumerate() {
-        let Some(j) = j else { continue };
-        let (cols, vals) = x.row(j);
-        let grow = gpre.row(k);
-        for (r, &g) in grow.iter().enumerate() {
-            let orow = &mut out.data[r * id..(r + 1) * id];
-            for (&c, &v) in cols.iter().zip(vals) {
-                orow[c as usize] += g * v;
-            }
+    for k in 0..sg.rows() {
+        let Some(j) = gather(k) else { continue };
+        let xrow = x.row(j);
+        let (rs, gs) = sg.row(k);
+        for (&r, &g) in rs.iter().zip(gs) {
+            axpy(out.row_mut(r as usize), g, xrow);
         }
+    }
+}
+
+/// `out = g @ w` for one CSR row `g`: one `axpy` of a row of `w` per stored
+/// entry, in ascending `k`, the order of [`Mat::matmul`].
+fn csr_row_matmul((ks, gs): (&[u32], &[f32]), w: &Mat, out: &mut [f32]) {
+    out.fill(0.0);
+    for (&k, &g) in ks.iter().zip(gs) {
+        axpy(out, g, w.row(k as usize));
     }
 }
 
@@ -498,6 +595,24 @@ pub struct Tcn {
     proj: Linear,
 }
 
+/// Scratch of the SIMD-mode convolutions over a CSR-indexed input, shared
+/// by the training and the forest forward: the transposed weights of both
+/// layers, each rebuilt in place only when its layer's weight stamp changes
+/// (once per training step; at inference only on first use), and the CSR
+/// view of the post-ReLU `h1` (mostly exact zeros), rebuilt per forward.
+#[derive(Debug, Clone, Default)]
+struct SparseConvWs {
+    wt: ConvTransposes,
+    wt2: ConvTransposes,
+    sh1: SparseRows,
+}
+
+impl SparseConvWs {
+    fn bytes(&self) -> usize {
+        self.wt.bytes() + self.wt2.bytes() + self.sh1.bytes()
+    }
+}
+
 /// Reusable per-model activation buffers for the workspace forward/backward
 /// pair.
 #[derive(Debug, Clone, Default)]
@@ -507,9 +622,7 @@ pub struct TcnWs {
     pooled: Mat,
     argmax: Vec<usize>,
     emb: Mat,
-    /// Transposed conv1 weights for the SIMD-mode sparse forward, rebuilt
-    /// only when conv1's weight stamp changes (once per training step).
-    wt: ConvTransposes,
+    sw: SparseConvWs,
 }
 
 impl TcnWs {
@@ -518,7 +631,8 @@ impl TcnWs {
         &self.emb
     }
 
-    /// Bytes held by the activation buffers and the weight transposes.
+    /// Bytes held by the activation buffers, the weight transposes and the
+    /// CSR view of `h1`.
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f32>();
         (self.h1.data.capacity()
@@ -527,7 +641,7 @@ impl TcnWs {
             + self.emb.data.capacity())
             * f
             + self.argmax.capacity() * std::mem::size_of::<usize>()
-            + self.wt.bytes()
+            + self.sw.bytes()
     }
 }
 
@@ -556,14 +670,7 @@ pub struct ForestWs {
     /// True when the batch was stacked as CSR rows into `sx` (and `x` is
     /// stale); false when it was stacked densely into `x`.
     csr_input: bool,
-    /// CSR view of the post-ReLU `h1` (≈half exact zeros), rebuilt in place
-    /// by the SIMD-mode sparse forward so conv2 can skip them too.
-    sh1: SparseRows,
-    /// Transposed conv1 weights for the SIMD-mode sparse kernel, rebuilt in
-    /// place when conv1's weight stamp changes.
-    wt: ConvTransposes,
-    /// Transposed conv2 weights, same role as `wt`.
-    wt2: ConvTransposes,
+    sw: SparseConvWs,
     h1: Mat,
     h2: Mat,
     pooled: Mat,
@@ -658,9 +765,7 @@ impl ForestWs {
             + self.emb.data.capacity())
             * f
             + self.sx.bytes()
-            + self.sh1.bytes()
-            + self.wt.bytes()
-            + self.wt2.bytes()
+            + self.sw.bytes()
             + (self.bounds.capacity() + self.argmax.capacity()) * u
             + (self.tree.left.capacity() + self.tree.right.capacity())
                 * std::mem::size_of::<Option<usize>>()
@@ -717,10 +822,8 @@ impl Tcn {
 
     /// Allocation-free encoding from a sparse feature view: conv1 consumes
     /// the CSR index directly (bitwise identical to [`Tcn::forward_ws`] on
-    /// the dense matrix), and the dense downstream layers are unchanged.
-    /// Under [`KernelMode::Simd`] conv1 runs the register-strip kernel over
-    /// the workspace's weight transposes, as the forest forward does; the
-    /// scalar CSR kernel otherwise. The bits are the same either way.
+    /// the dense matrix), through the same kernels as the forest forward
+    /// (see [`Tcn::forward_forest_stacked_ws`]).
     pub fn forward_ws_sparse(&self, x: &SparseRows, tree: &TreeStructure, ws: &mut TcnWs) {
         let TcnWs {
             h1,
@@ -728,16 +831,45 @@ impl Tcn {
             pooled,
             argmax,
             emb,
-            wt,
+            sw,
         } = ws;
-        if kernel_mode() == KernelMode::Simd {
-            self.conv1.forward_ws_sparse_blocked(x, tree, wt, h1);
-        } else {
-            self.conv1.forward_ws_sparse(x, tree, h1);
-        }
-        self.conv2.forward_ws(h1, tree, h2);
+        self.convs_sparse(x, tree, sw, h1, h2);
         pool_into(h2, pooled, argmax);
         self.proj.forward_into(pooled, emb);
+    }
+
+    /// Both convolutions over a CSR-indexed input. Under
+    /// [`KernelMode::Simd`] conv1 runs the register-strip kernel over the
+    /// feature nonzeros. conv2's input is the post-ReLU `h1` (skipping its
+    /// exact zeros is bit-exact too — see the [`crate::sparse`] module
+    /// docs), but whether that pays depends on how much ReLU actually
+    /// zeroed: the sparse kernel beats the dense output-blocked kernel only
+    /// below ~60% density, so the choice is gated on the measured nonzero
+    /// count. Under [`KernelMode::Scalar`] conv1 runs the scalar CSR kernel
+    /// and conv2 the dense one. The bits are the same every way — the mode
+    /// and the gate are pure performance decisions.
+    fn convs_sparse(
+        &self,
+        x: &SparseRows,
+        tree: &TreeStructure,
+        sw: &mut SparseConvWs,
+        h1: &mut Mat,
+        h2: &mut Mat,
+    ) {
+        if kernel_mode() == KernelMode::Scalar {
+            self.conv1.forward_ws_sparse(x, tree, h1);
+            self.conv2.forward_ws(h1, tree, h2);
+            return;
+        }
+        self.conv1
+            .forward_ws_sparse_blocked(x, tree, &mut sw.wt, h1);
+        sw.sh1.assign_from_dense(h1);
+        if sw.sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
+            self.conv2
+                .forward_ws_sparse_blocked(&sw.sh1, tree, &mut sw.wt2, h2);
+        } else {
+            self.conv2.forward_ws(h1, tree, h2);
+        }
     }
 
     /// Inference-only encoding.
@@ -779,9 +911,9 @@ impl Tcn {
     /// `ws.emb()`. A batch stacked from CSR rows always runs conv1 over that
     /// index. A densely stacked batch does so when `sparse` is set, over an
     /// index rebuilt in place from the dense rows, and otherwise runs the
-    /// dense kernel. The CSR conv1 goes through the lane-rows kernel under
-    /// [`KernelMode::Simd`] and the scalar CSR kernel otherwise; the result
-    /// is bitwise identical every way.
+    /// dense kernel. The CSR conv1 goes through the register-strip kernel
+    /// under [`KernelMode::Simd`], and conv2 through the sparse kernel when
+    /// ReLU zeroed enough of `h1`; the result is bitwise identical every way.
     pub fn forward_forest_stacked_ws(&self, ws: &mut ForestWs, sparse: bool) {
         let ForestWs {
             x,
@@ -789,9 +921,7 @@ impl Tcn {
             bounds,
             sx,
             csr_input,
-            sh1,
-            wt,
-            wt2,
+            sw,
             h1,
             h2,
             pooled,
@@ -806,29 +936,11 @@ impl Tcn {
         let rows = if *csr_input { sx.rows() } else { x.rows };
         debug_assert_eq!(bounds[0], 0, "bounds must start at 0");
         debug_assert_eq!(bounds[ntrees], rows, "bounds must end at the last row");
-        let csr = *csr_input || sparse;
-        if csr && !*csr_input {
-            sx.assign_from_dense(x);
-        }
-        if csr && kernel_mode() == KernelMode::Simd {
-            // conv1 through the sparse node kernel over the feature
-            // nonzeros. conv2's input is the post-ReLU `h1` (skipping its
-            // exact zeros is bit-exact too — see the `crate::sparse` module
-            // docs), but whether that pays depends on how much ReLU actually
-            // zeroed: the sparse kernel beats the dense output-blocked
-            // kernel only below ~60% density, so the choice is gated on the
-            // measured nonzero count. Either way the bits are identical —
-            // the gate is a pure performance decision.
-            self.conv1.forward_ws_sparse_blocked(sx, tree, wt, h1);
-            sh1.assign_from_dense(h1);
-            if sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
-                self.conv2.forward_ws_sparse_blocked(sh1, tree, wt2, h2);
-            } else {
-                self.conv2.forward_ws(h1, tree, h2);
+        if *csr_input || sparse {
+            if !*csr_input {
+                sx.assign_from_dense(x);
             }
-        } else if csr {
-            self.conv1.forward_ws_sparse(sx, tree, h1);
-            self.conv2.forward_ws(h1, tree, h2);
+            self.convs_sparse(sx, tree, sw, h1, h2);
         } else {
             self.conv1.forward_ws(x, tree, h1);
             self.conv2.forward_ws(h1, tree, h2);
@@ -863,6 +975,7 @@ impl Tcn {
             grad_emb,
             &mut grads,
             &mut scratch,
+            false,
             |conv1, grad_h1, g1, scratch| {
                 scratch.with(x.rows, x.cols, |scratch, gx| {
                     conv1.backward_ws(x, &ws.h1, tree, grad_h1, g1, Some(gx), scratch);
@@ -891,15 +1004,18 @@ impl Tcn {
             grad_emb,
             grads,
             scratch,
+            false,
             |conv1, grad_h1, g1, scratch| {
                 conv1.backward_ws(x, &ws.h1, tree, grad_h1, g1, None, scratch);
             },
         );
     }
 
-    /// Sparse-input backward: conv1's weight gradients are accumulated from
-    /// the CSR view (bitwise identical to the dense path); everything
-    /// downstream is shared with [`Tcn::backward_ws`].
+    /// Sparse backward, bitwise identical to [`Tcn::backward_ws`] on the
+    /// dense matrix: conv1's weight gradients are accumulated from the CSR
+    /// view over only the columns the tree's rows store, and conv2's
+    /// backward runs over a CSR index of its ReLU-masked gradient; the
+    /// projection and un-pooling are shared with [`Tcn::backward_ws`].
     pub fn backward_ws_sparse(
         &self,
         x: &SparseRows,
@@ -915,14 +1031,18 @@ impl Tcn {
             grad_emb,
             grads,
             scratch,
+            true,
             |conv1, grad_h1, g1, scratch| {
                 conv1.backward_ws_sparse(x, &ws.h1, tree, grad_h1, g1, scratch);
             },
         );
     }
 
-    /// Shared backward skeleton: proj → un-pool → conv2, then hands conv1's
-    /// upstream gradient to the caller-chosen first-layer kernel.
+    /// Shared backward skeleton: proj → un-pool → conv2 (over the CSR index
+    /// of its masked gradient when `sparse` is set, densely otherwise), then
+    /// hands conv1's upstream gradient to the caller-chosen first-layer
+    /// kernel.
+    #[allow(clippy::too_many_arguments)]
     fn backward_ws_with(
         &self,
         tree: &TreeStructure,
@@ -930,6 +1050,7 @@ impl Tcn {
         grad_emb: &Mat,
         grads: &mut [Mat],
         scratch: &mut Workspace,
+        sparse: bool,
         conv1_back: impl FnOnce(&TreeConvLayer, &Mat, &mut [Mat], &mut Workspace),
     ) {
         assert_eq!(grads.len(), 10, "tcn grad layout");
@@ -964,15 +1085,14 @@ impl Tcn {
                     }
                 }
                 scratch.with(ws.h1.rows, ws.h1.cols, |scratch, grad_h1| {
-                    self.conv2.backward_ws(
-                        &ws.h1,
-                        &ws.h2,
-                        tree,
-                        grad_h2,
-                        g2,
-                        Some(grad_h1),
-                        scratch,
-                    );
+                    let (h1, h2) = (&ws.h1, &ws.h2);
+                    if sparse {
+                        self.conv2
+                            .backward_ws_masked(h1, h2, tree, grad_h2, g2, grad_h1, scratch);
+                    } else {
+                        self.conv2
+                            .backward_ws(h1, h2, tree, grad_h2, g2, Some(grad_h1), scratch);
+                    }
                     conv1_back(&self.conv1, grad_h1, g1, scratch);
                 });
             });
@@ -1550,6 +1670,31 @@ mod tests {
         );
     }
 
+    /// A random binary tree of `n` nodes rooted at 0: each node below the
+    /// root hangs off a free slot of an earlier node, so nodes end up with
+    /// zero, one or two children.
+    fn random_tree(n: usize, rng: &mut StdRng) -> TreeStructure {
+        let mut t = TreeStructure {
+            left: vec![None; n],
+            right: vec![None; n],
+        };
+        for i in 1..n {
+            loop {
+                let p = rng.gen_range(0..i);
+                let slot = if rng.gen_bool(0.5) {
+                    &mut t.left[p]
+                } else {
+                    &mut t.right[p]
+                };
+                if slot.is_none() {
+                    *slot = Some(i);
+                    break;
+                }
+            }
+        }
+        t
+    }
+
     /// `ntrees` random binary trees of 1..=12 nodes with feature-like rows
     /// over `dim` columns: a one-hot slot, a few random entries, and a
     /// `-0.0` that the CSR index drops.
@@ -1557,24 +1702,7 @@ mod tests {
         (0..ntrees)
             .map(|_| {
                 let n = rng.gen_range(1..=12usize);
-                let mut t = TreeStructure {
-                    left: vec![None; n],
-                    right: vec![None; n],
-                };
-                for i in 1..n {
-                    loop {
-                        let p = rng.gen_range(0..i);
-                        let slot = if rng.gen_bool(0.5) {
-                            &mut t.left[p]
-                        } else {
-                            &mut t.right[p]
-                        };
-                        if slot.is_none() {
-                            *slot = Some(i);
-                            break;
-                        }
-                    }
-                }
+                let t = random_tree(n, rng);
                 let mut x = Mat::zeros(n, dim);
                 for r in 0..n {
                     x.set(r, rng.gen_range(0..dim), 1.0);
@@ -1592,8 +1720,211 @@ mod tests {
         m.data.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Feature-like input rows for `n` nodes over `dim` columns: about one
+    /// row in five is empty, the others hold a one-hot slot, a few random
+    /// entries (tail columns included) and a `-0.0` the CSR index drops.
+    fn sparse_features(n: usize, dim: usize, rng: &mut StdRng) -> Mat {
+        let mut x = Mat::zeros(n, dim);
+        for r in 0..n {
+            if rng.gen_bool(0.2) {
+                continue;
+            }
+            x.set(r, rng.gen_range(0..dim), 1.0);
+            for _ in 0..4 {
+                x.set(r, rng.gen_range(0..dim), rng.gen_range(-1.5..1.5f32));
+            }
+            x.set(r, rng.gen_range(0..dim), -0.0);
+        }
+        x
+    }
+
+    /// A `rows × cols` gradient with exact zeros and `-0.0` entries, about
+    /// a quarter of its rows all zero.
+    fn zero_laden_grad(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+        let mut g = Mat::from_fn(rows, cols, |_, _| match rng.gen_range(0..10) {
+            0..=2 => 0.0,
+            3 => -0.0,
+            _ => rng.gen_range(-1.0..1.0f32),
+        });
+        for r in 0..rows {
+            if rng.gen_bool(0.25) {
+                g.row_mut(r).fill(0.0);
+            }
+        }
+        g
+    }
+
+    const PASS_PARTS: [&str; 13] = [
+        "h1",
+        "h2",
+        "emb",
+        "conv1.w_self",
+        "conv1.w_left",
+        "conv1.w_right",
+        "conv1.b",
+        "conv2.w_self",
+        "conv2.w_left",
+        "conv2.w_right",
+        "conv2.b",
+        "proj.w",
+        "proj.b",
+    ];
+
+    /// One encoder pass, sparse when `sx` is given and dense otherwise:
+    /// forward, then backward of `g` into zeroed gradients. Returns the bits
+    /// of `h1`, `h2`, the embedding and the ten gradients ([`PASS_PARTS`]).
+    fn pass(
+        tcn: &Tcn,
+        x: &Mat,
+        sx: Option<&SparseRows>,
+        tree: &TreeStructure,
+        g: &Mat,
+        ws: &mut TcnWs,
+        scratch: &mut Workspace,
+    ) -> Vec<Vec<u32>> {
+        let shapes = tcn.grad_shapes();
+        let mut grads: Vec<Mat> = shapes.iter().map(|&(r, c)| Mat::zeros(r, c)).collect();
+        if let Some(sx) = sx {
+            tcn.forward_ws_sparse(sx, tree, ws);
+            tcn.backward_ws_sparse(sx, tree, ws, g, &mut grads, scratch);
+        } else {
+            tcn.forward_ws(x, tree, ws);
+            tcn.backward_ws(x, tree, ws, g, &mut grads, scratch);
+        }
+        let mut out = vec![bits(&ws.h1), bits(&ws.h2), bits(ws.emb())];
+        out.extend(grads.iter().map(bits));
+        out
+    }
+
+    /// `TcnWs::bytes` counts what the SIMD-mode sparse forward adds: both
+    /// layers' weight transposes and the CSR view of `h1`. conv1's bias is
+    /// shifted down so `h1` stays below conv2's density gate and conv2's
+    /// transposes get built too.
+    #[test]
+    fn tcn_ws_bytes_count_the_sparse_forward_scratch() {
+        let _guard = crate::kernels::MODE_TEST_MUTEX
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        use crate::kernels::{set_kernel_mode, KernelMode};
+        let prev = set_kernel_mode(KernelMode::Simd);
+        let (id, od1, od2, n) = (30, 37, 12, 9);
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut tcn = Tcn::new(id, od1, od2, 3, &mut rng);
+        for b in tcn.conv1.params_mut()[3].value.data.iter_mut() {
+            *b -= 1.0;
+        }
+        let tree = random_tree(n, &mut rng);
+        let x = sparse_features(n, id, &mut rng);
+        let sx = SparseRows::from_dense(&x);
+        let mut ws = TcnWs::default();
+        tcn.forward_ws(&x, &tree, &mut ws);
+        let activations = ws.bytes();
+        let dense_emb = bits(ws.emb());
+        tcn.forward_ws_sparse(&sx, &tree, &mut ws);
+        assert_eq!(bits(ws.emb()), dense_emb);
+        assert!(
+            ws.sw.sh1.nnz() * 5 <= n * od1 * 3,
+            "the fixture's h1 must take conv2's sparse kernel"
+        );
+        let f = std::mem::size_of::<f32>();
+        let transposes = 3 * (id * od1 + od1 * od2) * f;
+        // The branchless index scan sizes columns and values to the dense
+        // element count.
+        let h1_index = 2 * n * od1 * f;
+        assert!(
+            ws.bytes() >= activations + transposes + h1_index,
+            "sparse forward scratch uncounted: {} < {} + {transposes} + {h1_index}",
+            ws.bytes(),
+            activations
+        );
+        set_kernel_mode(prev);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Training's sparse encoder pass ([`Tcn::forward_ws_sparse`] plus
+        /// [`Tcn::backward_ws_sparse`]) equals the dense pass bit for bit
+        /// under both kernel modes: `h1`, `h2`, the embedding and all ten
+        /// gradients. Checked on fresh workspaces, and on warm ones reused
+        /// after a larger tree and then again for a second gradient of the
+        /// same tree. The trees have 1..=24 nodes; conv1 is at least 37
+        /// wide (one 32-float strip plus a tail); some input rows are empty;
+        /// a shifted conv1 bias moves `h1`'s density across conv2's gate;
+        /// the upstream gradients hold exact zeros, `-0.0` and all-zero
+        /// rows. conv2's masked backward and conv1's sparse backward are
+        /// also checked on their own against per-node gradients of that kind.
+        #[test]
+        fn sparse_training_pass_matches_dense_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..=24,
+            od1 in 37usize..=70,
+            shift in 0usize..4,
+        ) {
+            let _guard = crate::kernels::MODE_TEST_MUTEX
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            use crate::kernels::{set_kernel_mode, KernelMode};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (id, od2, emb) = (30, rng.gen_range(5..=40usize), 4);
+            let mut tcn = Tcn::new(id, od1, od2, emb, &mut rng);
+            let shift = [-0.4f32, 0.0, 0.6, 3.0][shift];
+            for b in tcn.conv1.params_mut()[3].value.data.iter_mut() {
+                *b += shift;
+            }
+            let tree = random_tree(n, &mut rng);
+            let x = sparse_features(n, id, &mut rng);
+            let sx = SparseRows::from_dense(&x);
+            let big_n = rng.gen_range(n + 1..=n + 8);
+            let big_tree = random_tree(big_n, &mut rng);
+            let big_x = sparse_features(big_n, id, &mut rng);
+            let big_sx = SparseRows::from_dense(&big_x);
+            let grads: Vec<Mat> = (0..3).map(|_| zero_laden_grad(1, emb, &mut rng)).collect();
+            let node_g1 = zero_laden_grad(n, od1, &mut rng);
+            let node_g2 = zero_laden_grad(n, od2, &mut rng);
+            let prev = set_kernel_mode(KernelMode::Scalar);
+            for mode in [KernelMode::Scalar, KernelMode::Simd] {
+                set_kernel_mode(mode);
+                let mut warm = TcnWs::default();
+                let mut scratch = Workspace::new();
+                pass(&tcn, &big_x, Some(&big_sx), &big_tree, &grads[0], &mut warm, &mut scratch);
+                for (gi, g) in grads[1..].iter().enumerate() {
+                    let mut dense_ws = TcnWs::default();
+                    let dense = pass(&tcn, &x, None, &tree, g, &mut dense_ws, &mut Workspace::new());
+                    let cold = pass(
+                        &tcn, &x, Some(&sx), &tree, g, &mut TcnWs::default(), &mut Workspace::new(),
+                    );
+                    let warmed = pass(&tcn, &x, Some(&sx), &tree, g, &mut warm, &mut scratch);
+                    for (p, name) in PASS_PARTS.iter().enumerate() {
+                        prop_assert_eq!(&cold[p], &dense[p], "{:?} cold, gradient {}: {}", mode, gi, name);
+                        prop_assert_eq!(&warmed[p], &dense[p], "{:?} warm, gradient {}: {}", mode, gi, name);
+                    }
+                }
+
+                // Each layer's sparse backward on its own, warm scratch.
+                let mut dense_ws = TcnWs::default();
+                tcn.forward_ws(&x, &tree, &mut dense_ws);
+                let (h1, h2) = (&dense_ws.h1, &dense_ws.h2);
+                let zeroed = |layer: &TreeConvLayer| -> Vec<Mat> {
+                    layer.grad_shapes().iter().map(|&(r, c)| Mat::zeros(r, c)).collect()
+                };
+                let (mut gd, mut gs) = (zeroed(&tcn.conv2), zeroed(&tcn.conv2));
+                let (mut xd, mut xs) = (Mat::default(), Mat::from_vec(1, 1, vec![9.0]));
+                tcn.conv2.backward_ws(h1, h2, &tree, &node_g2, &mut gd, Some(&mut xd), &mut Workspace::new());
+                tcn.conv2.backward_ws_masked(h1, h2, &tree, &node_g2, &mut gs, &mut xs, &mut scratch);
+                prop_assert_eq!(bits(&xs), bits(&xd), "{:?} conv2 input gradient", mode);
+                for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
+                    prop_assert_eq!(bits(s), bits(d), "{:?} conv2 grad {}", mode, i);
+                }
+                let (mut gd, mut gs) = (zeroed(&tcn.conv1), zeroed(&tcn.conv1));
+                tcn.conv1.backward_ws(&x, h1, &tree, &node_g1, &mut gd, None, &mut Workspace::new());
+                tcn.conv1.backward_ws_sparse(&sx, h1, &tree, &node_g1, &mut gs, &mut scratch);
+                for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
+                    prop_assert_eq!(bits(s), bits(d), "{:?} conv1 grad {}", mode, i);
+                }
+            }
+            set_kernel_mode(prev);
+        }
 
         /// Stacking cached CSR rows ([`ForestWs::stack_sparse`]) gives
         /// bitwise the embeddings of the dense forest forward, under both

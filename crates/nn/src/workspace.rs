@@ -4,18 +4,32 @@
 //! matrix for the duration of a closure, and the buffer (with its grown
 //! capacity) goes back on the free list afterwards. After one warm-up step
 //! every shape has been seen, so a training step borrows and returns the
-//! same buffers without touching the allocator.
+//! same buffers without touching the allocator. The sparse backward
+//! kernels keep their index buffers (a CSR index of a masked gradient, a
+//! set of touched columns) in the workspace too, rebuilt in place per use.
 //!
 //! [`GradSet`] is a flat bundle of gradient matrices in a module's
 //! canonical parameter order, used by the microbatch trainer to accumulate
 //! per-slot partial gradients that are later folded deterministically.
 
 use crate::mat::Mat;
+use crate::sparse::{ColumnSet, SparseRows};
 
-/// A LIFO pool of reusable matrix buffers.
+/// A LIFO pool of reusable matrix buffers, plus the index buffers of the
+/// sparse backward kernels.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<Mat>,
+    index: IndexScratch,
+}
+
+/// The index buffers of the sparse backward kernels, rebuilt in place per
+/// sample: the CSR index of a ReLU-masked gradient and the set of columns
+/// a tree's CSR input rows store.
+#[derive(Debug, Default)]
+pub(crate) struct IndexScratch {
+    pub(crate) grad: SparseRows,
+    pub(crate) cols: ColumnSet,
 }
 
 impl Workspace {
@@ -54,12 +68,27 @@ impl Workspace {
         })
     }
 
-    /// Bytes currently held by pooled buffers (steady-state footprint).
+    /// Lends the index buffers for the duration of `f`, with the workspace
+    /// itself so `f` can borrow matrices too.
+    pub(crate) fn with_index<R>(
+        &mut self,
+        f: impl FnOnce(&mut Workspace, &mut IndexScratch) -> R,
+    ) -> R {
+        let mut index = std::mem::take(&mut self.index);
+        let r = f(self, &mut index);
+        self.index = index;
+        r
+    }
+
+    /// Bytes currently held by pooled buffers and the index buffers
+    /// (steady-state footprint).
     pub fn bytes(&self) -> usize {
         self.free
             .iter()
             .map(|m| m.data.capacity() * std::mem::size_of::<f32>())
-            .sum()
+            .sum::<usize>()
+            + self.index.grad.bytes()
+            + self.index.cols.bytes()
     }
 }
 
@@ -167,6 +196,21 @@ mod tests {
         });
         // Both buffers returned to the pool.
         assert_eq!(ws.free.len(), 2);
+    }
+
+    #[test]
+    fn bytes_count_the_index_buffers() {
+        let mut ws = Workspace::new();
+        assert_eq!(ws.bytes(), 0);
+        ws.with_index(|_, index| {
+            let g = Mat::from_vec(2, 3, vec![1.0, 0.0, 2.0, 0.0, -0.0, 3.0]);
+            index.grad.assign_from_dense(&g);
+            index.cols.clear(40);
+            index.cols.extend(&[5, 9]);
+        });
+        // Row starts, then columns and values sized to the dense count by
+        // the branchless scan; then the column list and its 40-wide mask.
+        assert!(ws.bytes() >= 3 * 4 + 6 * (4 + 4) + 2 * 4 + 40);
     }
 
     #[test]
