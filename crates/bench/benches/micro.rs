@@ -190,10 +190,11 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    // One sample of the encoder's training step at training shapes: a warm
-    // sparse forward plus backward of an 18-node plan (the mean project_p1
-    // sample) through the predictor's 169 → 128 → 64 encoder. The weights
-    // stay fixed, so conv1's transposes are built once and then reused.
+    // One sample of the encoder's training step at training shapes: the
+    // plan's CSR index stacked as a forest of one tree, then a warm forward
+    // plus backward of an 18-node plan (the mean project_p1 sample) through
+    // the predictor's 169 → 128 → 64 encoder. The weights stay fixed, so
+    // conv1's transposes are built once and then reused.
     let step_plan = queries
         .iter()
         .find_map(|q| {
@@ -204,21 +205,15 @@ fn benches(c: &mut Criterion) {
     let (step_x, step_tree) = featurizer.featurize(&step_plan, EnvSource::Uniform(env));
     let step_sx = tinynn::SparseRows::from_dense(&step_x);
     let tcn = &predictor.plan_emb;
-    let mut tcn_ws = tinynn::TcnWs::default();
+    let mut tcn_ws = tinynn::ForestWs::default();
     let mut tcn_grads = tinynn::GradSet::from_shapes(&tcn.grad_shapes());
     let gemb = Mat::from_fn(1, tcn.emb_dim(), |_, j| (j % 7) as f32 / 7.0 - 0.4);
     c.bench_function("tcn_train_step", |b| {
         b.iter(|| {
-            tcn.forward_ws_sparse(black_box(&step_sx), &step_tree, &mut tcn_ws);
+            tcn_ws.stack_sparse([(black_box(&step_sx), &step_tree)]);
+            tcn.forward_forest_ws(&mut tcn_ws);
             tcn_grads.zero();
-            tcn.backward_ws_sparse(
-                &step_sx,
-                &step_tree,
-                &tcn_ws,
-                &gemb,
-                &mut tcn_grads.mats,
-                &mut scratch,
-            );
+            tcn.backward_ws_sparse(&tcn_ws, &gemb, &mut tcn_grads.mats, &mut scratch);
         })
     });
     // The backward half of the same step on its own, over the activations
@@ -226,14 +221,7 @@ fn benches(c: &mut Criterion) {
     c.bench_function("tcn_backward_sparse", |b| {
         b.iter(|| {
             tcn_grads.zero();
-            tcn.backward_ws_sparse(
-                black_box(&step_sx),
-                &step_tree,
-                &tcn_ws,
-                &gemb,
-                &mut tcn_grads.mats,
-                &mut scratch,
-            );
+            tcn.backward_ws_sparse(black_box(&tcn_ws), &gemb, &mut tcn_grads.mats, &mut scratch);
         })
     });
 
@@ -267,12 +255,13 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    // Scalar vs. SIMD kernel tier on the same blocked matmul (the tiers are
-    // bit-identical; this measures the four-lane unroll's throughput).
+    // Scalar vs. SIMD kernel tier on the same `a @ bᵀ` product, whose `dot`
+    // dispatches on the kernel mode (the tiers are bit-identical; this
+    // measures the four-lane unroll's throughput).
     let ka = Mat::from_fn(128, 199, |i, j| {
         ((i * 29 + j * 13) % 17) as f32 / 17.0 - 0.4
     });
-    let kb = Mat::from_fn(199, 128, |i, j| {
+    let kb = Mat::from_fn(128, 199, |i, j| {
         ((i * 11 + j * 19) % 23) as f32 / 23.0 - 0.5
     });
     for (label, mode) in [
@@ -281,43 +270,10 @@ fn benches(c: &mut Criterion) {
     ] {
         c.bench_function(label, |b| {
             let prev = tinynn::set_kernel_mode(mode);
-            b.iter(|| black_box(&ka).matmul(black_box(&kb)));
+            b.iter(|| black_box(&ka).matmul_nt(black_box(&kb)));
             tinynn::set_kernel_mode(prev);
         });
     }
-
-    // Dense vs. CSR conv1 in the batched inference forward: same plans,
-    // same warm workspace, toggling only `InferWs::sparse` (the CSR leg
-    // indexes the ~90%-zero stacked feature rows and streams the blocked
-    // sparse kernel over the stored nonzeros — bit-identical outputs).
-    let mut dense_ws = loam_core::predictor::InferWs::new();
-    dense_ws.sparse = false;
-    c.bench_function("batched_forward_dense_conv1", |b| {
-        b.iter(|| {
-            predictor.predict_batch_into(
-                black_box(&cand_refs),
-                EnvSource::Uniform(env),
-                Some(&feat_cache),
-                &mut dense_ws,
-                &mut costs,
-            );
-            costs.iter().sum::<f64>()
-        })
-    });
-    let mut sparse_ws = loam_core::predictor::InferWs::new();
-    sparse_ws.sparse = true;
-    c.bench_function("batched_forward_csr_conv1", |b| {
-        b.iter(|| {
-            predictor.predict_batch_into(
-                black_box(&cand_refs),
-                EnvSource::Uniform(env),
-                Some(&feat_cache),
-                &mut sparse_ws,
-                &mut costs,
-            );
-            costs.iter().sum::<f64>()
-        })
-    });
 }
 
 criterion_group! {

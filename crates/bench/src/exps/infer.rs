@@ -1,11 +1,11 @@
 //! The inference hot-path benchmark: scores the fig7 project's candidate
-//! sets six ways — the legacy single-plan allocating path (scalar and SIMD
-//! kernels), the workspace-batched forward (dense scalar, dense SIMD,
-//! sparse SIMD), and the batched sparse SIMD path on a warm feature cache —
-//! asserts every leg is bit-identical to the baseline, reports
-//! plans-predicted/sec per leg plus steady-state allocations per scoring
-//! pass (via the counting allocator installed by the `experiments` binary),
-//! and writes each leg to `BENCH_infer.json`.
+//! sets four ways — the legacy single-plan allocating path (scalar and SIMD
+//! kernels), the workspace-batched CSR forest forward on uncached features,
+//! and the same forward on a warm feature cache — asserts every leg is
+//! bit-identical to the baseline, reports plans-predicted/sec per leg plus
+//! steady-state allocations per scoring pass (via the counting allocator
+//! installed by the `experiments` binary), and writes each leg to
+//! `BENCH_infer.json`.
 //!
 //! The model is freshly initialized rather than trained: forward-pass cost
 //! does not depend on the weight values, and skipping training keeps the
@@ -78,19 +78,16 @@ fn pass_single(model: &AdaptiveCostPredictor, w: &Workload, bits: &mut Vec<u64>)
 
 /// One pass of the batched path: each candidate set scored by a single
 /// [`AdaptiveCostPredictor::predict_batch_into`] call on a warm workspace.
-#[allow(clippy::too_many_arguments)]
 fn pass_batched(
     model: &AdaptiveCostPredictor,
     w: &Workload,
     ref_sets: &[Vec<&PlanTree>],
-    sparse: bool,
     cache: Option<&FeatureCache>,
     ws: &mut InferWs,
     out: &mut Vec<f64>,
     bits: &mut Vec<u64>,
 ) {
     bits.clear();
-    ws.sparse = sparse;
     for refs in ref_sets {
         model.predict_batch_into(refs, w.env.env_source(), cache, ws, out);
         bits.extend(out.iter().map(|c| c.to_bits()));
@@ -174,34 +171,17 @@ pub fn run(scale: Scale, quick: bool) {
     let single_simd = time_leg("single_simd", KernelMode::Simd, reps, |b| {
         pass_single(&model, &w, b)
     });
-    let batched_dense_scalar = time_leg("batched_dense_scalar", KernelMode::Scalar, reps, |b| {
-        pass_batched(&model, &w, &ref_sets, false, None, &mut ws, &mut out, b)
-    });
-    let batched_dense_simd = time_leg("batched_dense_simd", KernelMode::Simd, reps, |b| {
-        pass_batched(&model, &w, &ref_sets, false, None, &mut ws, &mut out, b)
-    });
     let batched_sparse_simd = time_leg("batched_sparse_simd", KernelMode::Simd, reps, |b| {
-        pass_batched(&model, &w, &ref_sets, true, None, &mut ws, &mut out, b)
+        pass_batched(&model, &w, &ref_sets, None, &mut ws, &mut out, b)
     });
     let batched_cached = time_leg(CACHED, KernelMode::Simd, reps, |b| {
-        pass_batched(
-            &model,
-            &w,
-            &ref_sets,
-            true,
-            Some(&cache),
-            &mut ws,
-            &mut out,
-            b,
-        )
+        pass_batched(&model, &w, &ref_sets, Some(&cache), &mut ws, &mut out, b)
     });
 
     // Every optimized leg must reproduce the legacy path bit for bit.
     let legs = [
         single_scalar,
         single_simd,
-        batched_dense_scalar,
-        batched_dense_simd,
         batched_sparse_simd,
         batched_cached,
     ];
@@ -227,7 +207,6 @@ pub fn run(scale: Scale, quick: bool) {
         &model,
         &w,
         &ref_sets,
-        true,
         Some(&cache),
         &mut ws,
         &mut out,
@@ -238,7 +217,6 @@ pub fn run(scale: Scale, quick: bool) {
         &model,
         &w,
         &ref_sets,
-        true,
         Some(&cache),
         &mut ws,
         &mut out,

@@ -4,13 +4,15 @@
 //! records each as a leg of `BENCH_train.json` with its allocations per
 //! optimizer step (via the counting allocator installed by the
 //! `experiments` binary), after checking the three legs' weights are
-//! bit-identical.
+//! bit-identical and, with that allocator installed, that both workspace
+//! legs' last epoch allocated nothing.
 
 use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
 use loam_core::{train, train_reference, AdaptiveCostPredictor, TrainReport};
 use mcsim_catalog::ProjectId;
+use tinynn::workspace::alloc_probe::allocation_count;
 
 /// Minimum thread count for the parallel leg: the benchmark forces at least
 /// four threads so the microbatch fan-out is actually exercised even on
@@ -109,6 +111,26 @@ pub fn run(scale: Scale) {
     );
     println!("weights bit-identical across legacy / serial ws / {parallel_threads}-thread ws ✓\n");
 
+    // Steady state: every buffer of the workspace engine reached its
+    // high-water mark in the earlier epochs, so its last epoch must not
+    // touch the allocator at either pool size (the probe reads 0 when the
+    // counting allocator is not installed — skip the assertion then).
+    if allocation_count() > 0 {
+        for leg in [&serial, &pool] {
+            assert_eq!(
+                leg.fact("last_epoch_allocs"),
+                Some(0.0),
+                "{} at {} thread(s): the last epoch allocated",
+                leg.name,
+                leg.threads
+            );
+        }
+        println!(
+            "workspace engine's last epoch: 0 heap allocations at 1 and \
+             {parallel_threads} thread(s) ✓\n"
+        );
+    }
+
     let mut report = TimingReport::new("train", scale);
     report.legs = vec![legacy, serial, pool];
     println!("{}", report.table().render());
@@ -151,7 +173,8 @@ mod tests {
     }
 
     /// The checked-in report has the legacy leg and the workspace engine
-    /// at one thread and at the forced pool size.
+    /// at one thread and at the forced pool size, and both workspace legs
+    /// read zero allocations once warm.
     #[test]
     fn checked_in_train_report_parses_against_itself() {
         let (r, _) = crate::report::checked_in("train");
@@ -161,5 +184,15 @@ mod tests {
         assert!(has("fig7_train_legacy", |t| t == 1));
         assert!(has("fig7_train", |t| t == 1));
         assert!(has("fig7_train", |t| t >= MIN_PARALLEL_THREADS as u64));
+        for leg in r.legs.iter().filter(|l| l.name == "fig7_train") {
+            for fact in ["allocs_per_step_warm", "last_epoch_allocs"] {
+                assert_eq!(
+                    leg.fact(fact),
+                    Some(0.0),
+                    "{fact} at {} thread(s): the warm workspace engine must not allocate",
+                    leg.threads
+                );
+            }
+        }
     }
 }

@@ -103,11 +103,12 @@ impl PlanFeaturizer {
     /// Structure-of-arrays batch vectorization: every plan's node rows land
     /// contiguously in one stacked feature matrix, with child indices offset
     /// into the stack and `bounds` holding `plans.len() + 1` prefix node
-    /// offsets — exactly the stacked-batch contract of
-    /// `tinynn::ForestWs::stacked_parts_mut`, so a scoring batch goes from
-    /// plans to one fused forest forward without any per-plan matrices. Row
-    /// content is identical to featurizing each plan alone (the encoder is
-    /// row-local), just relocated by the plan's node offset.
+    /// offsets — the stacked-batch contract of
+    /// `tinynn::ForestWs::stacked_parts_mut` once the matrix is indexed, so
+    /// a scoring batch goes from plans to one fused forest forward without
+    /// any per-plan matrices. Row content is identical to featurizing each
+    /// plan alone (the encoder is row-local), just relocated by the plan's
+    /// node offset.
     pub fn featurize_forest_into(
         &self,
         plans: &[&PlanTree],

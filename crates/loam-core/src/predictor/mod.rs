@@ -17,46 +17,32 @@ use tinynn::{ForestWs, Mat, Mlp, MlpWs, Tcn};
 pub const EMB_DIM: usize = 32;
 
 /// Caller-owned workspace for batched inference: the cached-feature refs,
-/// the stacked forest buffers, and the cost-head activations. One warm
-/// instance per scoring thread; after the largest batch shape has been seen,
-/// scoring a batch performs zero heap allocations (given warm feature-cache
-/// hits).
-#[derive(Debug)]
+/// the uncached path's dense feature scratch, the stacked forest buffers,
+/// and the cost-head activations. One warm instance per scoring thread;
+/// after the largest batch shape has been seen, scoring a batch performs
+/// zero heap allocations (given warm feature-cache hits).
+#[derive(Debug, Default)]
 pub struct InferWs {
     feats: Vec<CachedFeatures>,
+    /// An uncached batch's feature rows, featurized densely in place and
+    /// then indexed once into the forest's CSR stack.
+    x: Mat,
     forest: ForestWs,
     head: MlpWs,
-    /// Picks the conv1 kernel of the uncached path only: when true (the
-    /// default), conv1 consumes a CSR index of the stacked feature matrix,
-    /// otherwise the dense rows. Cached features are always CSR, so a batch
-    /// scored through a [`FeatureCache`] runs the CSR kernel whatever this
-    /// says. Both kernels give the same bits; CSR is faster on ~90%-zero
-    /// feature rows.
-    pub sparse: bool,
 }
 
 impl InferWs {
-    /// A workspace with the default (sparse conv1) configuration.
+    /// An empty workspace; its buffers grow to the largest batch scored.
     pub fn new() -> Self {
-        InferWs {
-            feats: Vec::new(),
-            forest: ForestWs::default(),
-            head: MlpWs::default(),
-            sparse: true,
-        }
+        InferWs::default()
     }
 
     /// Bytes held by the reusable buffers.
     pub fn bytes(&self) -> usize {
         self.forest.bytes()
             + self.head.bytes()
+            + self.x.data.capacity() * std::mem::size_of::<f32>()
             + self.feats.capacity() * std::mem::size_of::<CachedFeatures>()
-    }
-}
-
-impl Default for InferWs {
-    fn default() -> Self {
-        InferWs::new()
     }
 }
 
@@ -151,14 +137,14 @@ impl AdaptiveCostPredictor {
     }
 
     /// [`predict_batch`](Self::predict_batch) into caller-owned buffers:
-    /// `out` receives one cost per plan (cleared first). With a cache, the
-    /// plans' cached CSR indexes are appended into one batch index that
-    /// conv1 reads directly: no dense batch matrix is copied and no index
-    /// is rebuilt. Without one, plans are featurized directly into the
-    /// stacked (structure-of-arrays) batch matrix, so no per-plan feature
-    /// matrices exist either way. With a warm [`InferWs`] and a warm
-    /// [`FeatureCache`], a steady-state scoring batch performs zero heap
-    /// allocations.
+    /// `out` receives one cost per plan (cleared first). Either way the
+    /// batch ends up as one CSR index that conv1 reads directly. With a
+    /// cache, the plans' cached indexes are appended into it: no dense batch
+    /// matrix is copied and no index is rebuilt. Without one, plans are
+    /// featurized directly into one stacked (structure-of-arrays) dense
+    /// matrix, which is indexed once, so no per-plan feature matrices exist
+    /// either way. With a warm [`InferWs`] and a warm [`FeatureCache`], a
+    /// steady-state scoring batch performs zero heap allocations.
     pub fn predict_batch_into(
         &self,
         plans: &[&PlanTree],
@@ -173,9 +159,9 @@ impl AdaptiveCostPredictor {
         }
         let InferWs {
             feats,
+            x,
             forest,
             head,
-            sparse,
         } = ws;
         match cache {
             Some(c) => {
@@ -188,12 +174,13 @@ impl AdaptiveCostPredictor {
                 forest.stack_sparse(feats.iter().map(|f| (&f.0, &f.1)));
             }
             None => {
-                let (x, tree, bounds) = forest.stacked_parts_mut();
+                let (sx, tree, bounds) = forest.stacked_parts_mut();
                 self.featurizer
                     .featurize_forest_into(plans, env, x, tree, bounds);
+                sx.assign_from_dense(x);
             }
         }
-        self.plan_emb.forward_forest_stacked_ws(forest, *sparse);
+        self.plan_emb.forward_forest_ws(forest);
         let y = self.cost_head.infer_ws(forest.emb(), head);
         debug_assert_eq!(y.rows, plans.len());
         debug_assert_eq!(y.cols, 1);
@@ -293,19 +280,19 @@ mod tests {
             .predict_batch(&[], EnvSource::Uniform(env), None)
             .is_empty());
 
-        // The workspace entry point matches too, for both conv1 modes, with
-        // warm reuse across batches of different sizes.
+        // The workspace entry point matches too, with warm reuse across
+        // batches that shrink, keep their shape with other plans (two
+        // 2-node plans alone), and grow again: each uncached batch must be
+        // re-indexed over the previous batch's buffers.
         let mut ws = InferWs::new();
         let mut out = Vec::new();
         let want = p.predict_batch(&refs, EnvSource::Uniform(env), None);
-        for sparse in [true, false] {
-            ws.sparse = sparse;
-            for slice in [&refs[..], &refs[..2]] {
-                p.predict_batch_into(slice, EnvSource::Uniform(env), None, &mut ws, &mut out);
-                assert_eq!(out.len(), slice.len());
-                for (b, (got, want)) in out.iter().zip(&want).enumerate() {
-                    assert_eq!(got.to_bits(), want.to_bits(), "sparse={sparse} plan {b}");
-                }
+        for range in [0..4, 0..2, 0..1, 1..2, 0..4] {
+            let slice = &refs[range.clone()];
+            p.predict_batch_into(slice, EnvSource::Uniform(env), None, &mut ws, &mut out);
+            assert_eq!(out.len(), slice.len());
+            for (b, (got, want)) in out.iter().zip(&want[range.clone()]).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "plans {range:?}, plan {b}");
             }
         }
         // And through the cached path into the same warm workspace.

@@ -17,11 +17,13 @@
 //! `_ws` kernels and performs zero heap allocation after the first step.
 //! Plan-feature rows are ~90% zeros, and the feature cache `prepare`
 //! featurizes through stores each plan as a CSR nonzero index
-//! (`tinynn::SparseRows`), so the encoder's first conv layer — the dominant
-//! share of a step's multiply-accumulates — runs its sparse kernels straight
-//! off the cached entries. The second conv layer's forward and backward
-//! skip the exact zeros ReLU leaves in its input and its gradient. All of
-//! it is bit-identical to the dense kernels.
+//! (`tinynn::SparseRows`). Each sample's index is stacked into the slot's
+//! `tinynn::ForestWs` as a forest of one tree and runs the encoder's one
+//! forward, the one scoring batches run, so the first conv layer — the
+//! dominant share of a step's multiply-accumulates — reads only the stored
+//! nonzeros. The second conv layer's forward and backward skip the exact
+//! zeros ReLU leaves in its input and its gradient. All of it is
+//! bit-identical to the dense kernels.
 //! Slots are distributed over persistent worker threads (spawned once per
 //! `train` call, synchronized with barriers) and their gradients are folded
 //! in slot-index order, so the final weights are bit-identical regardless of
@@ -41,7 +43,7 @@ use std::sync::{Barrier, Mutex, RwLock};
 use tinynn::workspace::alloc_probe;
 use tinynn::{
     cross_entropy_logits, cross_entropy_logits_into, lambda_schedule, mse, mse_into,
-    reverse_gradient, AdamConfig, GradSet, Mat, MlpWs, TcnWs, Workspace,
+    reverse_gradient, AdamConfig, ForestWs, GradSet, Mat, MlpWs, Workspace,
 };
 
 /// One labeled training sample: a historical default plan, its logged
@@ -142,7 +144,7 @@ struct Ctx<'a> {
 /// duration of its samples.
 struct SlotState {
     grads: GradSet,
-    tcn_ws: TcnWs,
+    tcn_ws: ForestWs,
     cost_ws: MlpWs,
     dom_ws: MlpWs,
     scratch: Workspace,
@@ -162,7 +164,7 @@ impl SlotState {
         shapes.extend(p.dom_head.grad_shapes());
         SlotState {
             grads: GradSet::from_shapes(&shapes),
-            tcn_ws: TcnWs::default(),
+            tcn_ws: ForestWs::default(),
             cost_ws: MlpWs::default(),
             dom_ws: MlpWs::default(),
             scratch: Workspace::new(),
@@ -256,7 +258,8 @@ fn process_slot(
     for pos in start..end {
         let i = desc.batch[pos];
         let (nz, tree) = &*ctx.feats[i];
-        p.plan_emb.forward_ws_sparse(nz, tree, tcn_ws);
+        tcn_ws.stack_sparse([(nz, tree)]);
+        p.plan_emb.forward_forest_ws(tcn_ws);
 
         // Cost objective on the default plan.
         p.cost_head.forward_ws(tcn_ws.emb(), cost_ws);
@@ -278,21 +281,20 @@ fn process_slot(
             gemb.add_scaled(gdom, lam);
         }
 
-        p.plan_emb
-            .backward_ws_sparse(nz, tree, tcn_ws, gemb, pe, scratch);
+        p.plan_emb.backward_ws_sparse(tcn_ws, gemb, pe, scratch);
 
         if ctx.dann {
             // One candidate plan per default plan (label 1).
             let (cnz, ctree) = &*ctx.cand_feats[desc.cand[pos]];
-            p.plan_emb.forward_ws_sparse(cnz, ctree, tcn_ws);
+            tcn_ws.stack_sparse([(cnz, ctree)]);
+            p.plan_emb.forward_forest_ws(tcn_ws);
             p.dom_head.forward_ws(tcn_ws.emb(), dom_ws);
             *ld += cross_entropy_logits_into(dom_ws.out(), &[1], gd);
             gd.scale(desc.w_d * desc.inv);
             p.dom_head
                 .backward_ws(tcn_ws.emb(), dom_ws, gd, dh, Some(gdom), scratch);
             gemb.copy_scaled_from(gdom, lam);
-            p.plan_emb
-                .backward_ws_sparse(cnz, ctree, tcn_ws, gemb, pe, scratch);
+            p.plan_emb.backward_ws_sparse(tcn_ws, gemb, pe, scratch);
         }
     }
 }

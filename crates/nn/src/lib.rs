@@ -7,19 +7,20 @@
 //! baseline cost models of Section 7.1), and the gradient-reversal utilities
 //! of DANN-style adversarial domain adaptation.
 //!
-//! Every layer implements an explicit `forward`/`backward` pair with cached
+//! Every model implements an explicit `forward`/`backward` pair with cached
 //! activations; gradient correctness is enforced by finite-difference tests
 //! in each module.
 //!
 //! ## Workspaces
 //!
-//! Each layer also exposes allocation-free `*_ws`/`*_into` variants that
+//! Each model also exposes allocation-free `*_ws`/`*_into` variants that
 //! write into caller-owned, reusable buffers (see [`workspace::Workspace`]
-//! and per-layer workspace structs such as [`MlpWs`] and [`TcnWs`]). The
-//! allocating entry points are thin wrappers over these, so both paths share
-//! one implementation and produce bit-identical results. Training loops that
-//! keep a `Workspace` plus the layer workspaces alive across steps perform
-//! zero heap allocation after warmup.
+//! and per-model workspace structs such as [`MlpWs`] and [`ForestWs`], the
+//! tree encoder's one workspace for scoring batches and training samples
+//! alike). The allocating entry points are thin wrappers over these, so both
+//! paths share one implementation and produce bit-identical results.
+//! Training loops that keep a `Workspace` plus the model workspaces alive
+//! across steps perform zero heap allocation after warmup.
 //!
 //! ## Example
 //!
@@ -62,6 +63,6 @@ pub use metrics::{concordance, mean_abs_log_ratio, r2, spearman};
 pub use mlp::{Mlp, MlpCache, MlpWs};
 pub use param::{AdamConfig, Param};
 pub use sparse::SparseRows;
-pub use tcn::{ForestWs, Tcn, TcnCache, TcnWs, TreeConvLayer, TreeStructure};
+pub use tcn::{ForestWs, Tcn, TcnCache, TreeConvLayer, TreeStructure};
 pub use transformer::{Transformer, TransformerCache, TransformerWs};
 pub use workspace::{alloc_probe, GradSet, Workspace};

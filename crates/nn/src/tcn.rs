@@ -7,12 +7,17 @@
 //! pooled and then passed through a fully connected layer" (Section 4,
 //! Predictive Module Design) — exactly the PlanEmb architecture of Bao/Neo.
 //!
-//! The workspace (`_ws`) entry points are the training hot path: the
-//! per-node convolution is fused (self/left/right dot products + bias +
-//! ReLU in one output pass, no gathered child matrices are materialized)
-//! and every buffer is caller-provided, so a warm training step performs no
-//! heap allocation. The legacy `forward`/`backward` pair delegates to the
-//! same kernels.
+//! [`Tcn::forward_forest_ws`] over one [`ForestWs`] is the encoder's one
+//! production forward: a scoring batch stacks its trees' CSR feature
+//! indexes into the workspace, a training sample is stacked as a forest of
+//! one tree, and [`Tcn::backward_ws_sparse`] reads that tree back from the
+//! workspace. The per-node convolution is fused (self/left/right products +
+//! bias + ReLU in one output pass, no gathered child matrices are
+//! materialized) and every buffer is caller-provided, so a warm scoring
+//! batch or training step performs no heap allocation. The dense
+//! single-tree kernels (`forward`/`backward`, `forward_ws`/`backward_ws`,
+//! `infer`) are the reference the tests and the trainer's reference engine
+//! compare against; every path gives the same bits.
 
 use crate::convsimd::{self, ConvTransposes};
 use crate::kernels::{kernel_mode, KernelMode};
@@ -62,13 +67,6 @@ pub struct TreeConvLayer {
     gen: WeightsGen,
 }
 
-/// Cache for the backward pass of one layer.
-#[derive(Debug, Clone)]
-pub struct TreeConvCache {
-    input: Mat,
-    out: Mat,
-}
-
 impl TreeConvLayer {
     /// He-initialized layer mapping `in_dim` → `out_dim`.
     pub fn new<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
@@ -85,21 +83,6 @@ impl TreeConvLayer {
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.w_self.value.rows
-    }
-
-    /// Forward over all nodes at once (`x`: nodes×in).
-    ///
-    /// Thin allocating wrapper over [`TreeConvLayer::forward_ws`].
-    pub fn forward(&self, x: &Mat, tree: &TreeStructure) -> (Mat, TreeConvCache) {
-        let mut out = Mat::default();
-        self.forward_ws(x, tree, &mut out);
-        (
-            out.clone(),
-            TreeConvCache {
-                input: x.clone(),
-                out,
-            },
-        )
     }
 
     /// Fused allocation-free forward: for each node, the self/left/right
@@ -227,32 +210,6 @@ impl TreeConvLayer {
                 }
             });
         });
-    }
-
-    /// Backward: accumulates parameter grads, returns grad w.r.t. `x`.
-    ///
-    /// Thin allocating wrapper over [`TreeConvLayer::backward_ws`].
-    pub fn backward(&mut self, cache: &TreeConvCache, tree: &TreeStructure, grad_out: &Mat) -> Mat {
-        let mut grads: Vec<Mat> = self
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut scratch = Workspace::new();
-        let mut grad_x = Mat::default();
-        self.backward_ws(
-            &cache.input,
-            &cache.out,
-            tree,
-            grad_out,
-            &mut grads,
-            Some(&mut grad_x),
-            &mut scratch,
-        );
-        for (p, g) in self.params_mut().into_iter().zip(&grads) {
-            p.grad.add_assign(g);
-        }
-        grad_x
     }
 
     /// Allocation-free backward. `h` is the forward output (its zeros mask
@@ -595,82 +552,37 @@ pub struct Tcn {
     proj: Linear,
 }
 
-/// Scratch of the SIMD-mode convolutions over a CSR-indexed input, shared
-/// by the training and the forest forward: the transposed weights of both
-/// layers, each rebuilt in place only when its layer's weight stamp changes
-/// (once per training step; at inference only on first use), and the CSR
-/// view of the post-ReLU `h1` (mostly exact zeros), rebuilt per forward.
-#[derive(Debug, Clone, Default)]
-struct SparseConvWs {
-    wt: ConvTransposes,
-    wt2: ConvTransposes,
-    sh1: SparseRows,
-}
-
-impl SparseConvWs {
-    fn bytes(&self) -> usize {
-        self.wt.bytes() + self.wt2.bytes() + self.sh1.bytes()
-    }
-}
-
-/// Reusable per-model activation buffers for the workspace forward/backward
-/// pair.
-#[derive(Debug, Clone, Default)]
-pub struct TcnWs {
-    h1: Mat,
-    h2: Mat,
-    pooled: Mat,
-    argmax: Vec<usize>,
-    emb: Mat,
-    sw: SparseConvWs,
-}
-
-impl TcnWs {
-    /// The embedding produced by the last `forward_ws` call.
-    pub fn emb(&self) -> &Mat {
-        &self.emb
-    }
-
-    /// Bytes held by the activation buffers, the weight transposes and the
-    /// CSR view of `h1`.
-    pub fn bytes(&self) -> usize {
-        let f = std::mem::size_of::<f32>();
-        (self.h1.data.capacity()
-            + self.h2.data.capacity()
-            + self.pooled.data.capacity()
-            + self.emb.data.capacity())
-            * f
-            + self.argmax.capacity() * std::mem::size_of::<usize>()
-            + self.sw.bytes()
-    }
-}
-
 /// Backward cache for one encoded tree.
 #[derive(Debug, Clone)]
 pub struct TcnCache {
     x: Mat,
-    ws: TcnWs,
+    ws: ForestWs,
 }
 
-/// Reusable buffers for [`Tcn::forward_forest_ws`]: the stacked node rows
-/// (dense, or as one CSR index) and offset tree structure of the whole
-/// batch, the shared convolution activations, and the per-tree
-/// pooled/embedding rows. One warm instance per serving worker; never
-/// reallocates once the largest batch shape has been seen.
+/// The encoder's one workspace. It holds the input of
+/// [`Tcn::forward_forest_ws`] — a batch's node rows stacked as one CSR
+/// index, with the offset tree structure and the per-tree bounds — and
+/// every activation a forward leaves for the backward. A scoring batch
+/// stacks many trees; a training sample is stacked as a forest of one tree,
+/// which [`Tcn::backward_ws_sparse`] reads back. The dense reference
+/// [`Tcn::forward_ws`] fills the same activations and clears the stack. One
+/// warm instance per serving worker or training slot; never reallocates
+/// once the largest batch shape has been seen.
 #[derive(Debug, Clone, Default)]
 pub struct ForestWs {
-    x: Mat,
+    /// CSR index of the stacked node rows.
+    sx: SparseRows,
     tree: TreeStructure,
     /// Prefix node offsets: tree `b` owns rows `bounds[b]..bounds[b+1]`.
     bounds: Vec<usize>,
-    /// CSR view of the batch: appended per tree by
-    /// [`ForestWs::stack_sparse`], or rebuilt in place from `x` by the
-    /// sparse forward of a densely stacked batch.
-    sx: SparseRows,
-    /// True when the batch was stacked as CSR rows into `sx` (and `x` is
-    /// stale); false when it was stacked densely into `x`.
-    csr_input: bool,
-    sw: SparseConvWs,
+    /// The transposed weights of conv1 and conv2 for the SIMD-mode kernels,
+    /// each rebuilt in place only when its layer's weight stamp changes
+    /// (once per training step; at inference only on first use).
+    wt: ConvTransposes,
+    wt2: ConvTransposes,
+    /// CSR view of the post-ReLU `h1` (mostly exact zeros), rebuilt per
+    /// SIMD-mode forward.
+    sh1: SparseRows,
     h1: Mat,
     h2: Mat,
     pooled: Mat,
@@ -679,93 +591,72 @@ pub struct ForestWs {
 }
 
 impl ForestWs {
-    /// The batch embeddings of the last forward: one row per tree, in input
+    /// The embeddings of the last forward: one row per tree, in input
     /// order.
     pub fn emb(&self) -> &Mat {
         &self.emb
     }
 
-    /// Mutable access to the stacked input: the batch node matrix, the
+    /// Mutable access to the stacked input: the batch's CSR node index, the
     /// offset tree structure, and the prefix bounds. For callers that build
-    /// the batch directly instead of stacking per-tree matrices — e.g. a
-    /// batched featurizer writing every plan's rows contiguously in place —
-    /// after which [`Tcn::forward_forest_stacked_ws`] consumes exactly these
-    /// three buffers. The stacking contract: `x` holds all trees' node rows
-    /// back to back, `tree` holds child indices offset into the stack, and
-    /// `bounds` holds `ntrees + 1` prefix offsets starting at 0 and ending
-    /// at `x.rows`.
-    pub fn stacked_parts_mut(&mut self) -> (&mut Mat, &mut TreeStructure, &mut Vec<usize>) {
-        self.csr_input = false;
-        (&mut self.x, &mut self.tree, &mut self.bounds)
-    }
-
-    /// Stacks the dense node matrices of `items` into the workspace's batch
-    /// buffers per the [`ForestWs::stacked_parts_mut`] contract.
-    fn stack_dense(&mut self, items: &[(&Mat, &TreeStructure)]) {
-        self.start_batch(false);
-        let in_dim = items.first().map_or(self.x.cols.max(1), |(x, _)| x.cols);
-        let total: usize = items.iter().map(|(x, _)| x.rows).sum();
-        self.x.resize_in_place(total, in_dim);
-        let mut off = 0;
-        for &(xi, ti) in items {
-            assert_eq!(xi.cols, in_dim, "inconsistent feature widths in a batch");
-            self.x.data[off * in_dim..(off + xi.rows) * in_dim].copy_from_slice(&xi.data);
-            self.push_tree(xi.rows, ti, off);
-            off += xi.rows;
-        }
+    /// the batch directly instead of stacking per-tree indexes — e.g. a
+    /// batched featurizer that writes every plan's rows into one dense
+    /// scratch matrix, indexed once — after which [`Tcn::forward_forest_ws`]
+    /// consumes exactly these three buffers. The stacking contract: the
+    /// index holds all trees' node rows back to back, `tree` holds child
+    /// indices offset into the stack, and `bounds` holds `ntrees + 1` prefix
+    /// offsets starting at 0 and ending at the index's row count.
+    pub fn stacked_parts_mut(&mut self) -> (&mut SparseRows, &mut TreeStructure, &mut Vec<usize>) {
+        (&mut self.sx, &mut self.tree, &mut self.bounds)
     }
 
     /// Stacks trees whose node features are already CSR-indexed (e.g. the
-    /// entries of a feature cache): appends each tree's nonzeros and offset
-    /// child links, so no dense batch matrix is copied and no index is
-    /// rebuilt. [`Tcn::forward_forest_stacked_ws`] then runs conv1 straight
-    /// off the appended index; the embeddings are bitwise those of stacking
-    /// the dense rows (see [`SparseRows::extend_from`]).
+    /// entries of a feature cache, or one training sample): appends each
+    /// tree's nonzeros and offset child links into the workspace's buffers,
+    /// so no dense batch matrix is copied and no index is rebuilt. The
+    /// appended index is exactly the index of the trees' dense rows stacked
+    /// (see [`SparseRows::extend_from`]).
     pub fn stack_sparse<'a>(
         &mut self,
         items: impl IntoIterator<Item = (&'a SparseRows, &'a TreeStructure)>,
     ) {
-        self.start_batch(true);
+        self.clear_stack();
+        self.bounds.push(0);
         let mut items = items.into_iter().peekable();
         let dim = items.peek().map_or(self.sx.dim(), |(x, _)| x.dim());
         self.sx.clear(dim);
         for (xi, ti) in items {
+            assert_eq!(xi.rows(), ti.len(), "tree/feature row mismatch");
             let off = self.sx.rows();
             self.sx.extend_from(xi);
-            self.push_tree(xi.rows(), ti, off);
+            let shift = |c: &Option<usize>| c.map(|j| j + off);
+            self.tree.left.extend(ti.left.iter().map(shift));
+            self.tree.right.extend(ti.right.iter().map(shift));
+            self.bounds.push(off + xi.rows());
         }
     }
 
-    /// Empties the tree and bounds buffers for a new batch.
-    fn start_batch(&mut self, csr_input: bool) {
-        self.csr_input = csr_input;
+    /// Empties the tree and bounds buffers: a stack of no trees.
+    fn clear_stack(&mut self) {
         self.tree.left.clear();
         self.tree.right.clear();
         self.bounds.clear();
-        self.bounds.push(0);
     }
 
-    /// Appends one tree of `rows` nodes stacked at row `off`.
-    fn push_tree(&mut self, rows: usize, t: &TreeStructure, off: usize) {
-        assert_eq!(rows, t.len(), "tree/feature row mismatch");
-        let shift = |c: &Option<usize>| c.map(|j| j + off);
-        self.tree.left.extend(t.left.iter().map(shift));
-        self.tree.right.extend(t.right.iter().map(shift));
-        self.bounds.push(off + rows);
-    }
-
-    /// Bytes held by the batch buffers.
+    /// Bytes held by the stack, the activations, the weight transposes and
+    /// the CSR view of `h1`.
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f32>();
         let u = std::mem::size_of::<usize>();
-        (self.x.data.capacity()
-            + self.h1.data.capacity()
+        (self.h1.data.capacity()
             + self.h2.data.capacity()
             + self.pooled.data.capacity()
             + self.emb.data.capacity())
             * f
             + self.sx.bytes()
-            + self.sw.bytes()
+            + self.wt.bytes()
+            + self.wt2.bytes()
+            + self.sh1.bytes()
             + (self.bounds.capacity() + self.argmax.capacity()) * u
             + (self.tree.left.capacity() + self.tree.right.capacity())
                 * std::mem::size_of::<Option<usize>>()
@@ -797,16 +688,18 @@ impl Tcn {
     ///
     /// Thin allocating wrapper over [`Tcn::forward_ws`].
     pub fn forward(&self, x: &Mat, tree: &TreeStructure) -> (Mat, TcnCache) {
-        let mut ws = TcnWs::default();
+        let mut ws = ForestWs::default();
         self.forward_ws(x, tree, &mut ws);
         let emb = ws.emb.clone();
         (emb, TcnCache { x: x.clone(), ws })
     }
 
-    /// Allocation-free encoding into the workspace's reusable buffers; the
-    /// embedding lands in `ws.emb()`.
-    pub fn forward_ws(&self, x: &Mat, tree: &TreeStructure, ws: &mut TcnWs) {
-        let TcnWs {
+    /// The dense reference encoding of one tree into the workspace's
+    /// activation buffers; the embedding lands in `ws.emb()`. The stack is
+    /// cleared, since the activations no longer belong to it.
+    pub fn forward_ws(&self, x: &Mat, tree: &TreeStructure, ws: &mut ForestWs) {
+        ws.clear_stack();
+        let ForestWs {
             h1,
             h2,
             pooled,
@@ -820,108 +713,44 @@ impl Tcn {
         self.proj.forward_into(pooled, emb);
     }
 
-    /// Allocation-free encoding from a sparse feature view: conv1 consumes
-    /// the CSR index directly (bitwise identical to [`Tcn::forward_ws`] on
-    /// the dense matrix), through the same kernels as the forest forward
-    /// (see [`Tcn::forward_forest_stacked_ws`]).
-    pub fn forward_ws_sparse(&self, x: &SparseRows, tree: &TreeStructure, ws: &mut TcnWs) {
-        let TcnWs {
-            h1,
-            h2,
-            pooled,
-            argmax,
-            emb,
-            sw,
-        } = ws;
-        self.convs_sparse(x, tree, sw, h1, h2);
-        pool_into(h2, pooled, argmax);
-        self.proj.forward_into(pooled, emb);
-    }
-
-    /// Both convolutions over a CSR-indexed input. Under
-    /// [`KernelMode::Simd`] conv1 runs the register-strip kernel over the
-    /// feature nonzeros. conv2's input is the post-ReLU `h1` (skipping its
-    /// exact zeros is bit-exact too — see the [`crate::sparse`] module
-    /// docs), but whether that pays depends on how much ReLU actually
-    /// zeroed: the sparse kernel beats the dense output-blocked kernel only
-    /// below ~60% density, so the choice is gated on the measured nonzero
-    /// count. Under [`KernelMode::Scalar`] conv1 runs the scalar CSR kernel
-    /// and conv2 the dense one. The bits are the same every way — the mode
-    /// and the gate are pure performance decisions.
-    fn convs_sparse(
-        &self,
-        x: &SparseRows,
-        tree: &TreeStructure,
-        sw: &mut SparseConvWs,
-        h1: &mut Mat,
-        h2: &mut Mat,
-    ) {
-        if kernel_mode() == KernelMode::Scalar {
-            self.conv1.forward_ws_sparse(x, tree, h1);
-            self.conv2.forward_ws(h1, tree, h2);
-            return;
-        }
-        self.conv1
-            .forward_ws_sparse_blocked(x, tree, &mut sw.wt, h1);
-        sw.sh1.assign_from_dense(h1);
-        if sw.sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
-            self.conv2
-                .forward_ws_sparse_blocked(&sw.sh1, tree, &mut sw.wt2, h2);
-        } else {
-            self.conv2.forward_ws(h1, tree, h2);
-        }
-    }
-
     /// Inference-only encoding.
     pub fn infer(&self, x: &Mat, tree: &TreeStructure) -> Mat {
-        let mut ws = TcnWs::default();
+        let mut ws = ForestWs::default();
         self.forward_ws(x, tree, &mut ws);
         ws.emb
     }
 
-    /// Batched ("forest") encoding: stacks every tree's node features into
-    /// one node matrix with offset child indices, so both convolution
-    /// layers run as a single fused kernel invocation over all nodes of the
-    /// batch, then pools each tree's row segment and projects the whole
-    /// pooled batch through one matmul. The embeddings land in `ws.emb()`,
-    /// one row per input tree, in input order.
+    /// The encoder's forward over the batch stacked in `ws` (by
+    /// [`ForestWs::stack_sparse`] or through [`ForestWs::stacked_parts_mut`]):
+    /// both convolution layers run as one fused kernel invocation over all
+    /// nodes of the batch, each tree's row segment is pooled, and the whole
+    /// pooled batch is projected through one matmul. The embeddings land in
+    /// `ws.emb()`, one row per stacked tree, in input order.
+    ///
+    /// conv1 reads the CSR index: under [`KernelMode::Simd`] through the
+    /// register-strip kernel over the feature nonzeros, under
+    /// [`KernelMode::Scalar`] through the scalar CSR kernel. conv2's input
+    /// is the post-ReLU `h1` (skipping its exact zeros is bit-exact too —
+    /// see the [`crate::sparse`] module docs), but whether that pays depends
+    /// on how much ReLU actually zeroed: the sparse kernel beats the dense
+    /// output-blocked kernel only below ~60% density, so under `Simd` the
+    /// choice is gated on the measured nonzero count; under `Scalar` conv2
+    /// runs the dense kernel.
     ///
     /// Bit-identical to encoding each tree alone with [`Tcn::infer`]: the
     /// convolution is row-local (a node sees only itself and its own
     /// children, whose indices are offset within the same tree), pooling
-    /// shares the per-segment kernel with the single-tree path, and the
-    /// projection computes each output row as an independent dot product.
-    pub fn forward_forest_ws(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_dense(items);
-        self.forward_forest_stacked_ws(ws, false);
-    }
-
-    /// [`Tcn::forward_forest_ws`] with conv1 consuming a CSR index of the
-    /// stacked feature matrix instead of the dense rows — bitwise identical
-    /// (see the [`crate::sparse`] module docs), and the main single-thread
-    /// win of the inference hot path: plan-feature rows are ~90% zeros.
-    pub fn forward_forest_ws_sparse(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_dense(items);
-        self.forward_forest_stacked_ws(ws, true);
-    }
-
-    /// The compute half of the forest forward: consumes a batch already
-    /// stacked into `ws` (via [`ForestWs::stack_sparse`] or written directly
-    /// through [`ForestWs::stacked_parts_mut`]) and leaves the embeddings in
-    /// `ws.emb()`. A batch stacked from CSR rows always runs conv1 over that
-    /// index. A densely stacked batch does so when `sparse` is set, over an
-    /// index rebuilt in place from the dense rows, and otherwise runs the
-    /// dense kernel. The CSR conv1 goes through the register-strip kernel
-    /// under [`KernelMode::Simd`], and conv2 through the sparse kernel when
-    /// ReLU zeroed enough of `h1`; the result is bitwise identical every way.
-    pub fn forward_forest_stacked_ws(&self, ws: &mut ForestWs, sparse: bool) {
+    /// shares the per-segment kernel with the single-tree path, the
+    /// projection computes each output row as an independent dot product,
+    /// and the mode and the gate are pure performance decisions.
+    pub fn forward_forest_ws(&self, ws: &mut ForestWs) {
         let ForestWs {
-            x,
+            sx,
             tree,
             bounds,
-            sx,
-            csr_input,
-            sw,
+            wt,
+            wt2,
+            sh1,
             h1,
             h2,
             pooled,
@@ -933,17 +762,19 @@ impl Tcn {
             emb.resize_in_place(0, self.emb_dim());
             return;
         }
-        let rows = if *csr_input { sx.rows() } else { x.rows };
         debug_assert_eq!(bounds[0], 0, "bounds must start at 0");
-        debug_assert_eq!(bounds[ntrees], rows, "bounds must end at the last row");
-        if *csr_input || sparse {
-            if !*csr_input {
-                sx.assign_from_dense(x);
-            }
-            self.convs_sparse(sx, tree, sw, h1, h2);
-        } else {
-            self.conv1.forward_ws(x, tree, h1);
+        debug_assert_eq!(bounds[ntrees], sx.rows(), "bounds must end at the last row");
+        if kernel_mode() == KernelMode::Scalar {
+            self.conv1.forward_ws_sparse(sx, tree, h1);
             self.conv2.forward_ws(h1, tree, h2);
+        } else {
+            self.conv1.forward_ws_sparse_blocked(sx, tree, wt, h1);
+            sh1.assign_from_dense(h1);
+            if sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
+                self.conv2.forward_ws_sparse_blocked(sh1, tree, wt2, h2);
+            } else {
+                self.conv2.forward_ws(h1, tree, h2);
+            }
         }
         let d = h2.cols;
         pooled.resize_in_place(ntrees, 2 * d + 1);
@@ -985,7 +816,8 @@ impl Tcn {
         self.add_grads(&grads);
     }
 
-    /// Allocation-free backward: parameter gradients are added into `grads`
+    /// Allocation-free dense backward of the tree [`Tcn::forward_ws`]
+    /// encoded into `ws`: parameter gradients are added into `grads`
     /// (layout per [`Tcn::grad_shapes`]). The first conv layer's input
     /// gradient is never computed — the encoder input needs no gradient, and
     /// the legacy path wasted three matmuls plus two scatters per tree on it.
@@ -993,7 +825,7 @@ impl Tcn {
         &self,
         x: &Mat,
         tree: &TreeStructure,
-        ws: &TcnWs,
+        ws: &ForestWs,
         grad_emb: &Mat,
         grads: &mut [Mat],
         scratch: &mut Workspace,
@@ -1011,20 +843,31 @@ impl Tcn {
         );
     }
 
-    /// Sparse backward, bitwise identical to [`Tcn::backward_ws`] on the
-    /// dense matrix: conv1's weight gradients are accumulated from the CSR
-    /// view over only the columns the tree's rows store, and conv2's
-    /// backward runs over a CSR index of its ReLU-masked gradient; the
-    /// projection and un-pooling are shared with [`Tcn::backward_ws`].
+    /// The training backward of the one tree the last
+    /// [`Tcn::forward_forest_ws`] ran over, read from the workspace's stack.
+    /// Bitwise identical to [`Tcn::backward_ws`] on the dense matrix: conv1's
+    /// weight gradients are accumulated from the CSR index over only the
+    /// columns the tree's rows store, and conv2's backward runs over a CSR
+    /// index of its ReLU-masked gradient; the projection and un-pooling are
+    /// shared with [`Tcn::backward_ws`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ws` holds exactly one stacked tree: the un-pooling
+    /// spreads one embedding's gradient over every row of `h2`.
     pub fn backward_ws_sparse(
         &self,
-        x: &SparseRows,
-        tree: &TreeStructure,
-        ws: &TcnWs,
+        ws: &ForestWs,
         grad_emb: &Mat,
         grads: &mut [Mat],
         scratch: &mut Workspace,
     ) {
+        assert_eq!(
+            ws.bounds.len(),
+            2,
+            "backward_ws_sparse needs a workspace holding exactly one stacked tree"
+        );
+        let (x, tree) = (&ws.sx, &ws.tree);
         self.backward_ws_with(
             tree,
             ws,
@@ -1046,7 +889,7 @@ impl Tcn {
     fn backward_ws_with(
         &self,
         tree: &TreeStructure,
-        ws: &TcnWs,
+        ws: &ForestWs,
         grad_emb: &Mat,
         grads: &mut [Mat],
         scratch: &mut Workspace,
@@ -1174,6 +1017,42 @@ mod tests {
         }
     }
 
+    /// Stacks the trees of `items` through the CSR indexes of their rows and
+    /// runs the forest forward.
+    fn forest_forward(tcn: &Tcn, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
+        let sxs: Vec<SparseRows> = items
+            .iter()
+            .map(|(x, _)| SparseRows::from_dense(x))
+            .collect();
+        ws.stack_sparse(sxs.iter().zip(items.iter().map(|&(_, t)| t)));
+        tcn.forward_forest_ws(ws);
+    }
+
+    /// The dense rows of `items` stacked back to back, with the child links
+    /// offset into the stack and the prefix bounds: the stacking contract
+    /// of [`ForestWs::stacked_parts_mut`], built the slow way.
+    fn stacked_rows(
+        items: &[(&Mat, &TreeStructure)],
+        dim: usize,
+    ) -> (Mat, TreeStructure, Vec<usize>) {
+        let mut data = Vec::new();
+        let mut tree = TreeStructure::default();
+        let mut bounds = vec![0];
+        for &(x, t) in items {
+            let off = bounds[bounds.len() - 1];
+            data.extend_from_slice(&x.data);
+            tree.left.extend(t.left.iter().map(|c| c.map(|j| j + off)));
+            tree.right
+                .extend(t.right.iter().map(|c| c.map(|j| j + off)));
+            bounds.push(off + x.rows);
+        }
+        (
+            Mat::from_vec(bounds[bounds.len() - 1], dim, data),
+            tree,
+            bounds,
+        )
+    }
+
     #[test]
     fn forward_shapes_are_consistent() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -1205,7 +1084,7 @@ mod tests {
         let items: Vec<(&Mat, &TreeStructure)> = xs.iter().zip(trees.iter()).collect();
 
         let mut ws = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws);
+        forest_forward(&tcn, &items, &mut ws);
         assert_eq!((ws.emb().rows, ws.emb().cols), (items.len(), 4));
         for (b, (x, t)) in items.iter().enumerate() {
             let single = tcn.infer(x, t);
@@ -1216,16 +1095,18 @@ mod tests {
             );
         }
         // Warm reuse with a different batch size stays correct.
-        tcn.forward_forest_ws(&items[..2], &mut ws);
+        forest_forward(&tcn, &items[..2], &mut ws);
         assert_eq!(ws.emb().rows, 2);
         assert_eq!(ws.emb().row(1), &tcn.infer(&xs[1], &trees[1]).data[..]);
         // An empty batch yields an empty embedding matrix.
-        tcn.forward_forest_ws(&[], &mut ws);
+        forest_forward(&tcn, &[], &mut ws);
         assert_eq!(ws.emb().rows, 0);
     }
 
-    /// The sparse-conv1 forest forward and the direct-stacked entry point
-    /// must both be bit-identical to the dense item-slice path.
+    /// A batch written through [`ForestWs::stacked_parts_mut`] and indexed
+    /// once — the uncached scoring path — encodes bitwise like the same
+    /// trees stacked from their own indexes by [`ForestWs::stack_sparse`],
+    /// and like each tree encoded alone by the dense [`Tcn::infer`].
     #[test]
     fn sparse_and_prestacked_forest_paths_match_dense_bitwise() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -1253,34 +1134,39 @@ mod tests {
             .collect();
         let items: Vec<(&Mat, &TreeStructure)> = xs.iter().zip(trees.iter()).collect();
 
-        let mut ws_d = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_d);
+        let (stacked, stacked_tree, stacked_bounds) = stacked_rows(&items, 24);
+        let mut ws_p = ForestWs::default();
+        let (sx, tree, bounds) = ws_p.stacked_parts_mut();
+        sx.assign_from_dense(&stacked);
+        *tree = stacked_tree;
+        *bounds = stacked_bounds;
+        tcn.forward_forest_ws(&mut ws_p);
         let mut ws_s = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_s);
-        assert_eq!(ws_d.emb(), ws_s.emb(), "sparse forest forward diverged");
-
-        // Stacking densely + the prestacked entry point must match too
-        // (both modes).
-        for sparse in [false, true] {
-            let mut ws_p = ForestWs::default();
-            ws_p.stack_dense(&items);
-            tcn.forward_forest_stacked_ws(&mut ws_p, sparse);
-            assert_eq!(ws_d.emb(), ws_p.emb(), "prestacked (sparse={sparse})");
+        forest_forward(&tcn, &items, &mut ws_s);
+        assert_eq!(ws_p.emb(), ws_s.emb(), "prestacked vs stack_sparse");
+        for (b, (x, t)) in items.iter().enumerate() {
+            assert_eq!(
+                ws_p.emb().row(b),
+                &tcn.infer(x, t).data[..],
+                "prestacked tree {b} vs single-tree"
+            );
         }
 
         // Empty prestacked batch.
         let mut ws_e = ForestWs::default();
-        ws_e.stack_dense(&[]);
-        tcn.forward_forest_stacked_ws(&mut ws_e, true);
+        let (sx, _, bounds) = ws_e.stacked_parts_mut();
+        sx.assign_from_dense(&Mat::zeros(0, 24));
+        bounds.push(0);
+        tcn.forward_forest_ws(&mut ws_e);
         assert_eq!(ws_e.emb().rows, 0);
     }
 
     /// The SIMD-mode convolution kernels (output-blocked dense, lane-rows
     /// sparse) must be bit-identical to the scalar reference kernels on the
-    /// same inputs — single-tree and stacked-forest paths alike. Dimensions
-    /// are chosen to exercise every tail: `id % 4 != 0` (column tails),
-    /// `od % 4 != 0` (output-block tails), and rows with nonzeros in the
-    /// final tail columns (the sparse kernel's sequential epilogue).
+    /// same inputs — the dense single-tree and the CSR forest paths alike.
+    /// Dimensions are chosen to exercise every tail: `id % 4 != 0` (column
+    /// tails), `od % 4 != 0` (output-block tails), and rows with nonzeros in
+    /// the final tail columns (the sparse kernel's sequential epilogue).
     #[test]
     fn simd_conv_kernels_match_scalar_bitwise() {
         let _guard = crate::kernels::MODE_TEST_MUTEX
@@ -1315,32 +1201,27 @@ mod tests {
 
         let prev = set_kernel_mode(KernelMode::Scalar);
         let mut ws_scalar = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_scalar);
-        let mut ws_scalar_sp = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_scalar_sp);
+        forest_forward(&tcn, &items, &mut ws_scalar);
         let singles: Vec<Mat> = items.iter().map(|(x, t)| tcn.infer(x, t)).collect();
 
         set_kernel_mode(KernelMode::Simd);
         let mut ws_simd = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_simd);
-        let mut ws_simd_sp = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_simd_sp);
+        forest_forward(&tcn, &items, &mut ws_simd);
         assert_eq!(
             ws_scalar.emb(),
             ws_simd.emb(),
-            "dense blocked kernel diverged from scalar"
-        );
-        assert_eq!(
-            ws_scalar_sp.emb(),
-            ws_simd_sp.emb(),
             "sparse lane-rows kernel diverged from scalar"
         );
-        assert_eq!(ws_scalar.emb(), ws_scalar_sp.emb(), "sparse vs dense");
         for (b, single) in singles.iter().enumerate() {
             assert_eq!(
                 tcn.infer(items[b].0, items[b].1),
                 *single,
                 "single-tree SIMD forward diverged from scalar (tree {b})"
+            );
+            assert_eq!(
+                ws_scalar.emb().row(b),
+                &single.data[..],
+                "CSR forest vs dense single tree (tree {b})"
             );
         }
         set_kernel_mode(prev);
@@ -1412,7 +1293,7 @@ mod tests {
         tcn.backward(&cache, &tree, &g);
         let wrap_grads: Vec<Mat> = tcn.params().iter().map(|p| p.grad.clone()).collect();
 
-        let mut ws = TcnWs::default();
+        let mut ws = ForestWs::default();
         tcn.forward_ws(&x, &tree, &mut ws);
         assert_eq!(*ws.emb(), emb_wrap);
         let mut grads: Vec<Mat> = tcn
@@ -1448,11 +1329,12 @@ mod tests {
         }
         let g = Mat::randn(1, 3, 1.0, &mut rng);
 
-        let mut ws_d = TcnWs::default();
+        let mut ws_d = ForestWs::default();
         tcn.forward_ws(&x, &tree, &mut ws_d);
         let sx = SparseRows::from_dense(&x);
-        let mut ws_s = TcnWs::default();
-        tcn.forward_ws_sparse(&sx, &tree, &mut ws_s);
+        let mut ws_s = ForestWs::default();
+        ws_s.stack_sparse([(&sx, &tree)]);
+        tcn.forward_forest_ws(&mut ws_s);
         assert_eq!(ws_d.emb(), ws_s.emb(), "sparse forward diverged");
         assert_eq!(ws_d.h1, ws_s.h1, "sparse conv1 activations diverged");
 
@@ -1462,7 +1344,7 @@ mod tests {
         let mut gd = zeroed();
         tcn.backward_ws(&x, &tree, &ws_d, &g, &mut gd, &mut scratch);
         let mut gs = zeroed();
-        tcn.backward_ws_sparse(&sx, &tree, &ws_s, &g, &mut gs, &mut scratch);
+        tcn.backward_ws_sparse(&ws_s, &g, &mut gs, &mut scratch);
         for (i, (d, s)) in gd.iter().zip(&gs).enumerate() {
             let (db, sb): (Vec<u32>, Vec<u32>) = (
                 d.data.iter().map(|v| v.to_bits()).collect(),
@@ -1472,8 +1354,51 @@ mod tests {
         }
     }
 
+    /// The sparse backward reads its one tree from the workspace's stack,
+    /// so it refuses a workspace holding any other number of trees: after a
+    /// two-tree batch, and after the dense forward, which clears the stack
+    /// its activations no longer belong to.
+    #[test]
+    fn sparse_backward_needs_exactly_one_stacked_tree() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let tcn = Tcn::new(6, 8, 4, 3, &mut rng);
+        let tree = tiny_tree();
+        let x = Mat::randn(3, 6, 1.0, &mut rng);
+        let sx = SparseRows::from_dense(&x);
+        let g = Mat::randn(1, 3, 1.0, &mut rng);
+        let refusal = |ws: &ForestWs| -> Option<String> {
+            let mut grads: Vec<Mat> = tcn
+                .grad_shapes()
+                .iter()
+                .map(|&(r, c)| Mat::zeros(r, c))
+                .collect();
+            let backward = || tcn.backward_ws_sparse(ws, &g, &mut grads, &mut Workspace::new());
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(backward)).err()?;
+            Some(
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default(),
+            )
+        };
+        let refused =
+            |why: Option<String>| why.is_some_and(|m| m.contains("exactly one stacked tree"));
+
+        let mut ws = ForestWs::default();
+        ws.stack_sparse([(&sx, &tree)]);
+        tcn.forward_forest_ws(&mut ws);
+        assert_eq!(refusal(&ws), None, "one stacked tree is the training shape");
+        ws.stack_sparse([(&sx, &tree), (&sx, &tree)]);
+        tcn.forward_forest_ws(&mut ws);
+        assert!(refused(refusal(&ws)), "a two-tree batch");
+        ws.stack_sparse([(&sx, &tree)]);
+        tcn.forward_forest_ws(&mut ws);
+        tcn.forward_ws(&x, &tree, &mut ws);
+        assert!(refused(refusal(&ws)), "after the dense forward");
+    }
+
     /// A training slot keeps one warm workspace across steps. After an Adam
-    /// step gives conv1 a new weight stamp, the SIMD sparse forward must
+    /// step gives conv1 a new weight stamp, the SIMD forest forward must
     /// rebuild the workspace's transposes. conv1 is 37 wide, one 32-float
     /// strip plus a tail, so the register-strip kernel's main loop runs.
     /// Under both modes the warm workspace must match a fresh one and the
@@ -1509,10 +1434,11 @@ mod tests {
             let zeroed = || -> Vec<Mat> { shapes.iter().map(|&(r, c)| Mat::zeros(r, c)).collect() };
             let mut scratch = Workspace::new();
 
-            let mut warm = TcnWs::default();
+            let mut warm = ForestWs::default();
             tcn.forward_ws(&x, &tree, &mut warm);
+            warm.stack_sparse([(&sx, &tree)]);
             let activations = warm.bytes();
-            tcn.forward_ws_sparse(&sx, &tree, &mut warm);
+            tcn.forward_forest_ws(&mut warm);
             let h1_before = bits(&warm.h1);
             if mode == KernelMode::Simd {
                 let transposes = 3 * id * od * std::mem::size_of::<f32>();
@@ -1530,19 +1456,21 @@ mod tests {
 
             // One training step: real gradients, then Adam (a new stamp).
             let mut grads = zeroed();
-            tcn.backward_ws_sparse(&sx, &tree, &warm, &g, &mut grads, &mut scratch);
+            tcn.backward_ws_sparse(&warm, &g, &mut grads, &mut scratch);
             tcn.add_grads(&grads);
             tcn.adam_step(0.05, 1, &AdamConfig::default());
 
-            tcn.forward_ws_sparse(&sx, &tree, &mut warm);
+            warm.stack_sparse([(&sx, &tree)]);
+            tcn.forward_forest_ws(&mut warm);
             assert_ne!(
                 bits(&warm.h1),
                 h1_before,
                 "{mode:?}: the step must move conv1"
             );
-            let mut fresh = TcnWs::default();
-            tcn.forward_ws_sparse(&sx, &tree, &mut fresh);
-            let mut dense = TcnWs::default();
+            let mut fresh = ForestWs::default();
+            fresh.stack_sparse([(&sx, &tree)]);
+            tcn.forward_forest_ws(&mut fresh);
+            let mut dense = ForestWs::default();
             tcn.forward_ws(&x, &tree, &mut dense);
             for (name, other) in [("fresh", &fresh), ("dense", &dense)] {
                 assert_eq!(bits(&warm.h1), bits(&other.h1), "{mode:?}: h1 vs {name}");
@@ -1553,7 +1481,7 @@ mod tests {
                 );
             }
             let (mut gs, mut gd) = (zeroed(), zeroed());
-            tcn.backward_ws_sparse(&sx, &tree, &warm, &g, &mut gs, &mut scratch);
+            tcn.backward_ws_sparse(&warm, &g, &mut gs, &mut scratch);
             tcn.backward_ws(&x, &tree, &dense, &g, &mut gd, &mut scratch);
             for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
                 assert_eq!(bits(s), bits(d), "{mode:?}: grad {i}");
@@ -1567,19 +1495,35 @@ mod tests {
         // The conv input gradient feeds conv1 during stacked backward; check
         // it against finite differences through a single layer.
         let mut rng = StdRng::seed_from_u64(9);
-        let mut layer = TreeConvLayer::new(4, 3, &mut rng);
+        let layer = TreeConvLayer::new(4, 3, &mut rng);
         let tree = tiny_tree();
         let x = Mat::randn(3, 4, 1.0, &mut rng);
         let target = Mat::randn(3, 3, 1.0, &mut rng);
-        let (h, cache) = layer.forward(&x, &tree);
-        let (_, grad) = mse(&h, &target);
-        layer.zero_grad();
-        let gx = layer.backward(&cache, &tree, &grad);
-
-        let loss_of = |x: &Mat| {
-            let (h, _) = layer.forward(x, &tree);
-            mse(&h, &target).0
+        let forward = |x: &Mat| {
+            let mut h = Mat::default();
+            layer.forward_ws(x, &tree, &mut h);
+            h
         };
+        let h = forward(&x);
+        let (_, grad) = mse(&h, &target);
+        let mut grads: Vec<Mat> = layer
+            .grad_shapes()
+            .iter()
+            .map(|&(r, c)| Mat::zeros(r, c))
+            .collect();
+        let mut gx = Mat::default();
+        let mut scratch = Workspace::new();
+        layer.backward_ws(
+            &x,
+            &h,
+            &tree,
+            &grad,
+            &mut grads,
+            Some(&mut gx),
+            &mut scratch,
+        );
+
+        let loss_of = |x: &Mat| mse(&forward(x), &target).0;
         let eps = 1e-2;
         for idx in [0usize, 5, 9] {
             let mut xp = x.clone();
@@ -1770,7 +1714,8 @@ mod tests {
         "proj.b",
     ];
 
-    /// One encoder pass, sparse when `sx` is given and dense otherwise:
+    /// One encoder pass, the training pass over `sx` stacked as a forest of
+    /// one tree when `sx` is given and the dense reference otherwise:
     /// forward, then backward of `g` into zeroed gradients. Returns the bits
     /// of `h1`, `h2`, the embedding and the ten gradients ([`PASS_PARTS`]).
     fn pass(
@@ -1779,14 +1724,15 @@ mod tests {
         sx: Option<&SparseRows>,
         tree: &TreeStructure,
         g: &Mat,
-        ws: &mut TcnWs,
+        ws: &mut ForestWs,
         scratch: &mut Workspace,
     ) -> Vec<Vec<u32>> {
         let shapes = tcn.grad_shapes();
         let mut grads: Vec<Mat> = shapes.iter().map(|&(r, c)| Mat::zeros(r, c)).collect();
         if let Some(sx) = sx {
-            tcn.forward_ws_sparse(sx, tree, ws);
-            tcn.backward_ws_sparse(sx, tree, ws, g, &mut grads, scratch);
+            ws.stack_sparse([(sx, tree)]);
+            tcn.forward_forest_ws(ws);
+            tcn.backward_ws_sparse(ws, g, &mut grads, scratch);
         } else {
             tcn.forward_ws(x, tree, ws);
             tcn.backward_ws(x, tree, ws, g, &mut grads, scratch);
@@ -1796,8 +1742,9 @@ mod tests {
         out
     }
 
-    /// `TcnWs::bytes` counts what the SIMD-mode sparse forward adds: both
-    /// layers' weight transposes and the CSR view of `h1`. conv1's bias is
+    /// `ForestWs::bytes` counts what the SIMD-mode forward adds to a stacked
+    /// tree's workspace: both layers' weight transposes and the CSR view of
+    /// `h1`. conv1's bias is
     /// shifted down so `h1` stays below conv2's density gate and conv2's
     /// transposes get built too.
     #[test]
@@ -1816,14 +1763,15 @@ mod tests {
         let tree = random_tree(n, &mut rng);
         let x = sparse_features(n, id, &mut rng);
         let sx = SparseRows::from_dense(&x);
-        let mut ws = TcnWs::default();
+        let mut ws = ForestWs::default();
         tcn.forward_ws(&x, &tree, &mut ws);
-        let activations = ws.bytes();
         let dense_emb = bits(ws.emb());
-        tcn.forward_ws_sparse(&sx, &tree, &mut ws);
+        ws.stack_sparse([(&sx, &tree)]);
+        let activations = ws.bytes();
+        tcn.forward_forest_ws(&mut ws);
         assert_eq!(bits(ws.emb()), dense_emb);
         assert!(
-            ws.sw.sh1.nnz() * 5 <= n * od1 * 3,
+            ws.sh1.nnz() * 5 <= n * od1 * 3,
             "the fixture's h1 must take conv2's sparse kernel"
         );
         let f = std::mem::size_of::<f32>();
@@ -1843,8 +1791,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
 
-        /// Training's sparse encoder pass ([`Tcn::forward_ws_sparse`] plus
-        /// [`Tcn::backward_ws_sparse`]) equals the dense pass bit for bit
+        /// Training's encoder pass (one tree stacked, [`Tcn::forward_forest_ws`]
+        /// plus [`Tcn::backward_ws_sparse`]) equals the dense pass bit for bit
         /// under both kernel modes: `h1`, `h2`, the embedding and all ten
         /// gradients. Checked on fresh workspaces, and on warm ones reused
         /// after a larger tree and then again for a second gradient of the
@@ -1885,14 +1833,14 @@ mod tests {
             let prev = set_kernel_mode(KernelMode::Scalar);
             for mode in [KernelMode::Scalar, KernelMode::Simd] {
                 set_kernel_mode(mode);
-                let mut warm = TcnWs::default();
+                let mut warm = ForestWs::default();
                 let mut scratch = Workspace::new();
                 pass(&tcn, &big_x, Some(&big_sx), &big_tree, &grads[0], &mut warm, &mut scratch);
                 for (gi, g) in grads[1..].iter().enumerate() {
-                    let mut dense_ws = TcnWs::default();
+                    let mut dense_ws = ForestWs::default();
                     let dense = pass(&tcn, &x, None, &tree, g, &mut dense_ws, &mut Workspace::new());
                     let cold = pass(
-                        &tcn, &x, Some(&sx), &tree, g, &mut TcnWs::default(), &mut Workspace::new(),
+                        &tcn, &x, Some(&sx), &tree, g, &mut ForestWs::default(), &mut Workspace::new(),
                     );
                     let warmed = pass(&tcn, &x, Some(&sx), &tree, g, &mut warm, &mut scratch);
                     for (p, name) in PASS_PARTS.iter().enumerate() {
@@ -1902,7 +1850,7 @@ mod tests {
                 }
 
                 // Each layer's sparse backward on its own, warm scratch.
-                let mut dense_ws = TcnWs::default();
+                let mut dense_ws = ForestWs::default();
                 tcn.forward_ws(&x, &tree, &mut dense_ws);
                 let (h1, h2) = (&dense_ws.h1, &dense_ws.h2);
                 let zeroed = |layer: &TreeConvLayer| -> Vec<Mat> {
@@ -1927,10 +1875,11 @@ mod tests {
         }
 
         /// Stacking cached CSR rows ([`ForestWs::stack_sparse`]) gives
-        /// bitwise the embeddings of the dense forest forward, under both
-        /// kernel modes and both `sparse` flags, on fresh workspaces and on
-        /// warm ones reused after a larger batch; and the appended index is
-        /// exactly the index of the stacked dense matrix.
+        /// each tree bitwise the embedding of the dense single-tree
+        /// [`Tcn::infer`], under both kernel modes, on fresh workspaces and
+        /// on warm ones reused after a larger batch; and the stack is exactly
+        /// the dense rows stacked: the index of the stacked matrix, the
+        /// offset tree and the prefix bounds.
         #[test]
         fn csr_stacking_matches_dense_stacking(seed in 0u64..1_000_000, ntrees in 0usize..6) {
             let _guard = crate::kernels::MODE_TEST_MUTEX
@@ -1942,36 +1891,33 @@ mod tests {
             let forest = random_forest(ntrees, 30, &mut rng);
             let sparse: Vec<SparseRows> = forest.iter().map(|(x, _)| SparseRows::from_dense(x)).collect();
             let items: Vec<(&Mat, &TreeStructure)> = forest.iter().map(|(x, t)| (x, t)).collect();
+            let (stacked, stacked_tree, stacked_bounds) = stacked_rows(&items, 30);
             let big = random_forest(8, 30, &mut rng);
             let big_sparse: Vec<SparseRows> = big.iter().map(|(x, _)| SparseRows::from_dense(x)).collect();
             let prev = set_kernel_mode(KernelMode::Scalar);
             for mode in [KernelMode::Scalar, KernelMode::Simd] {
                 set_kernel_mode(mode);
-                let mut dense = ForestWs::default();
-                tcn.forward_forest_ws(&items, &mut dense);
+                let singles: Vec<Vec<u32>> = items.iter().map(|(x, t)| bits(&tcn.infer(x, t))).collect();
                 for warm in [false, true] {
-                    for flag in [false, true] {
-                        let mut ws = ForestWs::default();
-                        if warm {
-                            ws.stack_sparse(big_sparse.iter().zip(big.iter().map(|(_, t)| t)));
-                            tcn.forward_forest_stacked_ws(&mut ws, flag);
-                        }
-                        ws.stack_sparse(sparse.iter().zip(forest.iter().map(|(_, t)| t)));
-                        tcn.forward_forest_stacked_ws(&mut ws, flag);
-                        prop_assert_eq!(
-                            bits(ws.emb()),
-                            bits(dense.emb()),
-                            "{:?} warm={} sparse={}", mode, warm, flag
-                        );
-                        prop_assert_eq!((ws.emb().rows, ws.emb().cols), (ntrees, 4));
-                        if ntrees == 0 {
-                            prop_assert_eq!((ws.sx.rows(), ws.sx.nnz()), (0, 0));
-                        } else {
-                            prop_assert_eq!(&ws.sx, &SparseRows::from_dense(&dense.x));
-                        }
-                        prop_assert_eq!(&ws.bounds, &dense.bounds);
-                        prop_assert_eq!(&ws.tree, &dense.tree);
+                    let mut ws = ForestWs::default();
+                    if warm {
+                        ws.stack_sparse(big_sparse.iter().zip(big.iter().map(|(_, t)| t)));
+                        tcn.forward_forest_ws(&mut ws);
                     }
+                    ws.stack_sparse(sparse.iter().zip(forest.iter().map(|(_, t)| t)));
+                    tcn.forward_forest_ws(&mut ws);
+                    prop_assert_eq!((ws.emb().rows, ws.emb().cols), (ntrees, 4));
+                    for (b, single) in singles.iter().enumerate() {
+                        let row: Vec<u32> = ws.emb().row(b).iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(&row, single, "{:?} warm={} tree {}", mode, warm, b);
+                    }
+                    if ntrees == 0 {
+                        prop_assert_eq!((ws.sx.rows(), ws.sx.nnz()), (0, 0));
+                    } else {
+                        prop_assert_eq!(&ws.sx, &SparseRows::from_dense(&stacked));
+                    }
+                    prop_assert_eq!(&ws.bounds, &stacked_bounds);
+                    prop_assert_eq!(&ws.tree, &stacked_tree);
                 }
             }
             set_kernel_mode(prev);

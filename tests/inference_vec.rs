@@ -45,9 +45,9 @@ fn plans_from_seed(seed: u64, n: usize) -> Vec<PlanTree> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batched scoring — dense or sparse conv1, cached or uncached
-    /// features, warm or cold workspace — returns the exact bits of
-    /// plan-at-a-time scoring, at every pool width.
+    /// Batched scoring — cached or uncached features, warm or cold
+    /// workspace — returns the exact bits of plan-at-a-time scoring, at
+    /// every pool width.
     #[test]
     fn batched_predictions_equal_single_plan_bitwise(
         seed in 0u64..2000,
@@ -70,7 +70,6 @@ proptest! {
                 .map(|p| predictor.predict(p, EnvSource::Uniform(env)))
                 .collect();
             for (pass, use_cache) in [(0, false), (1, true), (2, true)] {
-                ws.sparse = pass != 0;
                 let c = if use_cache { Some(&cache) } else { None };
                 predictor.predict_batch_into(
                     &refs,
