@@ -255,25 +255,17 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    // Scalar vs. SIMD kernel tier on the same `a @ bᵀ` product, whose `dot`
-    // dispatches on the kernel mode (the tiers are bit-identical; this
-    // measures the four-lane unroll's throughput).
+    // `a @ bᵀ`: one four-lane `dot` per output element, the same kernel in
+    // both kernel modes.
     let ka = Mat::from_fn(128, 199, |i, j| {
         ((i * 29 + j * 13) % 17) as f32 / 17.0 - 0.4
     });
     let kb = Mat::from_fn(128, 199, |i, j| {
         ((i * 11 + j * 19) % 23) as f32 / 23.0 - 0.5
     });
-    for (label, mode) in [
-        ("matmul_scalar_kernel", tinynn::KernelMode::Scalar),
-        ("matmul_simd_kernel", tinynn::KernelMode::Simd),
-    ] {
-        c.bench_function(label, |b| {
-            let prev = tinynn::set_kernel_mode(mode);
-            b.iter(|| black_box(&ka).matmul_nt(black_box(&kb)));
-            tinynn::set_kernel_mode(prev);
-        });
-    }
+    c.bench_function("matmul_nt", |b| {
+        b.iter(|| black_box(&ka).matmul_nt(black_box(&kb)))
+    });
 }
 
 criterion_group! {

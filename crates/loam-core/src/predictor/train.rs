@@ -10,8 +10,8 @@
 //!
 //! ## Hot path
 //!
-//! Each optimizer step splits its minibatch into fixed-boundary *microbatch
-//! slots* (`TrainConfig::microbatches`). Every slot owns a reusable
+//! Each optimizer step splits its minibatch into eight fixed-boundary
+//! *microbatch slots*. Every slot owns a reusable
 //! `SlotState` — gradient buffers, layer workspaces, and scratch — so the
 //! per-sample forward/backward work runs through tinynn's allocation-free
 //! `_ws` kernels and performs zero heap allocation after the first step.
@@ -24,11 +24,15 @@
 //! nonzeros. The second conv layer's forward and backward skip the exact
 //! zeros ReLU leaves in its input and its gradient. All of it is
 //! bit-identical to the dense kernels.
-//! Slots are distributed over persistent worker threads (spawned once per
-//! `train` call, synchronized with barriers) and their gradients are folded
-//! in slot-index order, so the final weights are bit-identical regardless of
-//! thread count — and identical to [`train_reference`], the legacy
-//! allocating path kept as a cross-check.
+//!
+//! One engine runs at every pool size. The calling thread and `W − 1`
+//! persistent helpers (spawned once per `train` call, none on a one-thread
+//! pool) meet at a barrier, work slots `w, w + W, …` each, and meet again;
+//! the calling thread then folds the slot gradients in slot-index order and
+//! steps Adam. So the final weights are bit-identical at any pool size —
+//! and identical to [`train_reference`], the legacy allocating path kept as
+//! a cross-check. A panic in any slot is caught, every worker still reaches
+//! the second barrier, and `train` re-raises it on the calling thread.
 
 use super::AdaptiveCostPredictor;
 use crate::featurize::{CachedFeatures, EnvSource, FeatureCache};
@@ -38,6 +42,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 use tinynn::workspace::alloc_probe;
@@ -58,7 +64,8 @@ pub struct TrainSample {
     pub cost: f64,
 }
 
-/// Training hyperparameters.
+/// Training hyperparameters. The microbatch split of each step is fixed
+/// (see the module docs), so the pool size never moves a trained bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Training epochs.
@@ -74,10 +81,6 @@ pub struct TrainConfig {
     pub adaptive: bool,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Microbatch slots per optimizer step. Slot boundaries depend only on
-    /// the batch length and this value, and slot gradients are folded in
-    /// slot-index order, so results are bit-identical at any thread count.
-    pub microbatches: usize,
 }
 
 impl Default for TrainConfig {
@@ -89,10 +92,13 @@ impl Default for TrainConfig {
             lr_decay: 0.99,
             adaptive: true,
             seed: 0x10a0,
-            microbatches: 8,
         }
     }
 }
+
+/// Microbatch slots per optimizer step; slot boundaries depend only on the
+/// batch length and this constant.
+const MICROBATCHES: usize = 8;
 
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -204,14 +210,20 @@ struct StepDesc {
     lambda: f64,
     w_d: f32,
     inv: f32,
-    /// Samples per slot (`batch.len().div_ceil(microbatches)`).
+    /// Samples per slot ([`StepDesc::slot_len`] of the batch length).
     chunk: usize,
     /// Number of populated slots this step.
     nslots: usize,
 }
 
 impl StepDesc {
-    fn fill(&mut self, batch: &[usize], cand: &[usize], lambda: f64, w_d: f32, inv: f32, m: usize) {
+    /// Samples per slot of a `len`-sample minibatch: the one rule for slot
+    /// boundaries, which [`train_reference`] stages its gradients by too.
+    fn slot_len(len: usize) -> usize {
+        len.div_ceil(MICROBATCHES).max(1)
+    }
+
+    fn fill(&mut self, batch: &[usize], cand: &[usize], lambda: f64, w_d: f32, inv: f32) {
         self.batch.clear();
         self.batch.extend_from_slice(batch);
         self.cand.clear();
@@ -219,7 +231,7 @@ impl StepDesc {
         self.lambda = lambda;
         self.w_d = w_d;
         self.inv = inv;
-        self.chunk = batch.len().div_ceil(m.max(1)).max(1);
+        self.chunk = Self::slot_len(batch.len());
         self.nslots = batch.len().div_ceil(self.chunk);
     }
 }
@@ -478,10 +490,14 @@ fn prepare(
 /// the domain classifier (the paper stresses their generation overhead is
 /// negligible).
 ///
-/// Microbatch slots run on persistent worker threads when the global pool
-/// has more than one thread; the serial engine runs the same slot code in
-/// slot order. Both produce bit-identical weights (see the `train_determinism`
+/// One engine runs at every pool size (see the module docs), and the
+/// weights are bit-identical at any of them (see the `train_determinism`
 /// integration test).
+///
+/// # Panics
+///
+/// Panics if `samples` is empty, and re-raises the first panic of any
+/// slot's forward or backward.
 pub fn train(
     predictor: &mut AdaptiveCostPredictor,
     samples: &[TrainSample],
@@ -491,7 +507,6 @@ pub fn train(
 ) -> TrainReport {
     let started = std::time::Instant::now();
     let (feats, labels, cand_feats) = prepare(predictor, samples, candidates, mean_env);
-    let pool = mcsim_par::ThreadPool::global();
     let ctx = Ctx {
         feats: &feats,
         labels: &labels,
@@ -504,28 +519,55 @@ pub fn train(
     };
     let mut report = TrainReport::with_capacity(cfg.epochs);
 
-    let m = cfg.microbatches.max(1);
-    let max_slots = m.min(cfg.batch_size.max(1));
+    let max_slots = MICROBATCHES.min(cfg.batch_size.max(1));
     let slots: Vec<Mutex<SlotState>> = (0..max_slots)
         .map(|_| Mutex::new(SlotState::new(predictor)))
         .collect();
-    let workers = pool.threads().min(max_slots);
+    let workers = mcsim_par::ThreadPool::global().threads().min(max_slots);
     let feat_count = (samples.len() + candidates.len()) as u64;
 
-    if workers > 1 {
-        train_parallel(
-            predictor,
-            &ctx,
-            cfg,
-            &adam,
-            &slots,
-            workers,
-            feat_count,
-            &mut report,
-        );
-    } else {
-        // Serial engine: same slot code, run in slot order on this thread.
-        let mut desc = StepDesc::default();
+    // The driver writes both between steps, while the helpers are parked;
+    // every worker reads both while it works its slots.
+    let model = RwLock::new(predictor);
+    let step = RwLock::new(StepDesc::default());
+    let start = Barrier::new(workers);
+    let done = Barrier::new(workers);
+    let stop = AtomicBool::new(false);
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+    // Worker `w`'s share of a step: slots `w, w + W, w + 2W, …`. A panic is
+    // caught and kept (the first one wins), so the worker still reaches
+    // `done`. Inner kernels must not fan out again from a worker: nested
+    // scoped spawns would allocate every step and oversubscribe the pool.
+    let work = |w: usize| {
+        let _worker = mcsim_par::enter_worker();
+        let share = catch_unwind(AssertUnwindSafe(|| {
+            let (p, desc) = (model.read().unwrap(), step.read().unwrap());
+            for s in (w..desc.nslots).step_by(workers) {
+                process_slot(&p, &ctx, &desc, s, &mut slots[s].lock().unwrap());
+            }
+        }));
+        if let Err(payload) = share {
+            panicked.lock().unwrap().get_or_insert(payload);
+        }
+    };
+
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let (work, start, done, stop) = (&work, &start, &done, &stop);
+            scope.spawn(move || loop {
+                start.wait();
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                work(w);
+                done.wait();
+            });
+        }
+        let _release = ReleaseHelpers {
+            start: &start,
+            stop: &stop,
+        };
         drive(
             cfg,
             samples.len(),
@@ -534,15 +576,19 @@ pub fn train(
             feat_count,
             &mut report,
             |batch, cand, lambda, w_d, inv, lr, t| {
-                desc.fill(batch, cand, lambda, w_d, inv, m);
-                for (s, slot) in slots.iter().enumerate().take(desc.nslots) {
-                    let mut slot = slot.lock().unwrap();
-                    process_slot(predictor, &ctx, &desc, s, &mut slot);
+                step.write().unwrap().fill(batch, cand, lambda, w_d, inv);
+                start.wait();
+                work(0);
+                done.wait();
+                if let Some(payload) = panicked.lock().unwrap().take() {
+                    resume_unwind(payload);
                 }
-                fold_and_step(predictor, &slots, desc.nslots, lr, t, &adam, cfg.adaptive)
+                let nslots = step.read().unwrap().nslots;
+                let mut p = model.write().unwrap();
+                fold_and_step(&mut p, &slots, nslots, lr, t, &adam, cfg.adaptive)
             },
         );
-    }
+    });
 
     let ws_bytes: usize = slots.iter().map(|s| s.lock().unwrap().bytes()).sum();
     mcsim_obs::gauge("train.ws_bytes", ws_bytes as f64);
@@ -551,94 +597,20 @@ pub fn train(
     report
 }
 
-/// Shared state between the driver thread and the persistent workers. The
-/// driver holds the write side while folding gradients and stepping Adam;
-/// workers hold the read side while computing slot gradients.
-struct Shared<'p> {
-    predictor: &'p mut AdaptiveCostPredictor,
-    desc: StepDesc,
+/// Lets the parked helpers exit when the driver leaves the step loop, however
+/// it leaves it (the end of training, a re-raised slot panic, or a panic of
+/// its own): between steps every helper waits on `start`, so one more `start`
+/// with `stop` set releases them all.
+struct ReleaseHelpers<'a> {
+    start: &'a Barrier,
+    stop: &'a AtomicBool,
 }
 
-/// The parallel engine: `workers` persistent threads, spawned once, woken
-/// per step with a barrier, assigned slots round-robin (`slot % workers`),
-/// and joined when training ends. No allocation per step after warmup.
-#[allow(clippy::too_many_arguments)]
-fn train_parallel(
-    predictor: &mut AdaptiveCostPredictor,
-    ctx: &Ctx<'_>,
-    cfg: &TrainConfig,
-    adam: &AdamConfig,
-    slots: &[Mutex<SlotState>],
-    workers: usize,
-    feat_count: u64,
-    report: &mut TrainReport,
-) {
-    let m = cfg.microbatches.max(1);
-    let nsamples = ctx.feats.len();
-    let cand_len = ctx.cand_feats.len();
-    let shared = RwLock::new(Shared {
-        predictor,
-        desc: StepDesc::default(),
-    });
-    let start = Barrier::new(workers + 1);
-    let done = Barrier::new(workers + 1);
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            let start = &start;
-            let done = &done;
-            let stop = &stop;
-            scope.spawn(move || {
-                // Inner kernels must not fan out again from a training
-                // worker: nested scoped spawns would allocate every step and
-                // oversubscribe the pool.
-                let _worker = mcsim_par::enter_worker();
-                loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    {
-                        let guard = shared.read().unwrap();
-                        let p: &AdaptiveCostPredictor = guard.predictor;
-                        let desc = &guard.desc;
-                        let mut s = w;
-                        while s < desc.nslots {
-                            let mut slot = slots[s].lock().unwrap();
-                            process_slot(p, ctx, desc, s, &mut slot);
-                            s += workers;
-                        }
-                    }
-                    done.wait();
-                }
-            });
-        }
-
-        drive(
-            cfg,
-            nsamples,
-            cand_len,
-            ctx.dann,
-            feat_count,
-            report,
-            |batch, cand, lambda, w_d, inv, lr, t| {
-                let nslots = {
-                    let mut guard = shared.write().unwrap();
-                    guard.desc.fill(batch, cand, lambda, w_d, inv, m);
-                    guard.desc.nslots
-                };
-                start.wait();
-                done.wait();
-                let mut guard = shared.write().unwrap();
-                fold_and_step(guard.predictor, slots, nslots, lr, t, adam, cfg.adaptive)
-            },
-        );
-
-        stop.store(true, Ordering::Release);
-        start.wait();
-    });
+impl Drop for ReleaseHelpers<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        self.start.wait();
+    }
 }
 
 /// The legacy allocating training path, kept as a bit-exact cross-check and
@@ -662,7 +634,6 @@ pub fn train_reference(
         ..AdamConfig::default()
     };
     let mut report = TrainReport::with_capacity(cfg.epochs);
-    let m = cfg.microbatches.max(1);
     let feat_count = (samples.len() + candidates.len()) as u64;
 
     drive(
@@ -673,7 +644,7 @@ pub fn train_reference(
         feat_count,
         &mut report,
         |batch, cand, lambda, w_d, inv, lr, t| {
-            let chunk = batch.len().div_ceil(m).max(1);
+            let chunk = StepDesc::slot_len(batch.len());
             let mut lc = 0.0f32;
             let mut ld = 0.0f32;
             // Stage per-slot gradients through the parameter accumulators:
@@ -884,6 +855,57 @@ mod tests {
         assert_eq!(ra.domain_loss, rb.domain_loss);
         for (pa, pb) in a.plan_emb.params().iter().zip(b.plan_emb.params()) {
             assert_eq!(pa.value.data, pb.value.data, "plan_emb weights diverged");
+        }
+    }
+
+    /// A cost head one input wider than the embedding makes every slot's
+    /// forward panic. At one thread and at two, `train` must re-raise that
+    /// panic on its caller instead of leaving the workers waiting on each
+    /// other.
+    #[test]
+    fn a_slot_panic_fails_training_instead_of_hanging() {
+        for threads in [1usize, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            // Detached, so that a hung `train` fails this test instead of
+            // hanging the test run.
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| {
+                    mcsim_par::with_threads(threads, || {
+                        let mut p = AdaptiveCostPredictor::new(13, true);
+                        let mut rng = StdRng::seed_from_u64(14);
+                        p.cost_head =
+                            tinynn::Mlp::new(&[crate::predictor::EMB_DIM + 1, 16, 1], &mut rng);
+                        let cfg = TrainConfig {
+                            epochs: 1,
+                            adaptive: false,
+                            ..TrainConfig::default()
+                        };
+                        train(
+                            &mut p,
+                            &make_samples(32, 15),
+                            &[],
+                            EnvMetrics::default(),
+                            &cfg,
+                        );
+                    })
+                });
+                let message = match outcome {
+                    Ok(()) => "training returned".to_string(),
+                    Err(payload) => payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default(),
+                };
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("training hung at {threads} thread(s)"));
+            assert!(
+                message.contains("matmul_nt shape mismatch"),
+                "at {threads} thread(s): {message}"
+            );
         }
     }
 

@@ -170,10 +170,11 @@ pub(crate) fn conv_node_dense(
     }
 }
 
-/// Reference per-output loop (also the tail for the blocked kernel): one
-/// dispatched `dot` per output per present child.
-#[allow(clippy::too_many_arguments, dead_code)]
-fn conv_node_dense_ref(
+/// The reference per-output loop: one `dot` per output per present child.
+/// `KernelMode::Scalar`'s dense kernel, the tail of the blocked kernel, and
+/// the blocked kernel itself off `x86_64`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_node_dense_ref(
     xi: &[f32],
     xl: Option<&[f32]>,
     xr: Option<&[f32]>,
@@ -262,18 +263,19 @@ unsafe fn conv_node_dense_sse2(
         }
         j += 4;
     }
-    // od % 4 tail outputs: plain per-output dots (bit-identical by the dot
-    // kernels' own guarantee).
-    for j in main_j..od {
-        let mut s = dot(xi, &ws[j * id..(j + 1) * id]);
-        if let Some(x) = xl {
-            s += dot(x, &wl[j * id..(j + 1) * id]);
-        }
-        if let Some(x) = xr {
-            s += dot(x, &wr[j * id..(j + 1) * id]);
-        }
-        out[j] = (s + bias[j]).max(0.0);
-    }
+    // od % 4 tail outputs: the reference loop over the remaining rows.
+    let w = main_j * id;
+    conv_node_dense_ref(
+        xi,
+        xl,
+        xr,
+        &ws[w..],
+        &wl[w..],
+        &wr[w..],
+        &bias[main_j..],
+        id,
+        &mut out[main_j..],
+    );
 }
 
 /// One node of the sparse fused convolution (see the module docs). `rows`

@@ -1,13 +1,21 @@
-//! Runtime-selectable inner kernels: the scalar 4-lane reference kernels vs
-//! SIMD-oriented variants (8-element unrolled dots/epilogues plus the
-//! register-blocked tree-convolution kernels of the `convsimd` module).
+//! Runtime-selectable tree-convolution kernels: the scalar 4-lane reference
+//! kernels vs the register-blocked kernels of the `convsimd` module.
+//!
+//! The mode selects only the tree convolution: conv1's CSR forward (the
+//! scalar sparse dot vs the register-strip kernel), the dense per-node
+//! forward (the reference per-output dot loop vs the output-blocked SSE2
+//! kernel), and conv2's sparse/dense density gate in the forest forward.
+//! Everything else runs one kernel in both modes: the four-lane `dot`
+//! under every `matmul_nt`, the plain `axpy` under every backward matmul,
+//! and the elementwise epilogues (ReLU clamp, softmax scaling). Hand-
+//! unrolled versions of those measured no faster than the plain loops,
+//! which the compiler vectorizes itself.
 //!
 //! The SIMD kernels are **bit-identical** to the reference by construction:
-//! every variant keeps the reference's four accumulator lanes and feeds each
-//! lane the same elements in the same order (lane 0 still sees
-//! `x[0]·y[0], x[4]·y[4], x[8]·y[8], …` sequentially) and combines them as
-//! `((s0 + s1) + (s2 + s3)) + tail`. The unrolled dot retires two 4-lane
-//! rounds per iteration; the blocked convolution kernels keep one 4-lane
+//! they keep the reference's four accumulator lanes and feed each lane the
+//! same elements in the same order (lane 0 still sees
+//! `x[0]·y[0], x[4]·y[4], x[8]·y[8], …` sequentially) and combine them as
+//! `((s0 + s1) + (s2 + s3)) + tail`. The blocked kernels keep one 4-lane
 //! accumulator per output (a 128-bit vector register holds exactly the four
 //! lanes) and only restructure *which outputs* share each input load.
 //! Lane-wise IEEE adds/multiplies are the same operations in the same order,
@@ -16,27 +24,21 @@
 //! rounding — and with it the bits — so they are deliberately not offered.
 //!
 //! `std::simd` would express the same thing more directly but is
-//! nightly-only; explicit unrolls plus baseline-`x86_64` SSE2 intrinsics
-//! (with portable fallbacks) keep the crate on stable.
+//! nightly-only; baseline-`x86_64` SSE2 intrinsics (with portable
+//! fallbacks) keep the crate on stable.
 //!
 //! The mode is a process-wide atomic so benchmarks can compare both paths on
-//! identical inputs and tests can assert their bitwise equality. Elementwise
-//! epilogues (ReLU clamp, softmax scaling) touch every element exactly once,
-//! so any vector width is trivially bit-identical there. For the same reason
-//! `axpy` (`out += a·x`, the inner loop of every backward matmul) does not
-//! depend on the mode at all: both modes run one plain loop that the
-//! compiler vectorizes to the target's full width.
+//! identical inputs and tests can assert their bitwise equality.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which inner-kernel width the hot loops use.
+/// Which tree-convolution kernels the encoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// The reference kernels: 4 accumulator lanes, 4 elements per iteration.
     Scalar,
-    /// The vectorized kernels: unrolled 4-lane dots/epilogues plus the
-    /// register-blocked tree-convolution kernels of the `convsimd` module.
-    /// Bit-identical to [`KernelMode::Scalar`]; the default.
+    /// The register-blocked tree-convolution kernels of the `convsimd`
+    /// module. Bit-identical to [`KernelMode::Scalar`]; the default.
     Simd,
 }
 

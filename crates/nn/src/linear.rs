@@ -149,64 +149,13 @@ fn elementwise_chunk(n: usize, pool: &mcsim_par::ThreadPool) -> Option<usize> {
     }
 }
 
-/// Elementwise ReLU clamp over a slice, dispatching on the process-wide
-/// [`crate::kernels`] mode. Every element is written exactly once, so the
-/// unrolled epilogue is trivially bit-identical to the plain loop.
+/// Elementwise ReLU clamp over a slice. Every element is written exactly
+/// once, so any vector width gives the same bits: both [`crate::kernels`]
+/// modes share this plain loop, which the compiler vectorizes.
 #[inline]
 fn relu_clamp(c: &mut [f32]) {
-    match crate::kernels::kernel_mode() {
-        crate::kernels::KernelMode::Scalar => {
-            for v in c.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        crate::kernels::KernelMode::Simd => {
-            let n = c.len();
-            let (main, tail) = c.split_at_mut(n - n % 8);
-            for o in main.chunks_exact_mut(8) {
-                o[0] = o[0].max(0.0);
-                o[1] = o[1].max(0.0);
-                o[2] = o[2].max(0.0);
-                o[3] = o[3].max(0.0);
-                o[4] = o[4].max(0.0);
-                o[5] = o[5].max(0.0);
-                o[6] = o[6].max(0.0);
-                o[7] = o[7].max(0.0);
-            }
-            for v in tail.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-    }
-}
-
-/// Elementwise `v /= sum` over a softmax row; same dispatch and bit-identity
-/// argument as [`relu_clamp`] (one division per element in both modes).
-#[inline]
-fn div_by_sum(row: &mut [f32], sum: f32) {
-    match crate::kernels::kernel_mode() {
-        crate::kernels::KernelMode::Scalar => {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-        crate::kernels::KernelMode::Simd => {
-            let n = row.len();
-            let (main, tail) = row.split_at_mut(n - n % 8);
-            for o in main.chunks_exact_mut(8) {
-                o[0] /= sum;
-                o[1] /= sum;
-                o[2] /= sum;
-                o[3] /= sum;
-                o[4] /= sum;
-                o[5] /= sum;
-                o[6] /= sum;
-                o[7] /= sum;
-            }
-            for v in tail.iter_mut() {
-                *v /= sum;
-            }
-        }
+    for v in c.iter_mut() {
+        *v = v.max(0.0);
     }
 }
 
@@ -280,7 +229,9 @@ pub fn softmax_rows_into(x: &Mat, out: &mut Mat) {
                 *v = (*v - max).exp();
                 sum += *v;
             }
-            div_by_sum(row, sum);
+            for v in row.iter_mut() {
+                *v /= sum;
+            }
         }
     };
     let cols = out.cols;
@@ -372,8 +323,8 @@ mod tests {
         assert_eq!(g.data, vec![0.0, 0.0, 1.0, 1.0]);
     }
 
-    /// Both epilogue widths must clamp/scale to the same bits — widths that
-    /// exercise the 8-wide body plus every tail length.
+    /// Both kernel modes must clamp/scale to the same bits, at widths below,
+    /// at and above a vector register's.
     #[test]
     fn unrolled_epilogues_match_scalar_bitwise() {
         use crate::kernels::{set_kernel_mode, KernelMode};

@@ -258,7 +258,7 @@ impl Mat {
         }
     }
 
-    /// Output rows `i0..` of `self @ otherᵀ` into `chunk`: one unrolled dot
+    /// Output rows `i0..` of `self @ otherᵀ` into `chunk`: one four-lane dot
     /// product per output element.
     fn matmul_nt_rows_into(&self, other: &Mat, i0: usize, chunk: &mut [f32]) {
         let n = other.rows;
@@ -358,21 +358,11 @@ pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 }
 
 /// Dot product with four independent accumulators (breaks the add-latency
-/// chain); combined as `((s0 + s1) + (s2 + s3)) + tail`, a fixed order used
-/// by serial and parallel paths alike. Dispatches on the process-wide
-/// [`crate::kernels`] mode; both variants share the four-lane reduction
-/// shape and are bit-identical.
+/// chain), 4 elements per iteration; combined as
+/// `((s0 + s1) + (s2 + s3)) + tail`, a fixed order used by serial and
+/// parallel paths alike. Both [`crate::kernels`] modes share it.
 #[inline]
 pub(crate) fn dot(x: &[f32], y: &[f32]) -> f32 {
-    match crate::kernels::kernel_mode() {
-        crate::kernels::KernelMode::Scalar => dot_scalar(x, y),
-        crate::kernels::KernelMode::Simd => dot_unrolled8(x, y),
-    }
-}
-
-/// Reference four-lane dot: 4 elements per iteration.
-#[inline]
-fn dot_scalar(x: &[f32], y: &[f32]) -> f32 {
     let n = x.len();
     let main = n - n % 4;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
@@ -384,42 +374,6 @@ fn dot_scalar(x: &[f32], y: &[f32]) -> f32 {
     }
     let mut s = (s0 + s1) + (s2 + s3);
     for (&a, &b) in x[main..].iter().zip(&y[main..]) {
-        s += a * b;
-    }
-    s
-}
-
-/// Four-lane dot retiring 8 elements (two 4-lane rounds) per iteration.
-/// Lane `j` still accumulates exactly the elements `x[j], x[j+4], x[j+8], …`
-/// in ascending order, and the lanes combine as
-/// `((s0 + s1) + (s2 + s3)) + tail` — the same floating-point operations in
-/// the same order as [`dot_scalar`], hence bit-identical.
-#[inline]
-fn dot_unrolled8(x: &[f32], y: &[f32]) -> f32 {
-    let n = x.len();
-    let main4 = n - n % 4;
-    let main8 = n - n % 8;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (a, b) in x[..main8].chunks_exact(8).zip(y[..main8].chunks_exact(8)) {
-        s0 += a[0] * b[0];
-        s1 += a[1] * b[1];
-        s2 += a[2] * b[2];
-        s3 += a[3] * b[3];
-        s0 += a[4] * b[4];
-        s1 += a[5] * b[5];
-        s2 += a[6] * b[6];
-        s3 += a[7] * b[7];
-    }
-    if main8 < main4 {
-        // One leftover 4-lane round.
-        let (a, b) = (&x[main8..main4], &y[main8..main4]);
-        s0 += a[0] * b[0];
-        s1 += a[1] * b[1];
-        s2 += a[2] * b[2];
-        s3 += a[3] * b[3];
-    }
-    let mut s = (s0 + s1) + (s2 + s3);
-    for (&a, &b) in x[main4..].iter().zip(&y[main4..]) {
         s += a * b;
     }
     s
@@ -518,10 +472,8 @@ mod tests {
         assert_eq!(fused, want);
     }
 
-    /// The unrolled-8 dot must reproduce the scalar reference bit for bit
-    /// across lengths that exercise every 8/4/tail split, `axpy` must be its
-    /// definition `base[i] + a * x[i]` element by element, and every matmul
-    /// must agree under both kernel modes.
+    /// `axpy` must be its definition `base[i] + a * x[i]` element by
+    /// element, and every matmul must agree under both kernel modes.
     #[test]
     fn unrolled8_kernels_match_scalar_bitwise() {
         use crate::kernels::{set_kernel_mode, KernelMode, MODE_TEST_MUTEX};
@@ -529,12 +481,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 64, 249] {
             let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let y: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            assert_eq!(
-                dot_scalar(&x, &y).to_bits(),
-                dot_unrolled8(&x, &y).to_bits(),
-                "dot length {n}"
-            );
             let base: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let mut out = base.clone();
             axpy(&mut out, 0.7, &x);

@@ -22,7 +22,7 @@
 use crate::convsimd::{self, ConvTransposes};
 use crate::kernels::{kernel_mode, KernelMode};
 use crate::linear::{relu_mask_into, Linear};
-use crate::mat::{axpy, dot, run_row_blocked, Mat};
+use crate::mat::{axpy, run_row_blocked, Mat};
 use crate::param::{AdamConfig, Param, WeightsGen};
 use crate::sparse::{sparse_dot, ColumnSet, SparseRows};
 use crate::workspace::Workspace;
@@ -104,30 +104,27 @@ impl TreeConvLayer {
         out.resize_in_place(n, od);
         let (ws, wl, wr) = (&self.w_self.value, &self.w_left.value, &self.w_right.value);
         let bias = &self.b.value.data;
-        let simd = kernel_mode() == KernelMode::Simd;
+        let conv_node = match kernel_mode() {
+            KernelMode::Simd => convsimd::conv_node_dense,
+            KernelMode::Scalar => convsimd::conv_node_dense_ref,
+        };
         let flops = 6 * n * id * od;
         run_row_blocked(out, flops, |i0, chunk| {
             for (bi, orow) in chunk.chunks_mut(od).enumerate() {
                 let i = i0 + bi;
-                let xi = x.row(i);
                 let xl = tree.left[i].map(|j| x.row(j));
                 let xr = tree.right[i].map(|j| x.row(j));
-                if simd {
-                    convsimd::conv_node_dense(
-                        xi, xl, xr, &ws.data, &wl.data, &wr.data, bias, id, orow,
-                    );
-                    continue;
-                }
-                for (j, (o, &bj)) in orow.iter_mut().zip(bias).enumerate() {
-                    let mut s = dot(xi, &ws.data[j * id..(j + 1) * id]);
-                    if let Some(xl) = xl {
-                        s += dot(xl, &wl.data[j * id..(j + 1) * id]);
-                    }
-                    if let Some(xr) = xr {
-                        s += dot(xr, &wr.data[j * id..(j + 1) * id]);
-                    }
-                    *o = (s + bj).max(0.0);
-                }
+                conv_node(
+                    x.row(i),
+                    xl,
+                    xr,
+                    &ws.data,
+                    &wl.data,
+                    &wr.data,
+                    bias,
+                    id,
+                    orow,
+                );
             }
         });
     }
@@ -787,11 +784,7 @@ impl Tcn {
 
     /// Backward from an embedding gradient; accumulates parameter grads.
     ///
-    /// Thin allocating wrapper over the workspace kernels that preserves the
-    /// legacy engine's full cost profile: it also computes conv1's input
-    /// gradient (into discarded scratch), exactly as the original
-    /// per-layer `backward` chain did — three matmuls plus two scatters per
-    /// tree that the `_ws` training path skips.
+    /// Thin allocating wrapper over [`Tcn::backward_ws`].
     pub fn backward(&mut self, cache: &TcnCache, tree: &TreeStructure, grad_emb: &Mat) {
         let mut grads: Vec<Mat> = self
             .grad_shapes()
@@ -799,19 +792,13 @@ impl Tcn {
             .map(|&(r, c)| Mat::zeros(r, c))
             .collect();
         let mut scratch = Workspace::new();
-        let (x, ws) = (&cache.x, &cache.ws);
-        self.backward_ws_with(
+        self.backward_ws(
+            &cache.x,
             tree,
-            ws,
+            &cache.ws,
             grad_emb,
             &mut grads,
             &mut scratch,
-            false,
-            |conv1, grad_h1, g1, scratch| {
-                scratch.with(x.rows, x.cols, |scratch, gx| {
-                    conv1.backward_ws(x, &ws.h1, tree, grad_h1, g1, Some(gx), scratch);
-                });
-            },
         );
         self.add_grads(&grads);
     }
@@ -819,8 +806,7 @@ impl Tcn {
     /// Allocation-free dense backward of the tree [`Tcn::forward_ws`]
     /// encoded into `ws`: parameter gradients are added into `grads`
     /// (layout per [`Tcn::grad_shapes`]). The first conv layer's input
-    /// gradient is never computed — the encoder input needs no gradient, and
-    /// the legacy path wasted three matmuls plus two scatters per tree on it.
+    /// gradient is never computed: the encoder input needs no gradient.
     pub fn backward_ws(
         &self,
         x: &Mat,
