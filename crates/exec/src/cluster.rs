@@ -666,13 +666,27 @@ impl Cluster {
     /// `duration` ticks: per tick of `now..=now + duration`, the mean load
     /// over `machines` in the given order, then the mean over those ticks
     /// in tick order — bit-identical to reading [`Cluster::mean_load_of`]
-    /// before and after each of `duration` [`Cluster::step`]s. Placed work
-    /// cannot change inside the window, so each machine's loads come from
-    /// one [`LoadModel::load_window`] call; the cluster still advances one
-    /// `step` at a time, so events drain and the dense engine does its
-    /// eager work exactly as before. In event mode every machine-tick read
-    /// counts towards `exec.lazy_advances`.
+    /// before and after each of `duration` [`Cluster::step`]s. It is the
+    /// composition of a placing half and a measuring half. The placing
+    /// half captures the work placed on each machine at each window tick
+    /// and steps the cluster through the window one `step` at a time, so
+    /// events drain and the dense engine does its eager work exactly as
+    /// before. The measuring half is pure: loads are a function of virtual
+    /// time and placed work, so it reads each machine's loads over the
+    /// window in one pass of the load model. In event mode every
+    /// machine-tick read counts towards `exec.lazy_advances`.
     pub fn window_env(&mut self, machines: &[usize], duration: u64) -> EnvMetrics {
+        let start = self.tick;
+        let assigned = self.step_window(machines, duration);
+        self.model.window_env(machines, start, duration, &assigned)
+    }
+
+    /// The placing half of [`Cluster::window_env`]: counts the window's
+    /// machine-tick reads (event mode), captures the work placed on each
+    /// of `machines` at each tick of `now..=now + duration` — machine-major,
+    /// what the measuring half reads, taken now because later allocations
+    /// prune the occupancy slots — and steps the cluster `duration` ticks.
+    pub(crate) fn step_window(&mut self, machines: &[usize], duration: u64) -> Vec<f64> {
         let start = self.tick;
         if self.config.engine == EngineMode::EventDriven {
             let reads = (duration + 1) * machines.len() as u64;
@@ -681,28 +695,20 @@ impl Cluster {
                 mcsim_obs::counter("exec.lazy_advances", reads);
             }
         }
-        let shared: Vec<f64> = (start..=start + duration)
-            .map(|t| self.model.shared_busy(t))
-            .collect();
-        let mut assigned = Vec::with_capacity(duration as usize + 1);
-        let loads: Vec<Vec<EnvMetrics>> = machines
-            .iter()
-            .map(|&i| {
-                assigned.clear();
-                assigned.extend(
-                    (start..=start + duration).map(|t| assigned_weight(&self.occupancy[i], t)),
-                );
-                self.model
-                    .load_window_shared(&shared, i as u64, start, &assigned)
-            })
-            .collect();
+        let mut assigned = Vec::with_capacity(machines.len() * (duration as usize + 1));
+        for &i in machines {
+            let slots = &self.occupancy[i];
+            assigned.extend((start..=start + duration).map(|t| assigned_weight(slots, t)));
+        }
         for _ in 0..duration {
             self.step();
         }
-        let per_tick: Vec<EnvMetrics> = (0..=duration as usize)
-            .map(|k| EnvMetrics::mean(loads.iter().map(|w| &w[k])))
-            .collect();
-        EnvMetrics::mean(per_tick.iter())
+        assigned
+    }
+
+    /// The pure load model every machine's load is a function of.
+    pub(crate) fn load_model(&self) -> LoadModel {
+        self.model
     }
 
     /// A read-only snapshot of one machine (tests, diagnostics).
@@ -712,12 +718,6 @@ impl Cluster {
             load: self.load_of(i),
             assigned_busy: assigned_weight(&self.occupancy[i], self.tick).min(0.9),
         }
-    }
-
-    /// Maps allocation indices (as returned by [`Cluster::allocate`]) to the
-    /// stable ids of the underlying machines — what trace timelines key on.
-    pub fn machine_ids(&self, indices: &[usize]) -> Vec<u32> {
-        indices.iter().map(|&i| i as u32).collect()
     }
 
     /// A seeded, decorrelated RNG derived from the cluster's fork stream

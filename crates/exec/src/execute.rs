@@ -7,10 +7,26 @@
 //! the machines Fuxi allocated to the stage, and the noise is log-normal —
 //! reproducing the up-to-50 % cost fluctuation of recurring queries
 //! (Figure 1) and the log-normal fit of Appendix E.1 (Figure 15).
+//!
+//! An execution has two halves. *Placing* it (`Executor::place`) is
+//! everything that touches the shared cluster or the fault streams, in
+//! stage order: the noise seed, each attempt's allocation, straggler and
+//! kill draws, the cluster stepping through the attempt's window, backoff,
+//! retries and the deadline. Its `Placement` records per attempt where and
+//! when it ran and the work placed on each of its machines at each window
+//! tick — captured then, because later allocations prune the cluster's
+//! occupancy. *Measuring* it (`measure`) is pure: the loads each window
+//! observed (a function of virtual time and that placed work), the
+//! environment multiplier, the noise draws, and the cost, queue and latency
+//! they make. Only placing feeds back — a query's allocations change what
+//! the next query sees — so a caller may place queries in order on one
+//! cluster and measure them anywhere, in any order, and get the same bits.
+//! [`Executor::run`] is the one stage loop: placing followed by measuring.
 
 use crate::cluster::Cluster;
 use crate::envmodel::EnvModel;
 use crate::fault::{ExecFailure, RetryPolicy};
+use crate::load::LoadModel;
 use crate::machine::std_normal;
 use mcsim_catalog::workmodel::{operator_work, WorkContext, WorkParams};
 use mcsim_catalog::{CardinalityModel, Catalog, EnvMetrics};
@@ -134,6 +150,64 @@ pub(crate) fn infallible(outcome: Result<ExecutionOutcome, ExecFailure>) -> Exec
     })
 }
 
+/// Where and when one execution of an [`ExecPlan`] ran on the cluster:
+/// what `Executor::place` decided, and all that `measure` reads of the
+/// cluster. Read-only once built, so placements of queries placed in order
+/// on one cluster can be measured on any thread.
+#[derive(Debug, Clone)]
+pub(crate) struct Placement {
+    /// Signature of the plan placed, so it is measured against that plan.
+    signature: PlanSignature,
+    /// Seed of the execution's log-normal noise.
+    noise_seed: u64,
+    /// Every stage attempt, in the order they ran.
+    attempts: Vec<PlacedAttempt>,
+    /// Why the execution gave up after its last attempt, if it did.
+    failure: Option<ExecFailure>,
+}
+
+/// One stage attempt of a [`Placement`].
+#[derive(Debug, Clone)]
+struct PlacedAttempt {
+    /// Position of the stage in the plan's execution order.
+    stage: usize,
+    /// Attempt number (0 = first run, ≥ 1 = retry after a kill).
+    attempt: u32,
+    /// The machines Fuxi allocated, as allocation indices.
+    machines: Vec<usize>,
+    /// Tick the attempt started; it held its machines until
+    /// `start_tick + duration`.
+    start_tick: u64,
+    /// Window length in ticks, stretched by any straggler slowdown.
+    duration: u64,
+    /// Effective straggler slowdown (1 when the attempt did not straggle).
+    straggle: f64,
+    /// A speculative backup ran beside the attempt.
+    speculative: bool,
+    /// Fraction of its work the attempt had done when it was killed.
+    kill: Option<f64>,
+    /// The work placed on each machine at each window tick: machine-major,
+    /// `duration + 1` ticks per machine.
+    assigned: Vec<f64>,
+}
+
+/// Everything `measure` reads besides the plan and its placement: a
+/// `Copy` view of the executor's cost physics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Physics {
+    /// The cluster's machine-load model.
+    load: LoadModel,
+    /// Environment → cost coupling.
+    env: EnvModel,
+    /// Work units → CPU-cost units ([`WorkParams::work_to_cost`]).
+    work_to_cost: f64,
+    /// Log-normal execution-noise σ.
+    noise_sigma: f64,
+    /// Extra CPU-cost fraction a speculative backup burns
+    /// ([`RetryPolicy::speculative_overhead`]).
+    speculative_overhead: f64,
+}
+
 /// The execution simulator: owns the cluster and the physics constants.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -195,21 +269,26 @@ impl Executor {
         self.run(&compiled, None, None)
     }
 
-    /// The core of execution: runs a compiled plan stage by stage through
-    /// the cost physics, plus — when the cluster's fault injection is armed
-    /// — straggler slowdowns, speculative backups, mid-flight kills with
-    /// exponential-backoff retries under a per-stage budget, and an
-    /// optional per-query deadline. With faults disabled and no deadline
-    /// there are no extra RNG draws and a single attempt per stage.
+    /// The core of execution: places a compiled plan on the shared cluster
+    /// stage by stage and measures it through the cost physics, plus — when
+    /// the cluster's fault injection is armed — straggler slowdowns,
+    /// speculative backups, mid-flight kills with exponential-backoff
+    /// retries under a per-stage budget, and an optional per-query
+    /// deadline. With faults disabled and no deadline there are no extra
+    /// RNG draws and a single attempt per stage.
     ///
     /// `noise_seed` fixes the log-normal noise, so that the cost under a
     /// fixed environment instance is deterministic per (environment, plan)
     /// — the `C_e(P)` of Section 5; `None` draws it from the executor's
     /// RNG, as [`Executor::execute`] does. When `trace` is `Some` it
     /// receives a per-stage, per-machine scheduling timeline: which
-    /// machines Fuxi placed each stage on, over which cluster-tick window,
-    /// with the stage's queueing factor and cost. Tracing does not perturb
+    /// machines Fuxi placed each attempt on, over which cluster-tick
+    /// window, with the attempt's queueing factor and cost — also the
+    /// attempts of an execution that then fails. Tracing does not perturb
     /// the simulation — costs are bit-identical with and without it.
+    ///
+    /// Inside, placing (the cluster's half) and measuring (the pure half)
+    /// are separate steps: see the [module docs](crate::execute).
     ///
     /// Panics if `plan` was compiled under other [`WorkParams`] than this
     /// executor's: its stage work would silently belong to another model.
@@ -219,6 +298,33 @@ impl Executor {
         noise_seed: Option<u64>,
         trace: Option<&TraceContext>,
     ) -> Result<ExecutionOutcome, ExecFailure> {
+        let placement = self.place(plan, noise_seed);
+        measure(plan, &placement, self.physics(), trace)
+    }
+
+    /// The cost physics `measure` applies to this executor's placements.
+    pub(crate) fn physics(&self) -> Physics {
+        Physics {
+            load: self.cluster.load_model(),
+            env: self.env_model,
+            work_to_cost: self.params.work_to_cost,
+            noise_sigma: self.noise_sigma,
+            speculative_overhead: self.retry.speculative_overhead,
+        }
+    }
+
+    /// Places a compiled plan on the shared cluster: everything
+    /// [`run`](Executor::run) does that touches the cluster or the fault
+    /// streams, in the same order. It draws the noise seed (unless given);
+    /// per stage attempt it allocates machines, samples a straggler and a
+    /// speculative backup, steps the cluster across the attempt's window
+    /// and samples a kill; then it backs off and retries, or checks the
+    /// deadline. It emits the counters that need no environment. The
+    /// returned [`Placement`] is what [`measure`] turns into costs.
+    ///
+    /// Panics if `plan` was compiled under other [`WorkParams`] than this
+    /// executor's.
+    pub(crate) fn place(&mut self, plan: &ExecPlan, noise_seed: Option<u64>) -> Placement {
         assert!(
             plan.params == self.params,
             "ExecPlan was compiled under different WorkParams than this executor's"
@@ -227,27 +333,22 @@ impl Executor {
         mcsim_obs::counter("exec.queries_executed", 1);
         mcsim_obs::counter("exec.stages_executed", plan.stage_count as u64);
 
-        let mut noise_rng = StdRng::seed_from_u64(noise_seed ^ plan.signature.0);
-
-        let mut stage_envs = vec![EnvMetrics::default(); plan.stage_count];
-        let mut stage_costs = vec![0.0; plan.stage_count];
-        let mut total_work = 0.0;
-        let mut latency = 0.0;
-        let mut retries = 0u32;
-        let mut wasted_cost = 0.0;
-        let mut speculative_launches = 0u32;
+        let mut placement = Placement {
+            signature: plan.signature,
+            noise_seed,
+            attempts: Vec::with_capacity(plan.stages.len()),
+            failure: None,
+        };
         let faults_on = self.cluster.faults_enabled();
         let query_start_tick = self.cluster.tick_count();
 
-        for stage in &plan.stages {
+        for (stage, compiled) in plan.stages.iter().enumerate() {
             let CompiledStage {
                 index: s,
-                work,
                 instances,
-                spool: has_spool,
                 base_duration,
-            } = *stage;
-            total_work += work;
+                ..
+            } = *compiled;
 
             let mut attempt = 0u32;
             loop {
@@ -256,20 +357,18 @@ impl Executor {
                 let machines = self.cluster.allocate(instances, 0.06);
                 mcsim_obs::observe("exec.alloc.instances", instances as f64);
 
-                // The stage runs for a work-dependent number of 20 s ticks;
-                // its observed environment is the average over machines and
-                // window. A straggling attempt holds its slots longer (the
+                // The stage runs for a work-dependent number of 20 s ticks.
+                // A straggling attempt holds its slots longer (the
                 // simulated instances crawl) — unless a speculative backup
                 // caps the slowdown at the policy threshold, for an extra
                 // share of duplicated CPU work.
                 let mut straggle = 1.0;
-                let mut spec_this_attempt = false;
+                let mut speculative = false;
                 if faults_on {
                     if let Some(mut factor) = self.cluster.sample_straggler(s, attempt) {
                         if self.retry.speculative && factor > self.retry.speculative_threshold {
                             self.cluster.record_speculative(s, attempt);
-                            speculative_launches += 1;
-                            spec_this_attempt = true;
+                            speculative = true;
                             mcsim_obs::counter("exec.retry.speculative_launches", 1);
                             factor = self.retry.speculative_threshold;
                         }
@@ -285,104 +384,55 @@ impl Executor {
                 };
 
                 let start_tick = self.cluster.tick_count();
-                let env = self.cluster.window_env(&machines, duration);
-
-                // Environment multiplier (spooled stages are dampened) +
-                // noise.
-                let (mult, sigma) = if has_spool {
-                    (
-                        self.env_model.spooled_multiplier(&env),
-                        self.noise_sigma * 0.85,
-                    )
-                } else {
-                    (self.env_model.multiplier(&env), self.noise_sigma)
-                };
-                let noise = (sigma * std_normal(&mut noise_rng) - 0.5 * sigma * sigma).exp();
-
-                let mut cost = work * mult * noise * self.params.work_to_cost;
-                if spec_this_attempt {
-                    cost *= 1.0 + self.retry.speculative_overhead;
-                }
-                let queue = (0.5 * std_normal(&mut noise_rng)).exp();
+                let assigned = self.cluster.step_window(&machines, duration);
 
                 // Mid-flight kill: the attempt dies part-way through, its
                 // partial work is burnt, and the stage retries after an
                 // exponential backoff — until the retry budget runs out.
-                if faults_on {
-                    if let Some(progress) = self.cluster.sample_stage_kill(s, attempt) {
-                        let wasted = cost * progress;
-                        wasted_cost += wasted;
-                        stage_costs[s] += wasted;
-                        latency += wasted / instances as f64 * 1.2;
-                        mcsim_obs::counter("exec.fault.stage_kills", 1);
-                        mcsim_obs::observe("exec.fault.wasted_cost", wasted);
-                        if let Some(t) = trace {
-                            t.stage_event(StageExecEvent {
-                                stage: s,
-                                machines: self.cluster.machine_ids(&machines),
-                                start_tick,
-                                end_tick: self.cluster.tick_count(),
-                                instances,
-                                queue_wait_factor: queue,
-                                cost: wasted,
-                                busy: 1.0 - env.cpu_idle,
-                                attempt,
-                                killed: true,
-                            });
-                        }
-                        if attempt >= self.retry.max_retries {
-                            mcsim_obs::counter("exec.fault.stage_failures", 1);
-                            return Err(ExecFailure::StageFailed {
-                                stage: s,
-                                attempts: attempt + 1,
-                            });
-                        }
-                        let backoff = self.retry.backoff_ticks(attempt);
-                        self.cluster.record_retry(s, attempt + 1, backoff);
-                        self.cluster.advance(backoff);
-                        mcsim_obs::counter("exec.retry.attempts", 1);
-                        retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
+                let kill = if faults_on {
+                    self.cluster.sample_stage_kill(s, attempt)
+                } else {
+                    None
+                };
+                placement.attempts.push(PlacedAttempt {
+                    stage,
+                    attempt,
+                    machines,
+                    start_tick,
+                    duration,
+                    straggle,
+                    speculative,
+                    kill,
+                    assigned,
+                });
+                if kill.is_none() {
+                    break;
                 }
-
-                stage_envs[s] = env;
-                stage_costs[s] += cost;
-                // Latency: stage wall time (stretched by any straggler)
-                // plus queueing jitter.
-                latency += cost / instances as f64 * 1.2 * queue * straggle;
-                // Stage-granular observability (never per machine-tick):
-                // the utilization of the machines this stage actually ran
-                // on, and the queueing multiplier it suffered.
-                mcsim_obs::observe("exec.stage.machine_busy", 1.0 - env.cpu_idle);
-                mcsim_obs::observe("exec.stage.queue_wait_factor", queue);
-                mcsim_obs::observe("exec.stage.cost", cost);
-                if let Some(t) = trace {
-                    t.stage_event(StageExecEvent {
+                mcsim_obs::counter("exec.fault.stage_kills", 1);
+                if attempt >= self.retry.max_retries {
+                    mcsim_obs::counter("exec.fault.stage_failures", 1);
+                    placement.failure = Some(ExecFailure::StageFailed {
                         stage: s,
-                        machines: self.cluster.machine_ids(&machines),
-                        start_tick,
-                        end_tick: self.cluster.tick_count(),
-                        instances,
-                        queue_wait_factor: queue,
-                        cost,
-                        busy: 1.0 - env.cpu_idle,
-                        attempt,
-                        killed: false,
+                        attempts: attempt + 1,
                     });
+                    return placement;
                 }
-                break;
+                let backoff = self.retry.backoff_ticks(attempt);
+                self.cluster.record_retry(s, attempt + 1, backoff);
+                self.cluster.advance(backoff);
+                mcsim_obs::counter("exec.retry.attempts", 1);
+                attempt += 1;
             }
 
             if let Some(deadline) = self.retry.deadline_ticks {
                 let elapsed = self.cluster.tick_count() - query_start_tick;
                 if elapsed > deadline {
                     mcsim_obs::counter("exec.deadline.exceeded", 1);
-                    return Err(ExecFailure::DeadlineExceeded {
+                    placement.failure = Some(ExecFailure::DeadlineExceeded {
                         deadline_ticks: deadline,
                         elapsed_ticks: elapsed,
                     });
+                    return placement;
                 }
             }
         }
@@ -395,17 +445,7 @@ impl Executor {
                 self.cluster.utilization_estimate(),
             );
         }
-
-        Ok(ExecutionOutcome {
-            cpu_cost: stage_costs.iter().sum(),
-            latency,
-            stage_envs,
-            stage_costs,
-            intrinsic_work: total_work,
-            retries,
-            wasted_cost,
-            speculative_launches,
-        })
+        placement
     }
 
     /// The intrinsic (environment-free, noise-free) cost of a plan: the
@@ -424,6 +464,125 @@ impl Executor {
             &self.params,
         ) * self.params.work_to_cost
     }
+}
+
+/// Measures a placed execution of `plan`: the pure half of
+/// [`Executor::run`]. Per attempt, in placement order, it reads the loads
+/// the attempt's machines carried over its window, turns them into the
+/// environment multiplier, draws the noise and the queueing jitter from
+/// the placement's noise seed, and adds up cost, wasted cost and latency,
+/// emitting the environment-dependent observations and, when `trace` is
+/// `Some`, one stage event per attempt. A placement that failed yields the
+/// events of every attempt it placed, then its [`ExecFailure`].
+///
+/// Reads nothing but its arguments, so any thread may measure any
+/// placement: the result is the same bits.
+pub(crate) fn measure(
+    plan: &ExecPlan,
+    placement: &Placement,
+    physics: Physics,
+    trace: Option<&TraceContext>,
+) -> Result<ExecutionOutcome, ExecFailure> {
+    assert!(
+        placement.signature == plan.signature,
+        "a placement is measured against the plan it placed"
+    );
+    let mut noise_rng = StdRng::seed_from_u64(placement.noise_seed ^ plan.signature.0);
+    let mut stage_envs = vec![EnvMetrics::default(); plan.stage_count];
+    let mut stage_costs = vec![0.0; plan.stage_count];
+    let mut latency = 0.0;
+    let mut retries = 0u32;
+    let mut wasted_cost = 0.0;
+    let mut speculative_launches = 0u32;
+
+    for a in &placement.attempts {
+        let CompiledStage {
+            index: s,
+            work,
+            instances,
+            spool: has_spool,
+            ..
+        } = plan.stages[a.stage];
+        // The observed environment is the average over machines and
+        // window; a spooled stage is dampened.
+        let env = physics
+            .load
+            .window_env(&a.machines, a.start_tick, a.duration, &a.assigned);
+        let (mult, sigma) = if has_spool {
+            (
+                physics.env.spooled_multiplier(&env),
+                physics.noise_sigma * 0.85,
+            )
+        } else {
+            (physics.env.multiplier(&env), physics.noise_sigma)
+        };
+        let noise = (sigma * std_normal(&mut noise_rng) - 0.5 * sigma * sigma).exp();
+
+        let mut cost = work * mult * noise * physics.work_to_cost;
+        if a.speculative {
+            speculative_launches += 1;
+            cost *= 1.0 + physics.speculative_overhead;
+        }
+        let queue = (0.5 * std_normal(&mut noise_rng)).exp();
+
+        // A killed attempt's partial work is burnt; a surviving one is the
+        // stage's environment and cost.
+        let (cost, killed) = match a.kill {
+            Some(progress) => {
+                let wasted = cost * progress;
+                wasted_cost += wasted;
+                stage_costs[s] += wasted;
+                latency += wasted / instances as f64 * 1.2;
+                // A finished execution retried every killed attempt.
+                retries += 1;
+                mcsim_obs::observe("exec.fault.wasted_cost", wasted);
+                (wasted, true)
+            }
+            None => {
+                stage_envs[s] = env;
+                stage_costs[s] += cost;
+                // Latency: stage wall time (stretched by any straggler)
+                // plus queueing jitter.
+                latency += cost / instances as f64 * 1.2 * queue * a.straggle;
+                // Stage-granular observability (never per machine-tick):
+                // the utilization of the machines this stage actually ran
+                // on, and the queueing multiplier it suffered.
+                mcsim_obs::observe("exec.stage.machine_busy", 1.0 - env.cpu_idle);
+                mcsim_obs::observe("exec.stage.queue_wait_factor", queue);
+                mcsim_obs::observe("exec.stage.cost", cost);
+                (cost, false)
+            }
+        };
+        if let Some(t) = trace {
+            t.stage_event(StageExecEvent {
+                stage: s,
+                // A machine's allocation index is its stable id.
+                machines: a.machines.iter().map(|&i| i as u32).collect(),
+                start_tick: a.start_tick,
+                end_tick: a.start_tick + a.duration,
+                instances,
+                queue_wait_factor: queue,
+                cost,
+                busy: 1.0 - env.cpu_idle,
+                attempt: a.attempt,
+                killed,
+            });
+        }
+    }
+    if let Some(failure) = &placement.failure {
+        return Err(failure.clone());
+    }
+
+    Ok(ExecutionOutcome {
+        cpu_cost: stage_costs.iter().sum(),
+        latency,
+        stage_envs,
+        stage_costs,
+        intrinsic_work: plan.stages.iter().fold(0.0, |total, s| total + s.work),
+        retries,
+        wasted_cost,
+        speculative_launches,
+    })
 }
 
 /// Detects joins whose shuffle was aggressively removed over a

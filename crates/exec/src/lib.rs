@@ -48,6 +48,6 @@ pub use envmodel::EnvModel;
 pub use execute::{ExecPlan, ExecutionOutcome, Executor};
 pub use fault::{ExecFailure, FaultConfig, FaultEvent, FaultState, RetryPolicy};
 pub use flighting::Flighting;
-pub use history::{build_history, execute_and_log, HistoryOptions};
+pub use history::{build_history, HistoryOptions};
 pub use load::{seed_stream, splitmix64, LoadModel, OU_WINDOW};
 pub use machine::{LoadDynamics, Machine};

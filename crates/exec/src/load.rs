@@ -297,6 +297,41 @@ impl LoadModel {
         out
     }
 
+    /// The environment a stage observes over the window of `duration + 1`
+    /// ticks from `start` on `machines`: per tick, the mean load over
+    /// `machines` in the given order, then the mean over the ticks in tick
+    /// order. `assigned` is the work placed on each machine at each window
+    /// tick, machine-major (`duration + 1` per machine). Each machine's
+    /// loads come from one [`load_window_shared`](Self::load_window_shared)
+    /// pass, every tick's [`shared_busy`](Self::shared_busy) from one
+    /// evaluation.
+    pub(crate) fn window_env(
+        &self,
+        machines: &[usize],
+        start: u64,
+        duration: u64,
+        assigned: &[f64],
+    ) -> EnvMetrics {
+        let ticks = duration as usize + 1;
+        assert_eq!(
+            assigned.len(),
+            machines.len() * ticks,
+            "one placed-work entry per machine per window tick"
+        );
+        let shared: Vec<f64> = (start..=start + duration)
+            .map(|t| self.shared_busy(t))
+            .collect();
+        let loads: Vec<Vec<EnvMetrics>> = machines
+            .iter()
+            .zip(assigned.chunks(ticks))
+            .map(|(&i, assigned)| self.load_window_shared(&shared, i as u64, start, assigned))
+            .collect();
+        let per_tick: Vec<EnvMetrics> = (0..ticks)
+            .map(|k| EnvMetrics::mean(loads.iter().map(|w| &w[k])))
+            .collect();
+        EnvMetrics::mean(per_tick.iter())
+    }
+
     /// Assembles a load snapshot from the tick's
     /// [`shared_busy`](Self::shared_busy) and the three OU deviations — the
     /// one place [`load_at`](Self::load_at) and

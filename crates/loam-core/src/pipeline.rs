@@ -763,6 +763,8 @@ mod tests {
         assert_eq!(loam.per_query.len(), evaluated.len());
     }
 
+    /// History records and flighting replay costs are identical at pools
+    /// of 1, 2 and 8 threads.
     #[test]
     fn history_and_flighting_are_identical_at_1_and_2_threads() {
         let cfg = tiny_cfg();
@@ -782,9 +784,14 @@ mod tests {
         };
         let (records, costs) = run(1);
         assert!(!records.is_empty() && !costs.is_empty());
-        let (records2, costs2) = run(2);
-        assert_eq!(records2, records, "history records differ at 2 threads");
-        assert_eq!(costs2, costs, "replay costs differ at 2 threads");
+        for threads in [2, 8] {
+            let (records2, costs2) = run(threads);
+            assert_eq!(
+                records2, records,
+                "history records differ at {threads} threads"
+            );
+            assert_eq!(costs2, costs, "replay costs differ at {threads} threads");
+        }
     }
 
     #[test]
