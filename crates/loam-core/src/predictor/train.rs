@@ -25,14 +25,15 @@
 //! zeros ReLU leaves in its input and its gradient. All of it is
 //! bit-identical to the dense kernels.
 //!
-//! One engine runs at every pool size. The calling thread and `W − 1`
-//! persistent helpers (spawned once per `train` call, none on a one-thread
-//! pool) meet at a barrier, work slots `w, w + W, …` each, and meet again;
-//! the calling thread then folds the slot gradients in slot-index order and
-//! steps Adam. So the final weights are bit-identical at any pool size —
-//! and identical to [`train_reference`], the legacy allocating path kept as
-//! a cross-check. A panic in any slot is caught, every worker still reaches
-//! the second barrier, and `train` re-raises it on the calling thread.
+//! One engine runs at every pool size. Each step is one pool fan-out over
+//! its populated slots, one slot per job: the calling thread and the pool's
+//! parked helpers claim slots as they free up, and each slot keeps its own
+//! buffers, so they stay warm whichever thread takes it. The calling thread
+//! then folds the slot gradients in slot-index order and steps Adam. So the
+//! final weights are bit-identical at any pool size — and identical to
+//! [`train_reference`], the legacy allocating path kept as a cross-check. A
+//! panic in any slot fails `train`: the pool re-raises it on the calling
+//! thread once no other thread is still working the step.
 
 use super::AdaptiveCostPredictor;
 use crate::featurize::{CachedFeatures, EnvSource, FeatureCache};
@@ -42,10 +43,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
 use tinynn::workspace::alloc_probe;
 use tinynn::{
     cross_entropy_logits, cross_entropy_logits_into, lambda_schedule, mse, mse_into,
@@ -146,8 +143,8 @@ struct Ctx<'a> {
 
 /// Reusable per-slot buffers: gradient accumulators in canonical layout
 /// (PlanEmb 0..10, CostPred 10..14, DomClf 14..18), layer workspaces, and
-/// generic scratch. One per microbatch slot; workers lock a slot for the
-/// duration of its samples.
+/// generic scratch. One per microbatch slot; a step's fan-out hands each
+/// populated slot to exactly one thread.
 struct SlotState {
     grads: GradSet,
     tcn_ws: ForestWs,
@@ -198,42 +195,25 @@ impl SlotState {
     }
 }
 
-/// Per-step work descriptor, filled by the driver, read by the workers.
-#[derive(Default)]
-struct StepDesc {
+/// One optimizer step's minibatch, as every slot reads it.
+struct Step<'a> {
     /// Sample indices of this minibatch.
-    batch: Vec<usize>,
+    batch: &'a [usize],
     /// Pre-drawn candidate index per batch position (empty when the
     /// adversarial objective is off). Drawing on the driver thread in sample
     /// order keeps the RNG stream identical at any thread count.
-    cand: Vec<usize>,
+    cand: &'a [usize],
     lambda: f64,
     w_d: f32,
     inv: f32,
-    /// Samples per slot ([`StepDesc::slot_len`] of the batch length).
+    /// Samples per slot ([`slot_len`] of the batch length).
     chunk: usize,
-    /// Number of populated slots this step.
-    nslots: usize,
 }
 
-impl StepDesc {
-    /// Samples per slot of a `len`-sample minibatch: the one rule for slot
-    /// boundaries, which [`train_reference`] stages its gradients by too.
-    fn slot_len(len: usize) -> usize {
-        len.div_ceil(MICROBATCHES).max(1)
-    }
-
-    fn fill(&mut self, batch: &[usize], cand: &[usize], lambda: f64, w_d: f32, inv: f32) {
-        self.batch.clear();
-        self.batch.extend_from_slice(batch);
-        self.cand.clear();
-        self.cand.extend_from_slice(cand);
-        self.lambda = lambda;
-        self.w_d = w_d;
-        self.inv = inv;
-        self.chunk = Self::slot_len(batch.len());
-        self.nslots = batch.len().div_ceil(self.chunk);
-    }
+/// Samples per slot of a `len`-sample minibatch: the one rule for slot
+/// boundaries, which [`train_reference`] stages its gradients by too.
+fn slot_len(len: usize) -> usize {
+    len.div_ceil(MICROBATCHES).max(1)
 }
 
 /// Runs one microbatch slot: per-sample forward/backward through the
@@ -241,7 +221,7 @@ impl StepDesc {
 fn process_slot(
     p: &AdaptiveCostPredictor,
     ctx: &Ctx<'_>,
-    desc: &StepDesc,
+    desc: &Step<'_>,
     s: usize,
     slot: &mut SlotState,
 ) {
@@ -315,8 +295,7 @@ fn process_slot(
 /// and applies Adam. Returns the summed `(L_c, L_d)` of the step.
 fn fold_and_step(
     p: &mut AdaptiveCostPredictor,
-    slots: &[Mutex<SlotState>],
-    nslots: usize,
+    slots: &[SlotState],
     lr: f32,
     t: u64,
     adam: &AdamConfig,
@@ -328,8 +307,7 @@ fn fold_and_step(
     p.dom_head.zero_grad();
     let mut lc = 0.0f32;
     let mut ld = 0.0f32;
-    for slot in slots.iter().take(nslots) {
-        let slot = slot.lock().unwrap();
+    for slot in slots {
         let (pe, rest) = slot.grads.mats.split_at(10);
         let (ch, dh) = rest.split_at(4);
         p.plan_emb.add_grads(pe);
@@ -520,97 +498,41 @@ pub fn train(
     let mut report = TrainReport::with_capacity(cfg.epochs);
 
     let max_slots = MICROBATCHES.min(cfg.batch_size.max(1));
-    let slots: Vec<Mutex<SlotState>> = (0..max_slots)
-        .map(|_| Mutex::new(SlotState::new(predictor)))
-        .collect();
-    let workers = mcsim_par::ThreadPool::global().threads().min(max_slots);
+    let mut slots: Vec<SlotState> = (0..max_slots).map(|_| SlotState::new(predictor)).collect();
+    let pool = mcsim_par::ThreadPool::global();
     let feat_count = (samples.len() + candidates.len()) as u64;
 
-    // The driver writes both between steps, while the helpers are parked;
-    // every worker reads both while it works its slots.
-    let model = RwLock::new(predictor);
-    let step = RwLock::new(StepDesc::default());
-    let start = Barrier::new(workers);
-    let done = Barrier::new(workers);
-    let stop = AtomicBool::new(false);
-    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-    // Worker `w`'s share of a step: slots `w, w + W, w + 2W, …`. A panic is
-    // caught and kept (the first one wins), so the worker still reaches
-    // `done`. Inner kernels must not fan out again from a worker: nested
-    // scoped spawns would allocate every step and oversubscribe the pool.
-    let work = |w: usize| {
-        let _worker = mcsim_par::enter_worker();
-        let share = catch_unwind(AssertUnwindSafe(|| {
-            let (p, desc) = (model.read().unwrap(), step.read().unwrap());
-            for s in (w..desc.nslots).step_by(workers) {
-                process_slot(&p, &ctx, &desc, s, &mut slots[s].lock().unwrap());
-            }
-        }));
-        if let Err(payload) = share {
-            panicked.lock().unwrap().get_or_insert(payload);
-        }
-    };
-
-    std::thread::scope(|scope| {
-        for w in 1..workers {
-            let (work, start, done, stop) = (&work, &start, &done, &stop);
-            scope.spawn(move || loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                work(w);
-                done.wait();
+    drive(
+        cfg,
+        samples.len(),
+        cand_feats.len(),
+        ctx.dann,
+        feat_count,
+        &mut report,
+        |batch, cand, lambda, w_d, inv, lr, t| {
+            let chunk = slot_len(batch.len());
+            let step = Step {
+                batch,
+                cand,
+                lambda,
+                w_d,
+                inv,
+                chunk,
+            };
+            let slots = &mut slots[..batch.len().div_ceil(chunk)];
+            let p = &*predictor;
+            pool.parallel_for_chunks_mut(slots, 1, |s, slot| {
+                process_slot(p, &ctx, &step, s, &mut slot[0]);
             });
-        }
-        let _release = ReleaseHelpers {
-            start: &start,
-            stop: &stop,
-        };
-        drive(
-            cfg,
-            samples.len(),
-            cand_feats.len(),
-            ctx.dann,
-            feat_count,
-            &mut report,
-            |batch, cand, lambda, w_d, inv, lr, t| {
-                step.write().unwrap().fill(batch, cand, lambda, w_d, inv);
-                start.wait();
-                work(0);
-                done.wait();
-                if let Some(payload) = panicked.lock().unwrap().take() {
-                    resume_unwind(payload);
-                }
-                let nslots = step.read().unwrap().nslots;
-                let mut p = model.write().unwrap();
-                fold_and_step(&mut p, &slots, nslots, lr, t, &adam, cfg.adaptive)
-            },
-        );
-    });
+            fold_and_step(predictor, slots, lr, t, &adam, cfg.adaptive)
+        },
+    );
 
-    let ws_bytes: usize = slots.iter().map(|s| s.lock().unwrap().bytes()).sum();
+    let ws_bytes: usize = slots.iter().map(SlotState::bytes).sum();
     mcsim_obs::gauge("train.ws_bytes", ws_bytes as f64);
 
     report.seconds = started.elapsed().as_secs_f64();
     report
-}
-
-/// Lets the parked helpers exit when the driver leaves the step loop, however
-/// it leaves it (the end of training, a re-raised slot panic, or a panic of
-/// its own): between steps every helper waits on `start`, so one more `start`
-/// with `stop` set releases them all.
-struct ReleaseHelpers<'a> {
-    start: &'a Barrier,
-    stop: &'a AtomicBool,
-}
-
-impl Drop for ReleaseHelpers<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.start.wait();
-    }
 }
 
 /// The legacy allocating training path, kept as a bit-exact cross-check and
@@ -644,7 +566,7 @@ pub fn train_reference(
         feat_count,
         &mut report,
         |batch, cand, lambda, w_d, inv, lr, t| {
-            let chunk = StepDesc::slot_len(batch.len());
+            let chunk = slot_len(batch.len());
             let mut lc = 0.0f32;
             let mut ld = 0.0f32;
             // Stage per-slot gradients through the parameter accumulators:
@@ -859,34 +781,30 @@ mod tests {
     }
 
     /// A cost head one input wider than the embedding makes every slot's
-    /// forward panic. At one thread and at two, `train` must re-raise that
+    /// forward panic. At one thread, two and four, `train` must re-raise that
     /// panic on its caller instead of leaving the workers waiting on each
-    /// other.
+    /// other, and a second `train` at the same pool must then finish: no
+    /// pool helper may stay wedged by the first one's panic.
     #[test]
     fn a_slot_panic_fails_training_instead_of_hanging() {
-        for threads in [1usize, 2] {
+        for threads in [1usize, 2, 4] {
             let (tx, rx) = std::sync::mpsc::channel();
             // Detached, so that a hung `train` fails this test instead of
             // hanging the test run.
             std::thread::spawn(move || {
+                let cfg = TrainConfig {
+                    epochs: 1,
+                    adaptive: false,
+                    ..TrainConfig::default()
+                };
+                let samples = make_samples(32, 15);
                 let outcome = std::panic::catch_unwind(|| {
                     mcsim_par::with_threads(threads, || {
                         let mut p = AdaptiveCostPredictor::new(13, true);
                         let mut rng = StdRng::seed_from_u64(14);
                         p.cost_head =
                             tinynn::Mlp::new(&[crate::predictor::EMB_DIM + 1, 16, 1], &mut rng);
-                        let cfg = TrainConfig {
-                            epochs: 1,
-                            adaptive: false,
-                            ..TrainConfig::default()
-                        };
-                        train(
-                            &mut p,
-                            &make_samples(32, 15),
-                            &[],
-                            EnvMetrics::default(),
-                            &cfg,
-                        );
+                        train(&mut p, &samples, &[], EnvMetrics::default(), &cfg);
                     })
                 });
                 let message = match outcome {
@@ -898,14 +816,22 @@ mod tests {
                         .unwrap_or_default(),
                 };
                 let _ = tx.send(message);
+                let report = mcsim_par::with_threads(threads, || {
+                    let mut p = AdaptiveCostPredictor::new(13, true);
+                    train(&mut p, &samples, &[], EnvMetrics::default(), &cfg)
+                });
+                let _ = tx.send(format!("retrained in {} steps", report.steps));
             });
-            let message = rx
-                .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("training hung at {threads} thread(s)"));
+            let wait = || {
+                rx.recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("training hung at {threads} thread(s)"))
+            };
+            let message = wait();
             assert!(
                 message.contains("matmul_nt shape mismatch"),
                 "at {threads} thread(s): {message}"
             );
+            assert_eq!(wait(), "retrained in 2 steps", "at {threads} thread(s)");
         }
     }
 

@@ -182,14 +182,10 @@ pub fn relu_backward(input: &Mat, grad: &Mat) -> Mat {
     };
     let pool = mcsim_par::ThreadPool::global();
     match elementwise_chunk(out.data.len(), &pool) {
-        Some(chunk) => {
-            let jobs: Vec<(&mut [f32], &[f32])> = out
-                .data
-                .chunks_mut(chunk)
-                .zip(input.data.chunks(chunk))
-                .collect();
-            pool.for_each(jobs, |(o, i)| mask(o, i));
-        }
+        Some(chunk) => pool.for_each(
+            out.data.chunks_mut(chunk).zip(input.data.chunks(chunk)),
+            |(o, i)| mask(o, i),
+        ),
         None => mask(&mut out.data, &input.data),
     }
     out

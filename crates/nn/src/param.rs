@@ -140,18 +140,15 @@ impl Param {
         // ~12 flops per element.
         if pool.threads() > 1 && n > 1 && n * 12 >= mcsim_par::min_parallel_work() {
             // One job: (value, grad, m, v) chunks covering the same range.
-            type AdamJob<'a> = (&'a mut [f32], &'a [f32], &'a mut [f32], &'a mut [f32]);
             let chunk = n.div_ceil(pool.threads() * 2).max(1);
-            let jobs: Vec<AdamJob<'_>> = self
+            let jobs = self
                 .value
                 .data
                 .chunks_mut(chunk)
                 .zip(self.grad.data.chunks(chunk))
                 .zip(self.m.data.chunks_mut(chunk))
-                .zip(self.v.data.chunks_mut(chunk))
-                .map(|(((val, g), m), v)| (val, g, m, v))
-                .collect();
-            pool.for_each(jobs, |(val, g, m, v)| {
+                .zip(self.v.data.chunks_mut(chunk));
+            pool.for_each(jobs, |(((val, g), m), v)| {
                 adam_chunk(val, g, m, v, lr, bc1, bc2, cfg)
             });
         } else {

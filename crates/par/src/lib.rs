@@ -1,22 +1,23 @@
-//! `mcsim-par` — the workspace's parallel compute substrate.
+//! `mcsim-par` — the workspace's parallel compute substrate, and the only
+//! code in it that creates threads.
 //!
-//! A dependency-free scoped thread pool built on [`std::thread::scope`],
-//! offering three primitives:
+//! A dependency-free thread pool offering four primitives:
 //!
 //! * [`ThreadPool::parallel_for`] — index-range fan-out in fixed chunks;
 //! * [`ThreadPool::parallel_map`] — order-preserving map over a slice;
-//! * [`ThreadPool::reduce`] — chunked reduction with **fixed chunk
-//!   boundaries**, so the folding order (and therefore every floating-point
-//!   rounding step) is identical at any thread count.
+//! * [`ThreadPool::parallel_for_chunks_mut`] — disjoint `&mut` chunks of a
+//!   slice, written in place;
+//! * [`ThreadPool::for_each`] — one call per job of an exact-size iterator.
 //!
 //! # Determinism
 //!
-//! Every primitive partitions work into chunks whose boundaries depend only
-//! on the input size (never on the thread count), processes each chunk with
-//! a serial loop, and combines chunk results in chunk order. A computation
-//! routed through this pool therefore produces **bit-identical** results at
-//! 1, 2, or N threads — the property the workspace's training-determinism
-//! tests pin down.
+//! Every primitive partitions work into jobs whose boundaries depend only
+//! on the input size (never on the thread count) and runs each job with a
+//! serial loop; callers that combine per-job results do so in job order. A
+//! computation routed through this pool therefore produces
+//! **bit-identical** results at 1, 2, or N threads — the property the
+//! workspace's training-determinism tests pin down. Only *which thread*
+//! runs a job changes.
 //!
 //! # Sizing
 //!
@@ -26,26 +27,42 @@
 //! serial baseline sets 1). [`ThreadPool::new`] pins an explicit count,
 //! ignoring the global setting.
 //!
-//! Because workers are scoped threads spawned per invocation (no `'static`
-//! bound, no unsafe), each fan-out costs a few tens of microseconds; callers
-//! gate on [`min_parallel_work`] so only operations with enough work fan
-//! out. Tests lower the gate with [`set_min_parallel_work`] to force the
-//! parallel path on tiny inputs. Fan-outs issued *from* a worker thread (or
-//! any thread marked via [`enter_worker`]) run inline — nested parallelism
-//! never spawns.
+//! # Helpers
+//!
+//! A fan-out runs on the calling thread and on the process's *helpers*:
+//! threads spawned on first use, up to the largest pool size any fan-out
+//! asked for minus one, that park on a condvar between fan-outs. A fan-out
+//! at pool size `t` with `n` jobs is posted to helpers `0..min(t, n) − 1`,
+//! so a pool of a given size always runs on the same threads and their
+//! thread-local workspaces stay warm. Before the call returns, the fan-out
+//! is *retracted*: closed to helpers, waited on until none of them runs
+//! it, and the first panic of any of its jobs re-raised on the caller with
+//! its payload. A warm fan-out spawns nothing and allocates nothing, but
+//! waking helpers and handing out jobs still costs a microsecond or two,
+//! so callers gate on [`min_parallel_work`] and only operations with enough
+//! work fan out. Tests lower the gate with [`set_min_parallel_work`] to
+//! force the parallel path on tiny inputs.
+//!
+//! At most one fan-out is posted at a time. A thread that finds another
+//! one posted runs its own jobs alone, without waiting, so concurrent
+//! callers never block each other. Fan-outs started while running fan-out
+//! work — on a helper, or on a caller draining its own fan-out — run
+//! inline: nested parallelism never oversubscribes the machine.
 //!
 //! # Observability
 //!
 //! When an [`mcsim_obs`] recorder is installed, every fan-out records the
 //! invocation count (`par.invocations`), chunk count (`par.chunks`), chunks
-//! executed by spawned workers rather than the caller (`par.chunks_stolen`),
-//! the worker count (`par.threads` gauge), and a per-worker busy-time
-//! histogram (`par.worker_busy_s`).
+//! executed by helpers rather than the caller (`par.chunks_stolen`), the
+//! worker count (`par.threads` gauge), and a per-worker busy-time histogram
+//! (`par.worker_busy_s`).
 
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 // ------------------------------------------------------------- global knobs
@@ -58,7 +75,8 @@ static CURRENT_THREADS: AtomicUsize = AtomicUsize::new(0);
 static MIN_PARALLEL_WORK: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_PARALLEL_WORK);
 
 /// Default work gate: ~2M scalar operations, roughly where a fan-out's
-/// thread-spawn cost is safely amortized.
+/// dispatch cost (waking the parked helpers and handing out its jobs) is
+/// safely amortized.
 pub const DEFAULT_MIN_PARALLEL_WORK: usize = 1 << 21;
 
 /// The baseline thread count: `MCSIM_PAR_THREADS` if set to a positive
@@ -105,40 +123,15 @@ pub fn min_parallel_work() -> usize {
 }
 
 thread_local! {
-    /// True while this thread is executing work on behalf of a fan-out (a
-    /// pool worker, or any thread marked via [`enter_worker`]).
+    /// True while this thread runs fan-out work: always on a helper, and on
+    /// a caller while it drains its own fan-out.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// True on a thread currently executing fan-out work. Pool primitives run
-/// inline on such threads instead of spawning nested workers.
+/// inline on such threads instead of fanning out again.
 pub fn on_worker_thread() -> bool {
     IN_WORKER.with(Cell::get)
-}
-
-/// Marks the current thread as a compute worker until the guard drops:
-/// every pool primitive called from it runs inline instead of spawning.
-/// The pool marks its own workers automatically; external engines that
-/// spawn long-lived compute threads (e.g. a training loop's microbatch
-/// workers) should mark them too, so inner kernels never oversubscribe the
-/// machine with nested thread spawns. Results are unaffected — the pool's
-/// serial and parallel paths are bit-identical by construction.
-pub fn enter_worker() -> WorkerGuard {
-    let prev = IN_WORKER.with(|f| f.replace(true));
-    WorkerGuard { prev }
-}
-
-/// Restores the thread's previous worker marking on drop (see
-/// [`enter_worker`]).
-#[must_use = "the worker marking lasts until the guard drops"]
-pub struct WorkerGuard {
-    prev: bool,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        IN_WORKER.with(|f| f.set(self.prev));
-    }
 }
 
 /// Runs `f` with the global thread count pinned to `n`, restoring the
@@ -170,11 +163,12 @@ pub fn set_min_parallel_work(work: usize) -> usize {
 
 // ------------------------------------------------------------------- pool
 
-/// A handle to the scoped thread pool.
+/// A handle to the process's thread pool.
 ///
-/// The handle is `Copy` and holds no OS resources: workers are scoped
-/// threads spawned per invocation and joined before the call returns, so a
-/// `ThreadPool` can be freely stored, cloned, and shared.
+/// The handle is `Copy` and holds no OS resources: every handle shares the
+/// process's parked helpers (see the crate docs) and only fixes how many
+/// threads a fan-out may use, so a `ThreadPool` can be freely stored,
+/// cloned, and shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
     fixed: Option<usize>,
@@ -213,14 +207,8 @@ impl ThreadPool {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        if n == 0 {
-            return;
-        }
         let chunk = chunk_size(n, min_chunk);
-        let jobs: Vec<Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(n))
-            .collect();
+        let jobs = (0..n).step_by(chunk).map(move |lo| lo..(lo + chunk).min(n));
         run_jobs(self.threads(), jobs, body);
     }
 
@@ -233,38 +221,26 @@ impl ThreadPool {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        let n = items.len();
         let threads = self.threads();
-        if n == 0 {
-            return Vec::new();
-        }
-        if threads <= 1 || n == 1 {
+        if threads <= 1 || items.len() <= 1 {
             return items.iter().map(f).collect();
         }
-        // Small chunks load-balance uneven items; boundaries only affect
-        // scheduling, never results.
-        let chunk = chunk_size(n, 1).min(n.div_ceil(threads * 4).max(1));
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        {
-            let jobs: Vec<(&[T], &mut [Option<U>])> =
-                items.chunks(chunk).zip(out.chunks_mut(chunk)).collect();
-            run_jobs(threads, jobs, |(inp, outp)| {
-                for (slot, item) in outp.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
+        // One item per job, so the queue load-balances uneven items.
+        let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
+        out.resize_with(items.len(), || None);
+        run_jobs(threads, items.iter().zip(&mut out), |(item, slot)| {
+            *slot = Some(f(item));
+        });
         out.into_iter()
-            .map(|slot| slot.expect("every chunk was processed"))
+            .map(|slot| slot.expect("every item was mapped"))
             .collect()
     }
 
     /// [`ThreadPool::parallel_map`] behind the global work gate: stays on
     /// the calling thread when `items.len() × item_work` (caller-estimated
     /// units, typically FLOPs or elements) is below [`min_parallel_work`],
-    /// so small fan-outs don't pay the thread-spawn cost. Results are
-    /// identical either way — only the scheduling changes.
+    /// so small fan-outs don't pay the dispatch cost. Results are identical
+    /// either way — only the scheduling changes.
     pub fn parallel_map_gated<T, U, F>(&self, items: &[T], item_work: usize, f: F) -> Vec<U>
     where
         T: Sync,
@@ -287,11 +263,7 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        if data.is_empty() {
-            return;
-        }
-        let chunk_len = chunk_len.max(1);
-        let jobs: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
+        let jobs = data.chunks_mut(chunk_len.max(1)).enumerate();
         run_jobs(self.threads(), jobs, |(i, chunk)| f(i, chunk));
     }
 
@@ -299,34 +271,14 @@ impl ThreadPool {
     /// lowest-level primitive: callers that need several mutable slices
     /// partitioned at matching boundaries (e.g. an optimizer updating
     /// value/grad/moment arrays in lock-step) zip the chunks into job
-    /// tuples and hand them here.
-    pub fn for_each<J, F>(&self, jobs: Vec<J>, f: F)
+    /// tuples and hand the iterator here.
+    pub fn for_each<I, F>(&self, jobs: I, f: F)
     where
-        J: Send,
-        F: Fn(J) + Sync,
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        F: Fn(I::Item) + Sync,
     {
-        run_jobs(self.threads(), jobs, f);
-    }
-
-    /// Deterministic chunked reduction: maps each fixed-boundary chunk of
-    /// `chunk` items to a partial with `map`, then folds the partials **in
-    /// chunk order** with `fold`. Returns `None` on empty input. Because
-    /// both the chunk boundaries and the fold order are independent of the
-    /// thread count, the result is bit-identical at any parallelism.
-    pub fn reduce<T, A, M, F>(&self, items: &[T], chunk: usize, map: M, fold: F) -> Option<A>
-    where
-        T: Sync,
-        A: Send,
-        M: Fn(&[T]) -> A + Sync,
-        F: Fn(A, A) -> A,
-    {
-        if items.is_empty() {
-            return None;
-        }
-        let chunk = chunk.max(1);
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        let partials = self.parallel_map(&chunks, |c| map(c));
-        partials.into_iter().reduce(fold)
+        run_jobs(self.threads(), jobs.into_iter(), f);
     }
 }
 
@@ -335,26 +287,23 @@ fn chunk_size(n: usize, min_chunk: usize) -> usize {
     min_chunk.max(1).min(n.max(1))
 }
 
-/// The fan-out engine: drains `jobs` from a shared queue across
-/// `threads - 1` spawned scoped workers plus the calling thread. Chunk
-/// *assignment* is dynamic (work stealing from the queue); chunk *content*
-/// is fixed by the caller, which is what preserves determinism.
-fn run_jobs<J, F>(threads: usize, jobs: Vec<J>, f: F)
+/// The fan-out engine: drains `jobs` from a shared queue on the calling
+/// thread and on up to `threads - 1` helpers. Job *assignment* is dynamic
+/// (whichever thread is free takes the next job); job *content* is fixed by
+/// the caller, which is what preserves determinism.
+fn run_jobs<I, F>(threads: usize, jobs: I, f: F)
 where
-    J: Send,
-    F: Fn(J) + Sync,
+    I: ExactSizeIterator + Send,
+    F: Fn(I::Item) + Sync,
 {
     let n = jobs.len();
     if n == 0 {
         return;
     }
-    // Nested fan-outs run inline: a kernel called from a worker thread (or
-    // any thread marked via `enter_worker`) already has its share of the
-    // machine, so spawning more threads only oversubscribes and allocates.
+    // Nested fan-outs run inline: a kernel called from fan-out work already
+    // has its share of the machine.
     if threads <= 1 || n == 1 || on_worker_thread() {
-        for job in jobs {
-            f(job);
-        }
+        jobs.for_each(f);
         return;
     }
     let instrumented = mcsim_obs::enabled();
@@ -363,13 +312,13 @@ where
         mcsim_obs::counter("par.chunks", n as u64);
         mcsim_obs::gauge("par.threads", threads.min(n) as f64);
     }
-    let queue = Mutex::new(jobs.into_iter());
+    let queue = Mutex::new(jobs);
     let drain = |is_caller: bool| {
         let started = Instant::now();
         let mut ran: u64 = 0;
         loop {
             let job = {
-                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
                 q.next()
             };
             match job {
@@ -387,16 +336,126 @@ where
             }
         }
     };
-    std::thread::scope(|s| {
-        for _ in 1..threads.min(n) {
-            s.spawn(|| {
-                let _worker = enter_worker();
-                drain(false);
-            });
+    let share = || drain(false);
+    let share: &(dyn Fn() + Sync + '_) = &share;
+    // SAFETY: only the lifetime changes. Helpers call `share` only while it
+    // is posted and open to them, and `retract` below closes it and waits
+    // until no helper is running it before this frame, which owns `share`
+    // and everything it borrows, can end. No panic can skip `retract`: the
+    // caller's own share runs under `catch_unwind`, and nothing else between
+    // `post` and `retract` panics.
+    let share = unsafe { std::mem::transmute::<&(dyn Fn() + Sync + '_), Share>(share) };
+    let posted = post(share, threads.min(n) - 1);
+    IN_WORKER.with(|w| w.set(true));
+    let mine = catch_unwind(AssertUnwindSafe(|| drain(true)));
+    let theirs = if posted { retract() } else { None };
+    IN_WORKER.with(|w| w.set(false));
+    if let Some(payload) = mine.err().or(theirs) {
+        resume_unwind(payload);
+    }
+}
+
+// ---------------------------------------------------------------- helpers
+
+/// A posted fan-out's share for helpers: drains the fan-out's queue.
+type Share = &'static (dyn Fn() + Sync);
+
+/// The helpers' shared state. Every update under its lock is a plain field
+/// store that leaves it consistent, so a guard recovered from a poisoned
+/// lock is safe to use.
+struct Helpers {
+    /// The posted fan-out, if any.
+    posted: Option<Share>,
+    /// Helpers `0..open` may join the posted fan-out.
+    open: usize,
+    /// Helpers running the posted fan-out right now.
+    running: usize,
+    /// Helpers spawned so far; helper `i` was the `i`-th.
+    spawned: usize,
+    /// The first panic of a helper's share of the posted fan-out.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+static HELPERS: Mutex<Helpers> = Mutex::new(Helpers {
+    posted: None,
+    open: 0,
+    running: 0,
+    spawned: 0,
+    panic: None,
+});
+
+/// Parked helpers wait here for a fan-out to open to them.
+static OPENED: Condvar = Condvar::new();
+
+/// A retracting caller waits here for the last helper to leave its fan-out.
+static LEFT: Condvar = Condvar::new();
+
+fn helpers() -> MutexGuard<'static, Helpers> {
+    HELPERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Posts `share` to helpers `0..open`, spawning any that do not exist yet.
+/// Posts nothing and returns `false` when another fan-out is posted.
+fn post(share: Share, open: usize) -> bool {
+    let mut h = helpers();
+    if h.posted.is_some() {
+        return false;
+    }
+    while h.spawned < open {
+        let index = h.spawned;
+        std::thread::Builder::new()
+            .name(format!("mcsim-par-{index}"))
+            .spawn(move || helper(index))
+            .expect("the OS refused to start a pool helper thread");
+        h.spawned += 1;
+    }
+    h.posted = Some(share);
+    h.open = open;
+    drop(h);
+    OPENED.notify_all();
+    true
+}
+
+/// Closes the posted fan-out to helpers, waits until none is running it,
+/// and takes it down. Returns the first panic of a helper's share.
+fn retract() -> Option<Box<dyn Any + Send>> {
+    let mut h = helpers();
+    h.open = 0;
+    while h.running > 0 {
+        h = LEFT.wait(h).unwrap_or_else(PoisonError::into_inner);
+    }
+    h.posted = None;
+    h.panic.take()
+}
+
+/// Helper `index`'s life: park until a fan-out opens to it, run its share,
+/// repeat. Helpers never exit; a panic in a job is caught and handed to the
+/// fan-out's caller by [`retract`].
+fn helper(index: usize) {
+    IN_WORKER.with(|w| w.set(true));
+    let mut h = helpers();
+    loop {
+        match h.posted {
+            Some(share) if index < h.open => {
+                h.running += 1;
+                drop(h);
+                let outcome = catch_unwind(AssertUnwindSafe(share));
+                h = helpers();
+                h.running -= 1;
+                // A share ends when the queue is empty or one of its jobs
+                // panicked; the caller drains whatever is left, so no later
+                // helper needs to join.
+                h.open = 0;
+                if let Err(payload) = outcome {
+                    h.panic.get_or_insert(payload);
+                }
+                if h.running == 0 {
+                    LEFT.notify_one();
+                }
+            }
+            _ => h = OPENED.wait(h).unwrap_or_else(PoisonError::into_inner),
         }
-        let _worker = enter_worker();
-        drain(true);
-    });
+    }
 }
 
 #[cfg(test)]
@@ -444,25 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reduce_is_bit_identical_across_thread_counts() {
-        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Floating-point data chosen so that a different summation order
-        // would change the rounding; the fixed chunk boundaries must not.
-        let xs: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761_usize) as f64).sin() * 1e8)
-            .collect();
-        let sum_at = |t: usize| {
-            ThreadPool::new(t)
-                .reduce(&xs, 64, |c| c.iter().sum::<f64>(), |a, b| a + b)
-                .unwrap()
-        };
-        let reference = sum_at(1);
-        for t in [2, 4, 8] {
-            assert_eq!(reference.to_bits(), sum_at(t).to_bits(), "{t} threads");
-        }
-    }
-
-    #[test]
     fn chunks_mut_views_are_disjoint_and_complete() {
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut data = vec![0u32; 1003];
@@ -498,8 +538,8 @@ mod tests {
     #[test]
     fn nested_fan_outs_run_inline_on_worker_threads() {
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // A map dispatched from inside a pool job must not spawn further
-        // threads: each inner item runs on the thread that called it.
+        // A map dispatched from inside a pool job must not fan out again:
+        // each inner item runs on the thread that called it.
         let items: Vec<u64> = (0..4).collect();
         let out = ThreadPool::new(4).parallel_map(&items, |&x| {
             let me = std::thread::current().id();
@@ -510,18 +550,6 @@ mod tests {
             inner.iter().sum::<u64>()
         });
         assert_eq!(out, vec![6, 46, 86, 126]);
-
-        // The same holds for threads explicitly marked via enter_worker.
-        let me = std::thread::current().id();
-        let guard = enter_worker();
-        assert!(on_worker_thread());
-        ThreadPool::new(8).parallel_for(16, 1, |r| {
-            for _ in r {
-                assert_eq!(std::thread::current().id(), me, "spawn despite marking");
-            }
-        });
-        drop(guard);
-        assert!(!on_worker_thread());
     }
 
     #[test]
@@ -530,9 +558,6 @@ mod tests {
         assert!(pool.parallel_map(&[] as &[u8], |&b| b).is_empty());
         pool.parallel_for(0, 8, |_| panic!("must not run"));
         pool.parallel_for_chunks_mut(&mut [] as &mut [u8], 4, |_, _| panic!("must not run"));
-        assert!(pool
-            .reduce(&[] as &[u8], 4, |_| 0u64, |a, b| a + b)
-            .is_none());
     }
 
     #[test]
@@ -602,5 +627,138 @@ mod tests {
             }
         });
         assert_eq!(ran_on_main.load(Ordering::Relaxed), 1);
+    }
+
+    /// Runs `f` on a detached thread and fails if it has not finished within
+    /// a minute, so a fan-out that deadlocks fails the test instead of
+    /// hanging the run.
+    fn within_a_minute(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(_) => panic!("{what} hung"),
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller_and_the_helpers_live_on() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        within_a_minute("a fan-out with a panicking helper", || {
+            for t in [2, 4, 8] {
+                let pool = ThreadPool::new(t);
+                for round in 0..3 {
+                    // `t` jobs that meet at a `t`-party barrier need `t`
+                    // threads: the caller runs one job, each helper another.
+                    let caller = std::thread::current().id();
+                    let barrier = std::sync::Barrier::new(t);
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        pool.parallel_for(t, 1, |_| {
+                            barrier.wait();
+                            if std::thread::current().id() != caller {
+                                panic!("helper job failed at pool {t}, round {round}");
+                            }
+                        })
+                    }));
+                    let payload = caught.expect_err("a helper's panic must reach the caller");
+                    assert_eq!(
+                        payload.downcast_ref::<String>().map(String::as_str),
+                        Some(format!("helper job failed at pool {t}, round {round}").as_str())
+                    );
+                    // Every helper is back and takes part in the next fan-out.
+                    let barrier = std::sync::Barrier::new(t);
+                    let ran = AtomicU64::new(0);
+                    pool.parallel_for(t, 1, |_| {
+                        barrier.wait();
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(ran.load(Ordering::Relaxed), t as u64, "pool {t}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_fan_outs_from_two_threads_both_complete() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        within_a_minute("two concurrent fan-outs", || {
+            let items: Vec<u64> = (0..64).collect();
+            let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
+            // Thread A's fan-out stays posted until thread B's has finished,
+            // so B finds it posted and must run all of its jobs alone.
+            let (posted, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+            std::thread::scope(|s| {
+                let a = s.spawn(|| {
+                    ThreadPool::new(2).parallel_map(&[0u64, 1], |&x| {
+                        if x == 0 {
+                            posted.wait();
+                            done.wait();
+                        }
+                        x
+                    })
+                });
+                let b = s.spawn(|| {
+                    posted.wait();
+                    let me = std::thread::current().id();
+                    let out = ThreadPool::new(2).parallel_map(&items, |&x| {
+                        assert_eq!(std::thread::current().id(), me, "B must work alone");
+                        x * 3
+                    });
+                    done.wait();
+                    out
+                });
+                assert_eq!(a.join().unwrap(), vec![0, 1]);
+                assert_eq!(b.join().unwrap(), expected);
+            });
+            // Unsynchronized: posting and retracting race between the two.
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            for _ in 0..50 {
+                                let out = ThreadPool::new(4).parallel_map(&items, |&x| x * 3);
+                                assert_eq!(out, expected);
+                            }
+                        })
+                    })
+                    .collect();
+                for racer in racers {
+                    racer.join().unwrap();
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn helpers_are_reused_across_fan_outs() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        within_a_minute("helper reuse", || {
+            // `t` jobs meeting at a `t`-party barrier: the caller and all
+            // `t − 1` helpers of a `t`-thread pool run one each. An 8-thread
+            // fan-out first, so that more helpers exist than a 4-thread pool
+            // may use.
+            let ids = Mutex::new(std::collections::HashSet::new());
+            for t in [8, 4] {
+                let barrier = std::sync::Barrier::new(t);
+                ids.lock().unwrap().clear();
+                ThreadPool::new(t).parallel_for(t, 1, |_| {
+                    barrier.wait();
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                });
+            }
+            let pool = ThreadPool::new(4);
+            let warm = std::mem::take(&mut *ids.lock().unwrap());
+            assert_eq!(warm.len(), 4);
+            for _ in 0..50 {
+                pool.parallel_for(64, 1, |_| {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                });
+            }
+            let later = ids.into_inner().unwrap();
+            assert!(later.is_subset(&warm), "{later:?} ⊄ {warm:?}");
+        });
     }
 }

@@ -27,7 +27,6 @@ use loam_core::gate::{validate_traced, GateConfig};
 use loam_core::inference::{EnvStrategy, DEFAULT_MARGIN};
 use loam_core::pipeline::{check_servable, EvaluatedQuery};
 use loam_core::predictor::baselines::CostModel;
-use loam_core::predictor::InferWs;
 use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult};
 use loam_core::serving::RobustServer;
 use loam_core::LoamError;
@@ -39,7 +38,6 @@ use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Admission-control policy applied to the arrival trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -489,13 +487,6 @@ pub struct ServeSession {
     cluster: ClusterConfig,
     features: Option<FeatureCache>,
     decisions: Option<DecisionCache>,
-    /// One warm inference workspace + cost buffer per scoring run of a
-    /// batch (at most the pool size), reused by every batch of the session.
-    /// The session owns them rather than the pool threads: pool workers are
-    /// scoped threads spawned per fan-out, so thread-local workspaces would
-    /// start cold every batch. (`run` takes `&self`, so they sit behind a
-    /// mutex, which the select phase holds for one batch at a time.)
-    scorers: Mutex<Vec<(InferWs, Vec<f64>)>>,
 }
 
 /// Rough multiply-adds per plan-tree node of one forward of the default
@@ -528,7 +519,6 @@ impl ServeSession {
             cluster,
             features,
             decisions,
-            scorers: Mutex::new(Vec::new()),
         })
     }
 
@@ -845,10 +835,12 @@ impl ServeSession {
                 });
                 // Every candidate of every to-be-scored template, split into
                 // contiguous runs of templates balanced by node count: one
-                // forest forward per run, each on its own warm workspace, in
-                // one fan-out. A plan's cost does not depend on the batch it
-                // is scored in, so the split never changes a bit. A batch
-                // below the pool's work gate is one run, scored inline.
+                // forest forward per run, in one fan-out, each on its
+                // thread's inference workspace (the pool's helpers persist,
+                // so theirs stay warm across batches). A plan's cost does not
+                // depend on the batch it is scored in, so the split never
+                // changes a bit. A batch below the pool's work gate is one
+                // run, scored inline.
                 let mut refs: Vec<&PlanTree> = Vec::new();
                 let mut bounds = Vec::with_capacity(to_score.len() + 1);
                 let mut nodes = Vec::with_capacity(to_score.len());
@@ -866,23 +858,24 @@ impl ServeSession {
                 } else {
                     pool.threads()
                 };
-                let runs = balanced_runs(&nodes, k);
-                let mut scorers = self.scorers.lock().unwrap_or_else(|e| e.into_inner());
-                if scorers.len() < runs.len() {
-                    scorers.resize_with(runs.len(), || (InferWs::new(), Vec::new()));
-                }
-                let jobs: Vec<_> = runs.iter().zip(scorers.iter_mut()).collect();
-                pool.for_each(jobs, |(run, (ws, costs))| {
-                    let plans = &refs[bounds[run.start]..bounds[run.end]];
-                    self.server
-                        .score_batch_into(model, plans, self.features.as_ref(), ws, costs);
-                });
                 // The runs' costs back to back are in template order, like
                 // `refs`; resolve serially in that order.
-                let costs: Vec<f64> = scorers[..runs.len()]
-                    .iter()
-                    .flat_map(|(_, c)| c.iter().copied())
-                    .collect();
+                let costs = pool
+                    .parallel_map(&balanced_runs(&nodes, k), |run| {
+                        let plans = &refs[bounds[run.start]..bounds[run.end]];
+                        let mut costs = Vec::with_capacity(plans.len());
+                        loam_core::predictor::with_thread_infer_ws(|ws| {
+                            self.server.score_batch_into(
+                                model,
+                                plans,
+                                self.features.as_ref(),
+                                ws,
+                                &mut costs,
+                            )
+                        });
+                        costs
+                    })
+                    .concat();
                 for (i, &t) in to_score.iter().enumerate() {
                     let eq = &templates[t as usize];
                     let slice_refs = &refs[bounds[i]..bounds[i + 1]];
