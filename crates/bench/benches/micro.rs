@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of the reproduction:
 //! plan featurization (hash encoding included), TCN inference, native
-//! optimization with join-order DP, simulated execution, candidate
+//! optimization with join-order DP, simulated execution, the load model's
+//! lane kernel (allocator ranking, stage-window reads), candidate
 //! exploration, GBDT prediction, the parallel compute layer (serial vs.
 //! pool matmul, dense vs. sparse inputs, cached vs. uncached featurization),
 //! and the training hot path (fused vs. unfused linear+ReLU, workspace-reuse
@@ -59,6 +60,24 @@ fn benches(c: &mut Criterion) {
     executor.cluster.advance(50);
     c.bench_function("simulated_execution", |b| {
         b.iter(|| executor.execute(black_box(&plan), &project.catalog))
+    });
+
+    // The load model's lane kernel through the cluster's public API: an
+    // allocation of 3 machines ranks 12 candidates (4× oversampling), and
+    // one stage-window read measures 13 machines over 4 ticks.
+    // Each iteration steps the clock, so occupancy slots expire as they do
+    // in a run and the ranked chains stay full-length.
+    let mut cluster = Cluster::new(1, ClusterConfig::default());
+    cluster.advance(50);
+    c.bench_function("allocate_rank", |b| {
+        b.iter(|| {
+            cluster.step();
+            cluster.allocate(black_box(3), 0.06)
+        })
+    });
+    let machines = cluster.allocate(13, 0.06);
+    c.bench_function("stage_window_read", |b| {
+        b.iter(|| cluster.window_env(black_box(&machines), 3))
     });
 
     c.bench_function("intrinsic_cost", |b| {

@@ -231,7 +231,8 @@ pub fn run_headline(machines: usize, queries: usize) -> Headline {
 /// sweep to the 1k pool and skips the headline (the CI smoke); the scale
 /// flag sizes the sweep's query stream.
 pub fn run(scale: Scale, quick: bool) {
-    println!("Exec-core benchmark — dense per-tick reference vs event-driven engine\n");
+    println!("Exec-core benchmark — dense per-tick reference vs event-driven engine");
+    println!("load kernel: {}\n", mcsim_exec::load_kernel());
     let queries = if quick {
         60
     } else {

@@ -270,6 +270,8 @@ pub struct Cluster {
     /// Generation-marked scratch for allocation dedup (no per-call allocs).
     scratch_mark: Vec<u32>,
     scratch_gen: u32,
+    /// Scratch for the allocation candidates' OU busy deviations.
+    scratch_ou: Vec<f64>,
 }
 
 impl Cluster {
@@ -296,6 +298,7 @@ impl Cluster {
             stats: EngineStats::default(),
             scratch_mark: vec![0; n],
             scratch_gen: 0,
+            scratch_ou: Vec::new(),
             config,
         };
         if c.config.engine == EngineMode::DenseTick {
@@ -613,13 +616,17 @@ impl Cluster {
         }
 
         // Rank by the busy fraction (the busy lane of the load model alone
-        // — bit-identical to `1 − cpu_idle`), ties broken by index.
+        // — bit-identical to `1 − cpu_idle`), ties broken by index. The
+        // candidates' OU chains run eight lanes at a time.
         let shared = self.model.shared_busy(t);
+        self.model
+            .ou_busy_many(&candidates, t, &mut self.scratch_ou);
         let mut ranked: Vec<(f64, usize)> = candidates
             .iter()
-            .map(|&i| {
+            .zip(&self.scratch_ou)
+            .map(|(&i, &ou)| {
                 let assigned = assigned_weight(&self.occupancy[i], t);
-                (self.model.busy_at_shared(shared, i as u64, t, assigned), i)
+                (self.model.busy_from(shared, ou, assigned), i)
             })
             .collect();
         self.stats.lazy_advances += ranked.len() as u64;

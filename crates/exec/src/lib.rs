@@ -49,5 +49,5 @@ pub use execute::{ExecPlan, ExecutionOutcome, Executor};
 pub use fault::{ExecFailure, FaultConfig, FaultEvent, FaultState, RetryPolicy};
 pub use flighting::Flighting;
 pub use history::{build_history, HistoryOptions};
-pub use load::{seed_stream, splitmix64, LoadModel, OU_WINDOW};
+pub use load::{load_kernel, seed_stream, splitmix64, LoadModel, OU_WINDOW};
 pub use machine::{LoadDynamics, Machine};

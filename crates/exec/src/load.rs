@@ -36,6 +36,28 @@
 //! functions of the tick for the same reason, and window averages of the
 //! baseline are computed analytically at query time instead of being
 //! accumulated tick by tick.
+//!
+//! ## One lane kernel, compiled twice
+//!
+//! The hot readers evaluate many chains per call: the allocator ranks its
+//! candidates at one tick (`LoadModel::ou_busy_many`), and a stage reads
+//! its machines over consecutive ticks (`LoadModel::window_env`). Both run
+//! one kernel over fixed `[u64; 8]` / `[f64; 8]` lane arrays, which hashes
+//! eight shocks per step and folds each into its own chain. The kernel is
+//! written once, as `#[inline(always)]` bodies, and compiled twice: for
+//! the baseline target, and inside a
+//! `#[target_feature(enable = "avx512f,avx512dq")]` wrapper, where the
+//! hash's 64-bit multiplies and its `u64 → f64` conversion have vector
+//! forms. Each call picks the copy with `is_x86_feature_detected!`;
+//! [`load_kernel`] names the one this host runs.
+//!
+//! Neither copy is a second model. Every lane runs the same integer hash,
+//! the same exact conversion (`h >> 11 < 2⁵³`), and the same IEEE
+//! multiply then add in the same oldest-first order as the scalar chain,
+//! and Rust never contracts a multiply and an add into an FMA. So each
+//! lane equals its scalar chain to the bit, and
+//! [`LoadModel::load_at`] and [`LoadModel::busy_at`] stay the reference
+//! that the unit tests hold both copies to.
 
 use crate::machine::LoadDynamics;
 use mcsim_catalog::EnvMetrics;
@@ -50,8 +72,15 @@ pub const TICKS_PER_DAY: u64 = 4_320;
 /// evaluation at a fixed 48 fused hash-and-accumulate steps.
 pub const OU_WINDOW: u64 = 48;
 
-/// Ticks whose Horner chains [`LoadModel::load_window`] advances together.
+/// Ticks whose Horner chains the portable window read advances together.
 const LOCKSTEP: usize = 4;
+
+/// Lanes of the shock kernel: one 512-bit vector of `u64` hash inputs or
+/// `f64` shocks.
+const LANES: usize = 8;
+
+/// √12 scales a centred uniform to unit variance.
+const SQRT_12: f64 = 3.464_101_615_137_754_6;
 
 /// Per-metric shock-stream identifiers (the `stream` of `ε(m, s)`).
 const STREAM_BUSY: u64 = 0x01;
@@ -84,16 +113,32 @@ pub fn seed_stream(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
+/// The part of a counter-based stream's hash input that names the stream:
+/// every draw of one `(seed, stream, machine)` XORs its
+/// [`counter_mix`] into this key.
+#[inline(always)]
+fn stream_key(seed: u64, stream: u64, machine: u64) -> u64 {
+    seed ^ stream.wrapping_mul(0xa076_1d64_78bd_642f) ^ machine.wrapping_mul(0xe703_7ed1_a0b4_28db)
+}
+
+/// The counter's part of a counter-based stream's hash input.
+#[inline(always)]
+fn counter_mix(counter: u64) -> u64 {
+    counter.wrapping_mul(0x8ebc_6af0_9c88_c6e3)
+}
+
+/// A uniform draw in `[0, 1)` from a hash input
+/// `stream_key(..) ^ counter_mix(..)`.
+#[inline(always)]
+fn uniform_of(x: u64) -> f64 {
+    // 53 mantissa bits → exact dyadic rational in [0, 1).
+    (splitmix64(x) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A uniform draw in `[0, 1)` from a counter-based stream.
 #[inline]
 pub(crate) fn stream_uniform(seed: u64, stream: u64, machine: u64, counter: u64) -> f64 {
-    let h = splitmix64(
-        seed ^ stream.wrapping_mul(0xa076_1d64_78bd_642f)
-            ^ machine.wrapping_mul(0xe703_7ed1_a0b4_28db)
-            ^ counter.wrapping_mul(0x8ebc_6af0_9c88_c6e3),
-    );
-    // 53 mantissa bits → exact dyadic rational in [0, 1).
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    uniform_of(stream_key(seed, stream, machine) ^ counter_mix(counter))
 }
 
 /// A zero-mean, unit-variance shock from a counter-based stream. Uniform
@@ -102,8 +147,62 @@ pub(crate) fn stream_uniform(seed: u64, stream: u64, machine: u64, counter: u64)
 /// CLT-Gaussian anyway, at a fraction of the per-shock cost.
 #[inline]
 fn stream_shock(seed: u64, stream: u64, machine: u64, tick: u64) -> f64 {
-    // √12 scales a centred uniform to unit variance.
-    (stream_uniform(seed, stream, machine, tick) - 0.5) * 3.464_101_615_137_754_6
+    shock_of(stream_key(seed, stream, machine) ^ counter_mix(tick))
+}
+
+/// The shock of one hash input: an integer hash, an exact conversion
+/// (`h >> 11 < 2⁵³`), then a multiply, a subtract and a multiply.
+#[inline(always)]
+fn shock_of(x: u64) -> f64 {
+    (uniform_of(x) - 0.5) * SQRT_12
+}
+
+/// The lane kernel: the shock of each lane's hash input. Every lane runs
+/// [`shock_of`]'s operations in its order, so it is that shock to the
+/// bit, whichever copy it is compiled into.
+#[inline(always)]
+fn shock_lanes(x: [u64; LANES]) -> [f64; LANES] {
+    let mut e = [0.0f64; LANES];
+    for (e, &x) in e.iter_mut().zip(&x) {
+        *e = shock_of(x);
+    }
+    e
+}
+
+/// True when this CPU runs the AVX-512 copy of the lane kernel: an x86-64
+/// CPU with AVX-512F for the vectors and AVX-512DQ for the 64-bit
+/// multiply and the `u64 → f64` conversion. The answer is cached after
+/// the first call.
+#[inline]
+fn avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which compiled copy of the load model's lane kernel runs on this host:
+/// `"avx512"` when the CPU has AVX-512F and AVX-512DQ, else
+/// `"portable"`. Both copies compute the same bits; the name says which
+/// one a run's timings and pin checks covered.
+pub fn load_kernel() -> &'static str {
+    if avx512() {
+        "avx512"
+    } else {
+        "portable"
+    }
+}
+
+/// Length of one stream's row of window-read shocks for a window of `len`
+/// ticks: the `OU_WINDOW − 1` ticks before the window, the window, and
+/// room to finish the last lane group.
+const fn window_row(len: usize) -> usize {
+    len + OU_WINDOW as usize + LANES - 2
 }
 
 /// The pure-function load model shared by both engines. Cheap to clone —
@@ -169,6 +268,78 @@ impl LoadModel {
         b
     }
 
+    /// [`ou_busy`](Self::ou_busy) of [`LANES`] machines at `tick`, their
+    /// chains advanced in lockstep: each step hashes one shock per lane
+    /// and folds it into that lane's accumulator by the same
+    /// multiply-then-add, oldest shock first.
+    #[inline(always)]
+    fn ou_busy_lanes(&self, machines: [u64; LANES], tick: u64) -> [f64; LANES] {
+        let rho = 1.0 - self.dynamics.theta;
+        let mut keys = [0u64; LANES];
+        for (k, &m) in keys.iter_mut().zip(&machines) {
+            *k = stream_key(self.seed, STREAM_BUSY, m);
+        }
+        let mut acc = [0.0f64; LANES];
+        for s in tick.saturating_sub(OU_WINDOW - 1)..=tick {
+            let c = counter_mix(s);
+            let mut x = keys;
+            for x in &mut x {
+                *x ^= c;
+            }
+            horner_step(&mut acc, rho, &shock_lanes(x));
+        }
+        acc
+    }
+
+    /// The busy-stream OU deviation of every machine of `machines` at
+    /// `tick` into `out` (resized to match): `out[k]` is
+    /// [`ou_busy`](Self::ou_busy) of `machines[k]` to the bit. The
+    /// allocator's ranking reads its candidates through this, eight lanes
+    /// at a time, on the AVX-512 copy when the CPU has it.
+    pub(crate) fn ou_busy_many(&self, machines: &[usize], tick: u64, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(machines.len(), 0.0);
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            // SAFETY: `avx512()` has just detected AVX-512F and AVX-512DQ.
+            return unsafe { self.ou_busy_many_avx512(machines, tick, out) };
+        }
+        self.ou_busy_many_lanes::<false>(machines, tick, out);
+    }
+
+    /// The body of [`ou_busy_many`](Self::ou_busy_many), compiled into
+    /// both copies: whole groups of [`LANES`] machines run in lockstep. A
+    /// short last group runs padded (`PAD`, the AVX-512 copy, where a lane
+    /// costs next to nothing) or one chain at a time (the portable copy,
+    /// where idle lanes cost as much as busy ones).
+    #[inline(always)]
+    fn ou_busy_many_lanes<const PAD: bool>(&self, machines: &[usize], tick: u64, out: &mut [f64]) {
+        let groups = machines.chunks_exact(LANES);
+        let tail = groups.remainder();
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (g, o) in groups.zip(&mut outs) {
+            let ids = std::array::from_fn(|l| g[l] as u64);
+            o.copy_from_slice(&self.ou_busy_lanes(ids, tick));
+        }
+        let out_tail = outs.into_remainder();
+        if PAD && !tail.is_empty() {
+            // Idle lanes repeat the last machine; their chains are dropped.
+            let ids = std::array::from_fn(|l| tail[l.min(tail.len() - 1)] as u64);
+            out_tail.copy_from_slice(&self.ou_busy_lanes(ids, tick)[..tail.len()]);
+        } else {
+            for (o, &m) in out_tail.iter_mut().zip(tail) {
+                *o = self.ou_busy(m as u64, tick);
+            }
+        }
+    }
+
+    /// The AVX-512 copy of [`ou_busy_many`](Self::ou_busy_many).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn ou_busy_many_avx512(&self, machines: &[usize], tick: u64, out: &mut [f64]) {
+        self.ou_busy_many_lanes::<true>(machines, tick, out);
+    }
+
     /// The part of the busy fraction every machine shares at `tick`: the
     /// diurnal baseline plus the tenant-churn jitter (a `sin` and a hash).
     /// Readers of many machines at one tick compute it once and pass it on.
@@ -178,12 +349,12 @@ impl LoadModel {
     }
 
     /// The single place the busy fraction is assembled from its parts —
-    /// shared by [`busy_at`](Self::busy_at), [`load_at`](Self::load_at) and
-    /// [`load_window`](Self::load_window) so the allocator's ranking key
+    /// shared by [`busy_at`](Self::busy_at), [`load_at`](Self::load_at),
+    /// the window reads and the allocator's ranking, so the ranking key
     /// equals `1 − cpu_idle` exactly. `shared` is the tick's
     /// [`shared_busy`](Self::shared_busy).
     #[inline]
-    fn busy_from(&self, shared: f64, ou_b: f64, assigned: f64) -> f64 {
+    pub(crate) fn busy_from(&self, shared: f64, ou_b: f64, assigned: f64) -> f64 {
         (shared + self.dynamics.sigma_busy * ou_b + assigned.min(0.9)).clamp(0.02, 0.98)
     }
 
@@ -193,21 +364,11 @@ impl LoadModel {
     /// `1.0 - load_at(..).cpu_idle`.
     #[inline]
     pub fn busy_at(&self, machine: u64, tick: u64, assigned: f64) -> f64 {
-        self.busy_at_shared(self.shared_busy(tick), machine, tick, assigned)
-    }
-
-    /// [`busy_at`](Self::busy_at) given the tick's
-    /// [`shared_busy`](Self::shared_busy), for a caller ranking many
-    /// machines at one tick.
-    #[inline]
-    pub(crate) fn busy_at_shared(
-        &self,
-        shared: f64,
-        machine: u64,
-        tick: u64,
-        assigned: f64,
-    ) -> f64 {
-        self.busy_from(shared, self.ou_busy(machine, tick), assigned)
+        self.busy_from(
+            self.shared_busy(tick),
+            self.ou_busy(machine, tick),
+            assigned,
+        )
     }
 
     /// The stationary standard-deviation multiplier of the truncated OU
@@ -237,64 +398,123 @@ impl LoadModel {
     /// chain that reads it — `OU_WINDOW + len − 1` hashes per stream
     /// instead of `OU_WINDOW × len`.
     pub fn load_window(&self, machine: u64, start: u64, assigned: &[f64]) -> Vec<EnvMetrics> {
-        let shared: Vec<f64> = (start..)
-            .take(assigned.len())
-            .map(|t| self.shared_busy(t))
-            .collect();
-        self.load_window_shared(&shared, machine, start, assigned)
+        let len = assigned.len();
+        let mut shocks = vec![0.0; 3 * window_row(len)];
+        let mut out = Vec::with_capacity(len);
+        self.ou3_window(machine, start, len, &mut shocks, |k, ou| {
+            let t = start + k as u64;
+            out.push(self.load_from(self.shared_busy(t), ou, assigned[k]));
+        });
+        out
     }
 
-    /// [`load_window`](Self::load_window) given each window tick's
-    /// [`shared_busy`](Self::shared_busy) (`shared[k]` for tick
-    /// `start + k`), for a caller reading many machines over one window.
-    pub(crate) fn load_window_shared(
+    /// The three OU deviations of `machine` at each of the `len` ticks
+    /// from `start`, handed to `sink(k, ou)` for tick `start + k` in tick
+    /// order; each is [`ou3`](Self::ou3) of that tick to the bit. `shocks`
+    /// is scratch of `3 × window_row(len)` values whose leading
+    /// `OU_WINDOW − 1 − start` of each row (if any) are `+0.0`: a zeroed
+    /// buffer, reused across the machines of one window.
+    ///
+    /// Each row holds one stream's shocks, `row[j]` that of tick
+    /// `start + j − (OU_WINDOW − 1)`, so tick `start + k` reads
+    /// `row[k..k + OU_WINDOW]`. A chain that would reach back before tick
+    /// 0 is shorter; its missing oldest shocks are the row's +0.0s, which
+    /// keep the accumulator at exactly the +0.0 it starts from
+    /// (ρ·(+0) + (+0) = +0), so it gets the same bits from a full row.
+    fn ou3_window(
         &self,
-        shared: &[f64],
         machine: u64,
         start: u64,
-        assigned: &[f64],
-    ) -> Vec<EnvMetrics> {
-        const W: usize = OU_WINDOW as usize;
-        let len = assigned.len();
-        assert_eq!(shared.len(), len, "one shared busy term per window tick");
-        if len == 0 {
-            return Vec::new();
+        len: usize,
+        shocks: &mut [f64],
+        sink: impl FnMut(usize, (f64, f64, f64)),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            // SAFETY: `avx512()` has just detected AVX-512F and AVX-512DQ.
+            return unsafe { self.ou3_window_avx512(machine, start, len, shocks, sink) };
         }
-        // `shocks[j]` is the shock of tick `start + j − (W − 1)`, so tick
-        // `start + k` reads `shocks[k..k + W]`. A chain that would reach
-        // back before tick 0 is shorter; its missing oldest shocks are +0.0,
-        // which keep the accumulator at exactly the +0.0 it starts from
-        // (ρ·(+0) + (+0) = +0), so it gets the same bits from a full slice.
-        // The tail pads the last lockstep group.
+        self.ou3_window_lanes::<false>(machine, start, len, shocks, sink);
+    }
+
+    /// The body of [`ou3_window`](Self::ou3_window), compiled into both
+    /// copies. The AVX-512 copy (`WIDE`) hashes each row [`LANES`]
+    /// consecutive ticks at a time and advances the chains of `LANES`
+    /// consecutive ticks per vector; the portable copy hashes a tick's
+    /// three shocks side by side and advances [`LOCKSTEP`] ticks' chains
+    /// together, whose independent accumulators overlap instead of waiting
+    /// on one chain's latency. Each chain keeps its own operation order
+    /// either way.
+    #[inline(always)]
+    fn ou3_window_lanes<const WIDE: bool>(
+        &self,
+        machine: u64,
+        start: u64,
+        len: usize,
+        shocks: &mut [f64],
+        mut sink: impl FnMut(usize, (f64, f64, f64)),
+    ) {
+        const W: usize = OU_WINDOW as usize;
+        let n = window_row(len);
+        assert_eq!(shocks.len(), 3 * n, "three rows of window shocks");
         let pad = (W as u64 - 1).saturating_sub(start) as usize;
         let oldest = start + pad as u64 - (W as u64 - 1);
-        let mut shocks = vec![[0.0f64; 3]; len.next_multiple_of(LOCKSTEP) + W - 1];
-        for (s, slot) in (oldest..).zip(&mut shocks[pad..len + W - 1]) {
-            *slot = [
-                stream_shock(self.seed, STREAM_BUSY, machine, s),
-                stream_shock(self.seed, STREAM_IO, machine, s),
-                stream_shock(self.seed, STREAM_MEM, machine, s),
-            ];
-        }
-        // The chains of `LOCKSTEP` consecutive ticks advance together: each
-        // keeps its own operation order, and the independent accumulators
-        // overlap instead of waiting on one chain's latency.
-        let rho = 1.0 - self.dynamics.theta;
-        let mut out = Vec::with_capacity(len);
-        for g in (0..len).step_by(LOCKSTEP) {
-            let mut acc = [[0.0f64; 3]; LOCKSTEP];
-            for step in shocks[g..g + LOCKSTEP + W - 1].windows(LOCKSTEP) {
-                for (a, shock) in acc.iter_mut().zip(step) {
-                    for (x, e) in a.iter_mut().zip(shock) {
-                        *x = rho * *x + e;
-                    }
+        let keys = [STREAM_BUSY, STREAM_IO, STREAM_MEM]
+            .map(|stream| stream_key(self.seed, stream, machine));
+        let (busy, rest) = shocks.split_at_mut(n);
+        let (io, mem) = rest.split_at_mut(n);
+        if WIDE {
+            // Stream by stream: the AVX-512 build keeps the hash in vectors
+            // only when a group of lanes runs one stream. Whole groups from
+            // `pad`: `window_row` leaves room for the last one, whose ticks
+            // past the window feed dropped lanes.
+            for (row, key) in [&mut *busy, &mut *io, &mut *mem].into_iter().zip(keys) {
+                for (g, s) in row[pad..]
+                    .chunks_exact_mut(LANES)
+                    .zip((oldest..).step_by(LANES))
+                {
+                    let x = std::array::from_fn(|l| key ^ counter_mix(s + l as u64));
+                    g.copy_from_slice(&shock_lanes(x));
                 }
             }
-            for (k, [b, i, m]) in acc.into_iter().enumerate().take(len - g) {
-                out.push(self.load_from(shared[g + k], (b, i, m), assigned[g + k]));
+        } else {
+            // Tick by tick, a tick's three hashes side by side. The baseline
+            // target has no vector 64-bit multiply: a loop over one stream
+            // gets vectorized around an emulated one, slower than scalar.
+            let end = len + W - 1;
+            for (((b, i), m), s) in busy[pad..end]
+                .iter_mut()
+                .zip(&mut io[pad..end])
+                .zip(&mut mem[pad..end])
+                .zip(oldest..)
+            {
+                let c = counter_mix(s);
+                *b = shock_of(keys[0] ^ c);
+                *i = shock_of(keys[1] ^ c);
+                *m = shock_of(keys[2] ^ c);
             }
         }
-        out
+        let rho = 1.0 - self.dynamics.theta;
+        let rows = [&*busy, &*io, &*mem];
+        if WIDE {
+            ou3_chains::<LANES>(rho, rows, len, &mut sink);
+        } else {
+            ou3_chains::<LOCKSTEP>(rho, rows, len, &mut sink);
+        }
+    }
+
+    /// The AVX-512 copy of [`ou3_window`](Self::ou3_window).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn ou3_window_avx512(
+        &self,
+        machine: u64,
+        start: u64,
+        len: usize,
+        shocks: &mut [f64],
+        sink: impl FnMut(usize, (f64, f64, f64)),
+    ) {
+        self.ou3_window_lanes::<true>(machine, start, len, shocks, sink);
     }
 
     /// The environment a stage observes over the window of `duration + 1`
@@ -302,9 +522,10 @@ impl LoadModel {
     /// `machines` in the given order, then the mean over the ticks in tick
     /// order. `assigned` is the work placed on each machine at each window
     /// tick, machine-major (`duration + 1` per machine). Each machine's
-    /// loads come from one [`load_window_shared`](Self::load_window_shared)
-    /// pass, every tick's [`shared_busy`](Self::shared_busy) from one
-    /// evaluation.
+    /// loads come from one [`ou3_window`](Self::ou3_window) pass over one
+    /// shock buffer, every tick's [`shared_busy`](Self::shared_busy) from
+    /// one evaluation, and each tick's machine sum accumulates in machine
+    /// order — the sum [`EnvMetrics::mean`] would take.
     pub(crate) fn window_env(
         &self,
         machines: &[usize],
@@ -318,18 +539,33 @@ impl LoadModel {
             machines.len() * ticks,
             "one placed-work entry per machine per window tick"
         );
-        let shared: Vec<f64> = (start..=start + duration)
-            .map(|t| self.shared_busy(t))
+        if machines.is_empty() {
+            return EnvMetrics::default();
+        }
+        // Per window tick: its shared busy term, then its machines' sum.
+        let mut per_tick: Vec<(f64, EnvMetrics)> = (start..)
+            .take(ticks)
+            .map(|t| (self.shared_busy(t), EnvMetrics::default()))
             .collect();
-        let loads: Vec<Vec<EnvMetrics>> = machines
-            .iter()
-            .zip(assigned.chunks(ticks))
-            .map(|(&i, assigned)| self.load_window_shared(&shared, i as u64, start, assigned))
-            .collect();
-        let per_tick: Vec<EnvMetrics> = (0..ticks)
-            .map(|k| EnvMetrics::mean(loads.iter().map(|w| &w[k])))
-            .collect();
-        EnvMetrics::mean(per_tick.iter())
+        let mut shocks = vec![0.0; 3 * window_row(ticks)];
+        for (&i, assigned) in machines.iter().zip(assigned.chunks(ticks)) {
+            self.ou3_window(i as u64, start, ticks, &mut shocks, |k, ou| {
+                let (shared, sum) = &mut per_tick[k];
+                let e = self.load_from(*shared, ou, assigned[k]);
+                sum.cpu_idle += e.cpu_idle;
+                sum.io_wait += e.io_wait;
+                sum.load5 += e.load5;
+                sum.mem_usage += e.mem_usage;
+            });
+        }
+        let n = machines.len() as f64;
+        for (_, sum) in &mut per_tick {
+            sum.cpu_idle /= n;
+            sum.io_wait /= n;
+            sum.load5 /= n;
+            sum.mem_usage /= n;
+        }
+        EnvMetrics::mean(per_tick.iter().map(|(_, mean)| mean))
     }
 
     /// Assembles a load snapshot from the tick's
@@ -388,6 +624,43 @@ impl LoadModel {
             busy * 24.0,
             (0.35 + 0.5 * busy).clamp(0.05, 0.98),
         )
+    }
+}
+
+/// Advances the OU chains of the `len` window ticks whose shocks are
+/// `rows` (busy, io, mem; laid out as in [`LoadModel::ou3_window`]), `L`
+/// consecutive ticks per group, and hands each tick's deviations to
+/// `sink`. Each stream's lanes are one fixed-size array, so the compiler
+/// keeps them in one vector register.
+#[inline(always)]
+fn ou3_chains<const L: usize>(
+    rho: f64,
+    rows: [&[f64]; 3],
+    len: usize,
+    sink: &mut impl FnMut(usize, (f64, f64, f64)),
+) {
+    const W: usize = OU_WINDOW as usize;
+    for g in (0..len).step_by(L) {
+        let [busy, io, mem] = rows.map(|row| &row[g..g + L + W - 1]);
+        let (mut b, mut i, mut m) = ([0.0f64; L], [0.0f64; L], [0.0f64; L]);
+        for w in 0..W {
+            horner_step(&mut b, rho, &busy[w..w + L]);
+            horner_step(&mut i, rho, &io[w..w + L]);
+            horner_step(&mut m, rho, &mem[w..w + L]);
+        }
+        for k in 0..L.min(len - g) {
+            sink(g + k, (b[k], i[k], m[k]));
+        }
+    }
+}
+
+/// One step of `L` Horner chains: `acc = ρ·acc + e`, lane by lane, the
+/// multiply then the add, as in [`LoadModel::ou3`].
+#[inline(always)]
+fn horner_step<const L: usize>(acc: &mut [f64; L], rho: f64, e: &[f64]) {
+    let e = e.first_chunk::<L>().expect("a shock per lane");
+    for (x, e) in acc.iter_mut().zip(e) {
+        *x = rho * *x + e;
     }
 }
 
@@ -527,5 +800,166 @@ mod tests {
         assert_eq!(seed_stream(7, 42), seed_stream(7, 42));
         // Different masters diverge.
         assert_ne!(seed_stream(7, 42), seed_stream(8, 42));
+    }
+
+    /// The compiled copies of the lane kernel this host runs: the portable
+    /// copy always, the AVX-512 copy when the CPU has AVX-512F and
+    /// AVX-512DQ. Printed, so a test log says which copies were held to
+    /// the reference.
+    fn copies() -> Vec<&'static str> {
+        let copies = if avx512() {
+            vec!["portable", "avx512"]
+        } else {
+            println!("lane kernel: AVX-512F/DQ not detected, the avx512 copy is not checked");
+            vec!["portable"]
+        };
+        println!("lane kernel copies checked: {copies:?}");
+        assert!(
+            copies.contains(&load_kernel()),
+            "the dispatched copy is checked"
+        );
+        copies
+    }
+
+    /// [`LoadModel::ou_busy_many`]'s body on the named copy.
+    fn ou_busy_many_on(m: &LoadModel, copy: &str, machines: &[usize], tick: u64) -> Vec<f64> {
+        let mut out = vec![0.0; machines.len()];
+        match copy {
+            "portable" => m.ou_busy_many_lanes::<false>(machines, tick, &mut out),
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => {
+                assert!(avx512(), "the avx512 copy needs AVX-512F and AVX-512DQ");
+                // SAFETY: the assert above has just detected AVX-512F and AVX-512DQ.
+                unsafe { m.ou_busy_many_avx512(machines, tick, &mut out) }
+            }
+            other => panic!("no {other} copy on this target"),
+        }
+        out
+    }
+
+    /// [`LoadModel::ou3_window`]'s body on the named copy, collected.
+    fn ou3_window_on(
+        m: &LoadModel,
+        copy: &str,
+        machine: u64,
+        start: u64,
+        len: usize,
+        shocks: &mut [f64],
+    ) -> Vec<(usize, (f64, f64, f64))> {
+        let mut got = Vec::new();
+        let sink = |k, ou| got.push((k, ou));
+        match copy {
+            "portable" => m.ou3_window_lanes::<false>(machine, start, len, shocks, sink),
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => {
+                assert!(avx512(), "the avx512 copy needs AVX-512F and AVX-512DQ");
+                // SAFETY: the assert above has just detected AVX-512F and AVX-512DQ.
+                unsafe { m.ou3_window_avx512(machine, start, len, shocks, sink) }
+            }
+            other => panic!("no {other} copy on this target"),
+        }
+        got
+    }
+
+    /// A model of case `case`: its own seed and a θ drawn from
+    /// `[0.01, 0.5]`, both ends included.
+    fn case_model(case: u64) -> LoadModel {
+        let theta = match case % 7 {
+            0 => 0.01,
+            1 => 0.5,
+            _ => 0.01 + 0.49 * stream_uniform(case, 9, 0, 0),
+        };
+        LoadModel {
+            seed: splitmix64(case),
+            dynamics: LoadDynamics {
+                theta,
+                ..LoadDynamics::default()
+            },
+            ..model()
+        }
+    }
+
+    #[test]
+    fn lane_ranking_equals_per_candidate_busy_at() {
+        let copies = copies();
+        let ticks: Vec<u64> = (0..=OU_WINDOW)
+            .chain([1_000_000, 1_000_001, 7_654_321])
+            .collect();
+        let mut case = 0;
+        for len in (1..=40).chain([200]) {
+            for &tick in &ticks {
+                case += 1;
+                let m = case_model(case);
+                // Ids up to 20,000; every fifth repeats the one before.
+                let mut machines = Vec::with_capacity(len);
+                for k in 0..len as u64 {
+                    let id = match machines.last() {
+                        Some(&last) if k % 5 == 4 => last,
+                        _ => (splitmix64(case << 16 | k) % 20_001) as usize,
+                    };
+                    machines.push(id);
+                }
+                let mut dispatched = Vec::new();
+                m.ou_busy_many(&machines, tick, &mut dispatched);
+                let shared = m.shared_busy(tick);
+                for &copy in &copies {
+                    let ou = ou_busy_many_on(&m, copy, &machines, tick);
+                    assert_eq!(ou.len(), len);
+                    for (k, (&i, &ou)) in machines.iter().zip(&ou).enumerate() {
+                        let want = m.ou_busy(i as u64, tick);
+                        assert_eq!(
+                            ou.to_bits(),
+                            want.to_bits(),
+                            "{copy}: candidate {k} of {len} (machine {i}) at tick {tick}, θ {}",
+                            m.dynamics.theta
+                        );
+                        assert_eq!(ou.to_bits(), dispatched[k].to_bits());
+                        let assigned = 0.3 * (k % 4) as f64;
+                        assert_eq!(
+                            m.busy_from(shared, ou, assigned).to_bits(),
+                            m.busy_at(i as u64, tick, assigned).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_window_equals_per_tick_load_at() {
+        let copies = copies();
+        let starts = [0u64, 1, 5, 17, 30, 46, 47, 48, 100, 999_983];
+        let mut case = 0;
+        for len in 1..=25usize {
+            for &start in &starts {
+                case += 1;
+                let m = case_model(case);
+                let assigned: Vec<f64> = (0..len).map(|k| 0.2 * (k % 7) as f64).collect();
+                for &copy in &copies {
+                    // One zeroed buffer serves every machine of a window.
+                    let mut shocks = vec![0.0; 3 * window_row(len)];
+                    for machine in [splitmix64(case) % 20_000, 0, 19_999] {
+                        let got = ou3_window_on(&m, copy, machine, start, len, &mut shocks);
+                        assert_eq!(got.len(), len, "{copy}: one deviation per window tick");
+                        for (k, &(at, ou)) in got.iter().enumerate() {
+                            let tick = start + k as u64;
+                            let want = m.ou3(machine, tick);
+                            assert_eq!(at, k, "{copy}: ticks in order");
+                            assert_eq!(
+                                [ou.0, ou.1, ou.2].map(f64::to_bits),
+                                [want.0, want.1, want.2].map(f64::to_bits),
+                                "{copy}: machine {machine} tick {tick} (window of {len} from \
+                                 {start}), θ {}",
+                                m.dynamics.theta
+                            );
+                            assert_eq!(
+                                m.load_from(m.shared_busy(tick), ou, assigned[k]),
+                                m.load_at(machine, tick, assigned[k])
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
