@@ -152,7 +152,8 @@ fn build_workload(scale: Scale, quick: bool) -> Workload {
 /// directory. `quick` shrinks the workload and repetition count for CI
 /// smoke runs.
 pub fn run(scale: Scale, quick: bool) {
-    println!("Inference hot-path benchmark — fig7 candidate sets, single vs batched\n");
+    println!("Inference hot-path benchmark — fig7 candidate sets, single vs batched");
+    println!("conv kernel: {}\n", tinynn::conv_kernel());
     let reps = if quick { QUICK_REPS } else { REPS };
     let w = build_workload(scale, quick);
     let (queries, plans) = (w.queries(), w.plans());

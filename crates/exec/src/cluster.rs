@@ -272,6 +272,10 @@ pub struct Cluster {
     scratch_gen: u32,
     /// Scratch for the allocation candidates' OU busy deviations.
     scratch_ou: Vec<f64>,
+    /// Scratch for the allocation candidates and their `(busy, index)`
+    /// ranking, kept so `allocate` allocates only the list it returns.
+    scratch_candidates: Vec<usize>,
+    scratch_ranked: Vec<(f64, usize)>,
 }
 
 impl Cluster {
@@ -299,6 +303,8 @@ impl Cluster {
             scratch_mark: vec![0; n],
             scratch_gen: 0,
             scratch_ou: Vec::new(),
+            scratch_candidates: Vec::new(),
+            scratch_ranked: Vec::new(),
             config,
         };
         if c.config.engine == EngineMode::DenseTick {
@@ -576,7 +582,8 @@ impl Cluster {
         }
         let gen = self.scratch_gen;
 
-        let mut candidates: Vec<usize> = Vec::with_capacity(target);
+        let candidates = &mut self.scratch_candidates;
+        candidates.clear();
         let max_attempts = 16 * target + 64;
         let mut attempts = 0;
         while candidates.len() < target && attempts < max_attempts {
@@ -612,23 +619,20 @@ impl Cluster {
         }
         if candidates.is_empty() {
             // The whole pool is blacklisted: degrade to everyone.
-            candidates = (0..pool).collect();
+            candidates.extend(0..pool);
         }
 
         // Rank by the busy fraction (the busy lane of the load model alone
         // — bit-identical to `1 − cpu_idle`), ties broken by index. The
         // candidates' OU chains run eight lanes at a time.
         let shared = self.model.shared_busy(t);
-        self.model
-            .ou_busy_many(&candidates, t, &mut self.scratch_ou);
-        let mut ranked: Vec<(f64, usize)> = candidates
-            .iter()
-            .zip(&self.scratch_ou)
-            .map(|(&i, &ou)| {
-                let assigned = assigned_weight(&self.occupancy[i], t);
-                (self.model.busy_from(shared, ou, assigned), i)
-            })
-            .collect();
+        self.model.ou_busy_many(candidates, t, &mut self.scratch_ou);
+        let ranked = &mut self.scratch_ranked;
+        ranked.clear();
+        ranked.extend(candidates.iter().zip(&self.scratch_ou).map(|(&i, &ou)| {
+            let assigned = assigned_weight(&self.occupancy[i], t);
+            (self.model.busy_from(shared, ou, assigned), i)
+        }));
         self.stats.lazy_advances += ranked.len() as u64;
         if mcsim_obs::enabled() {
             mcsim_obs::counter("exec.lazy_advances", ranked.len() as u64);

@@ -13,10 +13,16 @@
 //!   the nonzero list), the stored nonzeros stream sequential multiply-adds
 //!   against rows of the *transposed* weights. On `x86_64` this is the
 //!   *register-strip* kernel: nonzeros are bucketed by position lane
-//!   (`c % 4`, CSR order preserved) and each 32-float output strip holds
-//!   all four lanes in eight SSE registers — one weight load per
-//!   multiply-add, no scratch-row loads or stores, lane combine done
-//!   register-to-register. Elsewhere it is the portable *lane-rows*
+//!   (`c % 4`, CSR order preserved) and each output strip holds all four
+//!   lanes in vector registers — one weight load per multiply-add, no
+//!   scratch-row loads or stores, lane combine done register-to-register.
+//!   Its body is written once, generic over the register type, and compiled
+//!   twice: with eight 4-float SSE2 registers per lane (32-float strips)
+//!   for every `x86_64` CPU, and with four 16-float AVX-512 registers per
+//!   lane (64-float strips) inside a `#[target_feature(enable =
+//!   "avx512f")]` wrapper. Each call picks the AVX-512 instance when
+//!   `is_x86_feature_detected!` finds AVX-512F; [`conv_kernel`] names the
+//!   one this host runs. Elsewhere it is the portable *lane-rows*
 //!   fallback: four output-wide lane rows in scratch, one `axpy` per
 //!   nonzero, auto-vectorized.
 //!
@@ -32,55 +38,56 @@
 //! the four lanes (`_mm_add_ps`/`_mm_mul_ps` are lane-wise IEEE single
 //! operations, identical to the scalar ones), and the blocked loop only
 //! changes which outputs share an input load — never the per-output
-//! operation sequence. Wider accumulators (8 lanes) or FMA would change the
-//! reduction tree or the rounding and are deliberately not used.
+//! operation sequence.
+//!
+//! Which way a kernel widens decides whether the bits can move. Widening
+//! along *outputs* is bit-safe: a wider register, or more of them, covers
+//! more outputs `j` per instruction, and no operation ever combines two
+//! outputs, so each output's sequence of lane-wise IEEE operations is
+//! unchanged — this is how the AVX-512 strip instance goes sixteen lanes
+//! wide. Widening along *columns* (8 accumulator lanes per output instead
+//! of 4) changes the reduction tree, and FMA drops the product's rounding;
+//! either changes the bits, so neither is used. Rust never contracts a
+//! multiply and an add into an FMA, and SSE and AVX-512 obey the same
+//! MXCSR rounding mode.
 //!
 //! For the sparse kernels: lane `k` of output `j` receives exactly the
 //! products `v·wᵀ[c][j]` of the stored nonzeros with `c % 4 == k`, in
 //! ascending column order — the same additions `sparse_dot`'s lane `k`
 //! performs for output `j`, because CSR columns are stored ascending and
 //! bucketing by `c % 4` preserves that order within each lane. Whether the
-//! lane accumulator lives in a scratch row (lane-rows) or an SSE register
-//! lane (strip) changes nothing: both start at `+0.0` and receive the same
-//! addition sequence. The lane combine and the sequential tail writes then
-//! mirror the scalar epilogue element by element. Transposing the weights
-//! is a pure data movement (no arithmetic), so feeding `wᵀ[c][j]` instead
-//! of `w[j][c]` cannot perturb a single bit.
+//! lane accumulator lives in a scratch row (lane-rows) or a register lane
+//! of either strip instance changes nothing: each starts at `+0.0` and
+//! receives the same addition sequence. The lane combine and the
+//! sequential tail writes then mirror the scalar epilogue element by
+//! element. Transposing the weights is a pure data movement (no
+//! arithmetic), so feeding `wᵀ[c][j]` instead of `w[j][c]` cannot perturb
+//! a single bit.
 //!
 //! [`KernelMode::Simd`]: crate::kernels::KernelMode::Simd
 
 use crate::mat::{dot, Mat};
+use crate::sparse::sparse_dot;
 
 /// Transposed copies of one tree-conv layer's three weight matrices
-/// (`id × od` each), kept in the caller's workspace so the sparse kernels
-/// can stream weight *rows* per feature column. Rebuilt only when the
-/// layer's weight-state stamp changes (see `WeightsGen` in the `param`
-/// module) — at inference the weights are static, so after the first call
-/// the transpose is pure reuse: zero copies, zero allocation. The rebuild
-/// itself costs `3·id·od` strided copies.
+/// (`id × od` each), so the sparse kernels can stream weight *rows* per
+/// feature column. The layer owns them (see `TreeConvLayer` in the `tcn`
+/// module): the first SIMD sparse forward after a weight change builds
+/// them, `adam_step` refills them in place, and every other weight write
+/// drops them. At inference the weights are static, so after the first
+/// call the transposes are pure reuse: zero copies, zero allocation. A
+/// fill costs `3·id·od` strided copies.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConvTransposes {
-    /// Stamp of the weight state the buffers were built from (0 = never).
-    key: u64,
     wst: Mat,
     wlt: Mat,
     wrt: Mat,
 }
 
 impl ConvTransposes {
-    /// Fills the transposes from the layer's row-major weights, skipping
-    /// the work entirely when `key` matches the last build (stamps are
-    /// globally unique per weight state, so a match proves the sources are
-    /// unchanged).
-    pub(crate) fn prepare(&mut self, key: u64, ws: &Mat, wl: &Mat, wr: &Mat) {
-        if self.key == key {
-            debug_assert_eq!(
-                (self.wst.rows, self.wst.cols),
-                (ws.cols, ws.rows),
-                "stamp matched but shapes differ"
-            );
-            return;
-        }
+    /// Refills the transposes from the layer's row-major weights, reusing
+    /// the buffers' capacity.
+    pub(crate) fn fill(&mut self, ws: &Mat, wl: &Mat, wr: &Mat) {
         for (dst, src) in [
             (&mut self.wst, ws),
             (&mut self.wlt, wl),
@@ -95,7 +102,6 @@ impl ConvTransposes {
                 }
             }
         }
-        self.key = key;
     }
 
     /// The three transposed matrices as raw slices, self/left/right order.
@@ -104,6 +110,7 @@ impl ConvTransposes {
     }
 
     /// Heap bytes held by the transpose buffers.
+    #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
         (self.wst.data.capacity() + self.wlt.data.capacity() + self.wrt.data.capacity())
             * std::mem::size_of::<f32>()
@@ -282,9 +289,10 @@ unsafe fn conv_node_dense_sse2(
 /// holds the node's and its children's CSR rows in self/left/right order
 /// (`None` = missing child); `wts` are the matching transposed weights
 /// (`id × od` row-major); `scratch` is this thread's kernel scratch; `out`
-/// is the node's output row. Dispatches to the register-strip kernel on
-/// `x86_64` and the portable lane-rows kernel elsewhere — bit-identical
-/// either way.
+/// is the node's output row. Dispatches to the AVX-512 instance of the
+/// register-strip kernel on `x86_64` CPUs with AVX-512F, to its SSE2
+/// instance on other `x86_64` CPUs, and to the portable lane-rows kernel
+/// elsewhere — bit-identical every way.
 pub(crate) fn conv_node_sparse(
     rows: [Option<(&[u32], &[f32])>; 3],
     wts: [&[f32]; 3],
@@ -296,8 +304,13 @@ pub(crate) fn conv_node_sparse(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        unsafe { conv_node_sparse_strips(rows, wts, bias, id, od, scratch, out) }
+        if avx512() {
+            // SAFETY: `avx512()` has just detected AVX-512F.
+            unsafe { conv_node_sparse_avx512(rows, wts, bias, id, od, scratch, out) }
+        } else {
+            // SAFETY: SSE2 is unconditionally available on x86_64.
+            unsafe { conv_node_sparse_sse2(rows, wts, bias, id, od, scratch, out) }
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -305,24 +318,153 @@ pub(crate) fn conv_node_sparse(
     }
 }
 
-/// The register-strip sparse kernel: per weight matrix, the row's head
-/// nonzeros are bucketed by lane (`c % 4`, CSR order preserved), then each
-/// 32-float output strip accumulates every lane's nonzeros in eight 4-lane
-/// SSE registers (zero-initialized — no lane-row fills) and the lane combine
-/// happens register-to-register before one store per strip. One weight load
-/// per multiply-add instead of the lane-row kernel's load/load/store
-/// triple — the sparse path's throughput win on wide output rows. The
-/// per-(lane, output) addition sequence is exactly the lane-rows kernel's,
-/// so bits never change (see the module docs).
+/// The scalar CSR kernel of one node, `KernelMode::Scalar`'s sparse
+/// forward and the reference of the strip and lane-rows kernels: one
+/// [`sparse_dot`] per output per present row against the row-major
+/// `od × id` weights, accumulated self → left → right, then bias and ReLU.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_node_sparse_ref(
+    xi: (&[u32], &[f32]),
+    xl: Option<(&[u32], &[f32])>,
+    xr: Option<(&[u32], &[f32])>,
+    ws: &[f32],
+    wl: &[f32],
+    wr: &[f32],
+    bias: &[f32],
+    id: usize,
+    out: &mut [f32],
+) {
+    for (j, (o, &bj)) in out.iter_mut().zip(bias).enumerate() {
+        let mut s = sparse_dot(xi.0, xi.1, &ws[j * id..(j + 1) * id]);
+        if let Some((cl, vl)) = xl {
+            s += sparse_dot(cl, vl, &wl[j * id..(j + 1) * id]);
+        }
+        if let Some((cr, vr)) = xr {
+            s += sparse_dot(cr, vr, &wr[j * id..(j + 1) * id]);
+        }
+        *o = (s + bj).max(0.0);
+    }
+}
+
+/// True when this CPU runs the AVX-512 instance of the register-strip
+/// kernel. `is_x86_feature_detected!` caches its answer after the first
+/// call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// Which sparse tree-convolution kernel [`KernelMode::Simd`] runs on this
+/// host: `"avx512"` (the 64-float-strip instance of the register-strip
+/// kernel, on `x86_64` CPUs with AVX-512F), `"sse2"` (its 32-float-strip
+/// instance, on every other `x86_64` CPU) or `"portable"` (the lane-rows
+/// kernel, off `x86_64`). All three compute the same bits; the name says
+/// which one a run's timings covered.
+///
+/// [`KernelMode::Simd`]: crate::kernels::KernelMode::Simd
+pub fn conv_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512() {
+            "avx512"
+        } else {
+            "sse2"
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "portable"
+    }
+}
+
+/// One vector register of the register-strip kernel: `N` `f32` lanes and
+/// the lane-wise IEEE single operations the kernel uses. There is no fused
+/// multiply-add: `mul` then `add` rounds twice, like the scalar kernels.
 ///
 /// # Safety
 ///
-/// Requires SSE2 (baseline on `x86_64`). Stored CSR columns are `< id` and
-/// each `wts` slice holds `id * od` elements, so every weight access
-/// `c * od + j` with `j < od` stays in bounds; `scratch.rows` holds at
-/// least `5 * od` and `out` exactly `od`.
+/// Every method needs the instruction set its register type belongs to,
+/// and `load`/`store` need `N` readable/writable floats at the pointer.
 #[cfg(target_arch = "x86_64")]
-unsafe fn conv_node_sparse_strips(
+trait F32Lanes: Copy {
+    /// Floats per register.
+    const N: usize;
+    unsafe fn zero() -> Self;
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn add(self, b: Self) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+    unsafe fn store(self, p: *mut f32);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl F32Lanes for std::arch::x86_64::__m128 {
+    const N: usize = 4;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm_setzero_ps()
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        std::arch::x86_64::_mm_set1_ps(v)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        std::arch::x86_64::_mm_loadu_ps(p)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::arch::x86_64::_mm_add_ps(self, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        std::arch::x86_64::_mm_mul_ps(self, b)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        std::arch::x86_64::_mm_storeu_ps(p, self)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl F32Lanes for std::arch::x86_64::__m512 {
+    const N: usize = 16;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm512_setzero_ps()
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        std::arch::x86_64::_mm512_set1_ps(v)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        std::arch::x86_64::_mm512_loadu_ps(p)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::arch::x86_64::_mm512_add_ps(self, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        std::arch::x86_64::_mm512_mul_ps(self, b)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        std::arch::x86_64::_mm512_storeu_ps(p, self)
+    }
+}
+
+/// The register-strip kernel's SSE2 instance: 32-float strips, eight
+/// 4-float registers per lane.
+///
+/// # Safety
+///
+/// Requires SSE2 (baseline on `x86_64`) and the slice contract of
+/// [`conv_node_sparse_strips`].
+#[cfg(target_arch = "x86_64")]
+unsafe fn conv_node_sparse_sse2(
     rows: [Option<(&[u32], &[f32])>; 3],
     wts: [&[f32]; 3],
     bias: &[f32],
@@ -331,7 +473,58 @@ unsafe fn conv_node_sparse_strips(
     scratch: &mut SparseScratch,
     out: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
+    conv_node_sparse_strips::<std::arch::x86_64::__m128, 8>(rows, wts, bias, id, od, scratch, out)
+}
+
+/// The register-strip kernel's AVX-512 instance: 64-float strips, four
+/// 16-float registers per lane.
+///
+/// # Safety
+///
+/// Requires AVX-512F and the slice contract of [`conv_node_sparse_strips`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn conv_node_sparse_avx512(
+    rows: [Option<(&[u32], &[f32])>; 3],
+    wts: [&[f32]; 3],
+    bias: &[f32],
+    id: usize,
+    od: usize,
+    scratch: &mut SparseScratch,
+    out: &mut [f32],
+) {
+    conv_node_sparse_strips::<std::arch::x86_64::__m512, 4>(rows, wts, bias, id, od, scratch, out)
+}
+
+/// The register-strip sparse kernel, written once and compiled into each
+/// instance: per weight matrix, the row's head nonzeros are bucketed by
+/// lane (`c % 4`, CSR order preserved), then each `R · V::N`-float output
+/// strip accumulates every lane's nonzeros in `R` registers per lane
+/// (zero-initialized — no lane-row fills) and the lane combine happens
+/// register-to-register before one store per register. One weight load per
+/// multiply-add instead of the lane-row kernel's load/load/store triple —
+/// the sparse path's throughput win on wide output rows. The
+/// per-(lane, output) addition sequence is exactly the lane-rows kernel's
+/// whatever the strip width, so bits never change (see the module docs).
+///
+/// # Safety
+///
+/// Requires the instruction set of `V`. Stored CSR columns are `< id` and
+/// each `wts` slice holds `id * od` elements, so every weight access
+/// `c * od + j` with `j < od` stays in bounds; `scratch.rows` holds at
+/// least `5 * od` and `out` exactly `od`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn conv_node_sparse_strips<V: F32Lanes, const R: usize>(
+    rows: [Option<(&[u32], &[f32])>; 3],
+    wts: [&[f32]; 3],
+    bias: &[f32],
+    id: usize,
+    od: usize,
+    scratch: &mut SparseScratch,
+    out: &mut [f32],
+) {
+    let strip = R * V::N;
     let main4 = id - id % 4;
     let mut first = true;
     for (wt, row) in wts.into_iter().zip(rows) {
@@ -349,15 +542,15 @@ unsafe fn conv_node_sparse_strips(
         }
         let wp = wt.as_ptr();
         let mut j = 0;
-        while j + 32 <= od {
+        while j + strip <= od {
             let tp = tmp.as_mut_ptr().add(j);
-            let mut l = [[_mm_setzero_ps(); 8]; 4];
+            let mut l = [[V::zero(); R]; 4];
             for (lane, b) in l.iter_mut().zip(buckets.iter()) {
                 for &(c, v) in b.iter() {
                     let w = wp.add(c as usize * od + j);
-                    let vv = _mm_set1_ps(v);
+                    let vv = V::splat(v);
                     for (s, acc) in lane.iter_mut().enumerate() {
-                        *acc = _mm_add_ps(*acc, _mm_mul_ps(vv, _mm_loadu_ps(w.add(4 * s))));
+                        *acc = acc.add(vv.mul(V::load(w.add(V::N * s))));
                     }
                 }
             }
@@ -368,11 +561,9 @@ unsafe fn conv_node_sparse_strips(
                 .zip(l2.into_iter().zip(l3))
                 .enumerate()
             {
-                let c01 = _mm_add_ps(a0, a1);
-                let c23 = _mm_add_ps(a2, a3);
-                _mm_storeu_ps(tp.add(4 * s), _mm_add_ps(c01, c23));
+                a0.add(a1).add(a2.add(a3)).store(tp.add(V::N * s));
             }
-            j += 32;
+            j += strip;
         }
         // Sub-strip output tail: per-lane scalar accumulators per element —
         // the same per-(lane, j) add sequence, one element at a time.
@@ -474,5 +665,179 @@ fn conv_node_sparse_lanes(
     }
     for (o, &bj) in out.iter_mut().zip(bias) {
         *o = (*o + bj).max(0.0);
+    }
+}
+
+/// The strip kernel's instances exist only on `x86_64`; elsewhere the tree
+/// convolution tests hold the lane-rows kernel to the scalar one.
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One CSR row: ascending columns and their stored values.
+    type Row = (Vec<u32>, Vec<f32>);
+
+    /// CSR rows over `id` columns that reach every branch of the strip
+    /// kernel: no nonzeros; only tail columns (`c >= id - id % 4`); one
+    /// lane only; uneven lanes (lane 0 full, one lane-3 entry, a tail
+    /// column); and random rows with negative values and stored `-0.0`.
+    fn rows(id: usize, rng: &mut StdRng) -> Vec<Row> {
+        let main4 = id - id % 4;
+        let mut out: Vec<Vec<u32>> = vec![Vec::new()];
+        out.push((main4 as u32..id as u32).collect());
+        out.push((1..main4 as u32).step_by(4).collect());
+        let mut uneven: Vec<u32> = (0..main4 as u32).step_by(4).collect();
+        if main4 >= 4 {
+            uneven.push(3);
+        }
+        uneven.extend((main4 < id).then_some(id as u32 - 1));
+        uneven.sort_unstable();
+        uneven.dedup();
+        out.push(uneven);
+        for _ in 0..3 {
+            let mut cols: Vec<u32> = (0..13).map(|_| rng.gen_range(0..id) as u32).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            out.push(cols);
+        }
+        out.into_iter()
+            .map(|cols| {
+                let vals = cols
+                    .iter()
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => -0.0,
+                        1 => rng.gen_range(-2.0..-0.5f32),
+                        _ => rng.gen_range(-1.5..1.5f32),
+                    })
+                    .collect();
+                (cols, vals)
+            })
+            .collect()
+    }
+
+    /// The dense `id`-wide row of a CSR row.
+    fn dense(row: &Row, id: usize) -> Vec<f32> {
+        let mut x = vec![0.0; id];
+        for (&c, &v) in row.0.iter().zip(&row.1) {
+            x[c as usize] = v;
+        }
+        x
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every strip-kernel instance this CPU can run must equal the scalar
+    /// CSR kernel and the dense reference bit for bit, over output widths
+    /// on both sides of every strip and register boundary, input widths
+    /// with and without tail columns, rows with no nonzeros or only tail
+    /// columns, uneven lane buckets, negative values and `-0.0`, and nodes
+    /// missing either child or both. The SSE2 instance always runs; the
+    /// AVX-512 instance runs where the CPU has AVX-512F.
+    #[test]
+    fn strip_instances_match_the_scalar_kernels_bitwise() {
+        let avx512 = avx512();
+        println!(
+            "strip instances checked: sse2{}",
+            if avx512 {
+                ", avx512"
+            } else {
+                " (no AVX-512F on this CPU)"
+            }
+        );
+        let mut rng = StdRng::seed_from_u64(97);
+        let mut checked = 0usize;
+        for od in [1, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200] {
+            for id in [3, 4, 5, 127, 128, 169] {
+                let w: Vec<Mat> = (0..3).map(|_| Mat::randn(od, id, 0.5, &mut rng)).collect();
+                let bias: Vec<f32> = (0..od).map(|_| rng.gen_range(-0.5..0.5f32)).collect();
+                let mut wt = ConvTransposes::default();
+                wt.fill(&w[0], &w[1], &w[2]);
+                let rows = rows(id, &mut rng);
+                let n = rows.len();
+                let csr = |k: usize| (rows[k].0.as_slice(), rows[k].1.as_slice());
+                for i in 0..n {
+                    let (l, r) = (Some(csr((i + 1) % n)), Some(csr((i + 2) % n)));
+                    for [xl, xr] in [[None, None], [l, None], [None, r], [l, r]] {
+                        let node = [Some(csr(i)), xl, xr];
+                        let mut scalar = vec![f32::NAN; od];
+                        conv_node_sparse_ref(
+                            csr(i),
+                            xl,
+                            xr,
+                            &w[0].data,
+                            &w[1].data,
+                            &w[2].data,
+                            &bias,
+                            id,
+                            &mut scalar,
+                        );
+                        let dx = |k: Option<usize>| k.map(|k| dense(&rows[k], id));
+                        let (dl, dr) = (dx(xl.map(|_| (i + 1) % n)), dx(xr.map(|_| (i + 2) % n)));
+                        let mut reference = vec![f32::NAN; od];
+                        conv_node_dense_ref(
+                            &dense(&rows[i], id),
+                            dl.as_deref(),
+                            dr.as_deref(),
+                            &w[0].data,
+                            &w[1].data,
+                            &w[2].data,
+                            &bias,
+                            id,
+                            &mut reference,
+                        );
+                        assert_eq!(
+                            bits(&scalar),
+                            bits(&reference),
+                            "scalar CSR vs dense, od {od} id {id} row {i}"
+                        );
+                        with_sparse_scratch(od, |scratch| {
+                            let mut out = vec![f32::NAN; od];
+                            // SAFETY: SSE2 is baseline on x86_64; `wt` holds
+                            // `id * od` floats per matrix, every stored
+                            // column is `< id`, and `out` is `od` wide.
+                            unsafe {
+                                conv_node_sparse_sse2(
+                                    node,
+                                    wt.slices(),
+                                    &bias,
+                                    id,
+                                    od,
+                                    scratch,
+                                    &mut out,
+                                )
+                            };
+                            assert_eq!(bits(&out), bits(&scalar), "sse2, od {od} id {id} row {i}");
+                            if avx512 {
+                                let mut out = vec![f32::NAN; od];
+                                // SAFETY: `avx512()` detected AVX-512F; the
+                                // slices are as for the SSE2 call.
+                                unsafe {
+                                    conv_node_sparse_avx512(
+                                        node,
+                                        wt.slices(),
+                                        &bias,
+                                        id,
+                                        od,
+                                        scratch,
+                                        &mut out,
+                                    )
+                                };
+                                assert_eq!(
+                                    bits(&out),
+                                    bits(&scalar),
+                                    "avx512, od {od} id {id} row {i}"
+                                );
+                            }
+                        });
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        println!("{checked} nodes checked");
     }
 }

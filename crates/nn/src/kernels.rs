@@ -2,7 +2,8 @@
 //! kernels vs the register-blocked kernels of the `convsimd` module.
 //!
 //! The mode selects only the tree convolution: conv1's CSR forward (the
-//! scalar sparse dot vs the register-strip kernel), the dense per-node
+//! scalar sparse dot vs the register-strip kernel, whose SSE2 or AVX-512
+//! instance [`crate::conv_kernel`] names), the dense per-node
 //! forward (the reference per-output dot loop vs the output-blocked SSE2
 //! kernel), and conv2's sparse/dense density gate in the forest forward.
 //! Everything else runs one kernel in both modes: the four-lane `dot`

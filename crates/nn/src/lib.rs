@@ -53,6 +53,7 @@ pub mod tcn;
 pub mod transformer;
 pub mod workspace;
 
+pub use convsimd::conv_kernel;
 pub use gcn::{Gcn, GcnCache, GcnWs, Graph};
 pub use grl::{lambda_schedule, reverse_gradient, reverse_gradient_into};
 pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};

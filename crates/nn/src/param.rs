@@ -2,76 +2,6 @@
 
 use crate::mat::Mat;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide counter backing [`WeightsGen`]; starts at 1 so 0 can mean
-/// "never prepared" in caches keyed by a stamp.
-static NEXT_GEN: AtomicU64 = AtomicU64::new(1);
-
-/// A globally unique stamp identifying one immutable weight state.
-///
-/// Layers that offer weight-derived caches (e.g. the transposed-weight
-/// buffers of the inference convolution kernels) hold one of these in a
-/// private field and draw a fresh value from a process-wide counter at
-/// construction, at deserialization, and in every method that mutates or
-/// hands out mutable access to the weights. Because every such transition
-/// consumes a new counter value, two equal stamps can only come from clones
-/// of the same unmutated state — i.e. equal stamps imply bit-identical
-/// weights, which is the soundness argument for skipping cache rebuilds.
-///
-/// The stamp is identity, not data: clones keep it (they hold the same
-/// values), equality ignores it, and serialization writes a placeholder
-/// while deserialization always mints a fresh one.
-#[derive(Debug)]
-pub(crate) struct WeightsGen(u64);
-
-impl WeightsGen {
-    /// A stamp no other weight state has ever carried.
-    pub(crate) fn fresh() -> WeightsGen {
-        WeightsGen(NEXT_GEN.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Marks the start of a new weight state (call *before* or *after* any
-    /// mutation — only the transition matters).
-    pub(crate) fn bump(&mut self) {
-        self.0 = NEXT_GEN.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The stamp value (never 0).
-    pub(crate) fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for WeightsGen {
-    fn default() -> WeightsGen {
-        WeightsGen::fresh()
-    }
-}
-
-impl Clone for WeightsGen {
-    fn clone(&self) -> WeightsGen {
-        WeightsGen(self.0)
-    }
-}
-
-impl PartialEq for WeightsGen {
-    fn eq(&self, _other: &WeightsGen) -> bool {
-        true // identity stamp, not part of the semantic value
-    }
-}
-
-impl Serialize for WeightsGen {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::U64(0) // placeholder: stamps never round-trip
-    }
-}
-
-impl Deserialize for WeightsGen {
-    fn from_value(_: &serde::Value) -> Result<WeightsGen, serde::de::DeError> {
-        Ok(WeightsGen::fresh())
-    }
-}
 
 /// Hyperparameters of the Adam optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -23,11 +23,12 @@ use crate::convsimd::{self, ConvTransposes};
 use crate::kernels::{kernel_mode, KernelMode};
 use crate::linear::{relu_mask_into, Linear};
 use crate::mat::{axpy, run_row_blocked, Mat};
-use crate::param::{AdamConfig, Param, WeightsGen};
-use crate::sparse::{sparse_dot, ColumnSet, SparseRows};
+use crate::param::{AdamConfig, Param};
+use crate::sparse::{ColumnSet, SparseRows};
 use crate::workspace::Workspace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Structural view of a binary tree: per-node left/right child indices.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -53,18 +54,68 @@ impl TreeStructure {
 /// One tree-convolution layer:
 /// `h_i = relu(W_s x_i + W_l x_{left(i)} + W_r x_{right(i)} + b)`,
 /// with missing children treated as zero vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and serialization cover the four parameters alone: the
+/// layer's weight transposes are derived from them, and a new or
+/// deserialized layer starts without them.
+#[derive(Debug, Clone)]
 pub struct TreeConvLayer {
     w_self: Param,
     w_left: Param,
     w_right: Param,
     b: Param,
-    /// Weight-state stamp: minted fresh at construction/deserialization and
-    /// re-minted by every method that mutates or exposes the weights, so
-    /// the inference path can reuse weight-derived scratch (the transposed
-    /// matrices of the lane-rows kernel) across calls. Equal stamps imply
-    /// bit-identical weights; see [`WeightsGen`].
-    gen: WeightsGen,
+    /// The transposed weights of the SIMD sparse kernel, one copy per
+    /// weight state: built by the first such forward (pool threads share
+    /// `&self`, so the build goes through the `OnceLock`), refilled in place
+    /// by [`TreeConvLayer::adam_step`], and dropped by
+    /// [`TreeConvLayer::params_mut`], the one other way to write the
+    /// weights.
+    wt: OnceLock<ConvTransposes>,
+}
+
+impl PartialEq for TreeConvLayer {
+    fn eq(&self, other: &TreeConvLayer) -> bool {
+        self.params() == other.params()
+    }
+}
+
+/// Field names of a serialized layer, in [`TreeConvLayer::params`] order.
+const PARAM_NAMES: [&str; 4] = ["w_self", "w_left", "w_right", "b"];
+
+impl Serialize for TreeConvLayer {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(
+            PARAM_NAMES
+                .iter()
+                .zip(self.params())
+                .map(|(name, p)| (name.to_string(), p.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for TreeConvLayer {
+    fn from_value(v: &serde::Value) -> Result<TreeConvLayer, serde::de::DeError> {
+        let serde::Value::Map(m) = v else {
+            return Err(serde::de::DeError(format!(
+                "TreeConvLayer: expected map, got {v:?}"
+            )));
+        };
+        let param = |name: &str| -> Result<Param, serde::de::DeError> {
+            let (_, v) = m.iter().find(|(k, _)| k == name).ok_or_else(|| {
+                serde::de::DeError(format!("TreeConvLayer: missing field `{name}`"))
+            })?;
+            Param::from_value(v)
+        };
+        let [w_self, w_left, w_right, b] = PARAM_NAMES;
+        Ok(TreeConvLayer {
+            w_self: param(w_self)?,
+            w_left: param(w_left)?,
+            w_right: param(w_right)?,
+            b: param(b)?,
+            wt: OnceLock::new(),
+        })
+    }
 }
 
 impl TreeConvLayer {
@@ -76,7 +127,7 @@ impl TreeConvLayer {
             w_left: Param::new(Mat::randn(out_dim, in_dim, std, rng)),
             w_right: Param::new(Mat::randn(out_dim, in_dim, std, rng)),
             b: Param::new(Mat::zeros(1, out_dim)),
-            gen: WeightsGen::fresh(),
+            wt: OnceLock::new(),
         }
     }
 
@@ -147,36 +198,33 @@ impl TreeConvLayer {
         run_row_blocked(out, flops, |i0, chunk| {
             for (bi, orow) in chunk.chunks_mut(od).enumerate() {
                 let i = i0 + bi;
-                let xi = x.row(i);
-                let xl = tree.left[i].map(|j| x.row(j));
-                let xr = tree.right[i].map(|j| x.row(j));
-                for (j, (o, &bj)) in orow.iter_mut().zip(bias).enumerate() {
-                    let mut s = sparse_dot(xi.0, xi.1, &ws.data[j * id..(j + 1) * id]);
-                    if let Some((cl, vl)) = xl {
-                        s += sparse_dot(cl, vl, &wl.data[j * id..(j + 1) * id]);
-                    }
-                    if let Some((cr, vr)) = xr {
-                        s += sparse_dot(cr, vr, &wr.data[j * id..(j + 1) * id]);
-                    }
-                    *o = (s + bj).max(0.0);
-                }
+                convsimd::conv_node_sparse_ref(
+                    x.row(i),
+                    tree.left[i].map(|j| x.row(j)),
+                    tree.right[i].map(|j| x.row(j)),
+                    &ws.data,
+                    &wl.data,
+                    &wr.data,
+                    bias,
+                    id,
+                    orow,
+                );
             }
         });
     }
 
-    /// [`TreeConvLayer::forward_ws_sparse`] through the lane-rows kernel of
-    /// the `convsimd` module: instead of `od` branchy passes over each CSR
-    /// row, every stored nonzero streams one sequential multiply-add row
-    /// against the transposed weights (kept in `wt`, rebuilt in place only
-    /// when the layer's weight stamp changes — zero allocation once warm).
+    /// [`TreeConvLayer::forward_ws_sparse`] through the register-strip
+    /// kernel of the `convsimd` module: instead of `od` branchy passes over
+    /// each CSR row, every stored nonzero streams one sequential
+    /// multiply-add row against the layer's transposed weights (built by
+    /// the first call after a weight change — zero allocation once warm).
     /// Bitwise identical to the scalar sparse kernel, and through it to the
     /// dense forward; see the `convsimd` module docs for the lane argument.
-    /// The conv1 kernel of both the inference and the training hot path.
+    /// The sparse kernel of both the inference and the training hot path.
     pub(crate) fn forward_ws_sparse_blocked(
         &self,
         x: &SparseRows,
         tree: &TreeStructure,
-        wt: &mut ConvTransposes,
         out: &mut Mat,
     ) {
         let n = x.rows();
@@ -185,13 +233,7 @@ impl TreeConvLayer {
         assert_eq!(id, self.w_self.value.cols, "tree conv input width");
         assert_eq!(n, tree.len(), "tree/feature row mismatch");
         out.resize_in_place(n, od);
-        wt.prepare(
-            self.gen.value(),
-            &self.w_self.value,
-            &self.w_left.value,
-            &self.w_right.value,
-        );
-        let wt = &*wt;
+        let wt = self.transposes();
         let bias = &self.b.value.data;
         let flops = 6 * x.nnz() * od;
         run_row_blocked(out, flops, |i0, chunk| {
@@ -357,20 +399,43 @@ impl TreeConvLayer {
         });
     }
 
+    /// The weight transposes of the current weight state, built on first
+    /// use. Concurrent first callers wait for one build and read its
+    /// buffers.
+    fn transposes(&self) -> &ConvTransposes {
+        self.wt.get_or_init(|| {
+            let mut wt = ConvTransposes::default();
+            wt.fill(&self.w_self.value, &self.w_left.value, &self.w_right.value);
+            wt
+        })
+    }
+
     /// Parameters in canonical order: `[w_self, w_left, w_right, b]`.
     pub fn params(&self) -> [&Param; 4] {
         [&self.w_self, &self.w_left, &self.w_right, &self.b]
     }
 
-    /// Mutable parameter access in canonical order. Conservatively marks a
-    /// new weight state (the caller may write through the borrows).
+    /// Mutable parameter access in canonical order. Drops the weight
+    /// transposes, since the caller may write the weights through the
+    /// borrows; the next SIMD sparse forward builds them again.
     pub fn params_mut(&mut self) -> [&mut Param; 4] {
-        self.gen.bump();
+        self.wt.take();
         [
             &mut self.w_self,
             &mut self.w_left,
             &mut self.w_right,
             &mut self.b,
+        ]
+    }
+
+    /// The four gradient accumulators in canonical order: a gradient-only
+    /// borrow, which keeps the weight transposes.
+    fn grads_mut(&mut self) -> [&mut Mat; 4] {
+        [
+            &mut self.w_self.grad,
+            &mut self.w_left.grad,
+            &mut self.w_right.grad,
+            &mut self.b.grad,
         ]
     }
 
@@ -390,13 +455,16 @@ impl TreeConvLayer {
         self.b.zero_grad();
     }
 
-    /// Adam step.
+    /// Adam step. Built weight transposes are refilled in place from the
+    /// new weights, so a training loop keeps one set of buffers.
     pub fn adam_step(&mut self, lr: f32, t: u64, cfg: &AdamConfig) {
-        self.gen.bump();
         self.w_self.adam_step(lr, t, cfg);
         self.w_left.adam_step(lr, t, cfg);
         self.w_right.adam_step(lr, t, cfg);
         self.b.adam_step(lr, t, cfg);
+        if let Some(wt) = self.wt.get_mut() {
+            wt.fill(&self.w_self.value, &self.w_left.value, &self.w_right.value);
+        }
     }
 
     /// Scalar parameter count.
@@ -517,27 +585,40 @@ fn pool_into(h: &Mat, pooled: &mut Mat, arg: &mut Vec<usize>) {
 /// a tree pooled as a forest segment is bit-identical to pooling it alone:
 /// the per-column scan order (ascending row) and the division by the segment
 /// length are the same. `arg` records the absolute argmax rows.
+///
+/// The scan runs row by row, each row updating every column's running max,
+/// argmax and sum with branch-free selects, so it reads `h` contiguously
+/// and vectorizes; each column still sees its rows in ascending order
+/// under the same `v > best` test.
 fn pool_rows_into(h: &Mat, r0: usize, r1: usize, out: &mut [f32], arg: &mut Vec<usize>) {
     let d = h.cols;
     debug_assert_eq!(out.len(), 2 * d + 1, "pooled row width");
     let n = r1 - r0;
     arg.clear();
     arg.resize(d, 0);
-    for (c, arg_c) in arg.iter_mut().enumerate() {
-        let mut best = f32::MIN;
-        let mut sum = 0.0;
-        for r in r0..r1 {
-            let v = h.get(r, c);
-            sum += v;
-            if v > best {
-                best = v;
-                *arg_c = r;
-            }
+    let (best, rest) = out.split_at_mut(d);
+    let (sum, log_n) = rest.split_at_mut(d);
+    best.fill(f32::MIN);
+    sum.fill(0.0);
+    for r in r0..r1 {
+        let row = h.row(r);
+        for (((b, s), a), &v) in best
+            .iter_mut()
+            .zip(sum.iter_mut())
+            .zip(arg.iter_mut())
+            .zip(row)
+        {
+            *s += v;
+            let gt = v > *b;
+            *b = if gt { v } else { *b };
+            *a = if gt { r } else { *a };
         }
-        out[c] = best;
-        out[d + c] = sum / n.max(1) as f32;
     }
-    out[2 * d] = (1.0 + n as f32).ln();
+    let len = n.max(1) as f32;
+    for s in sum.iter_mut() {
+        *s /= len;
+    }
+    log_n[0] = (1.0 + n as f32).ln();
 }
 
 /// The full PlanEmb tree-convolutional encoder: two tree-conv layers,
@@ -572,11 +653,6 @@ pub struct ForestWs {
     tree: TreeStructure,
     /// Prefix node offsets: tree `b` owns rows `bounds[b]..bounds[b+1]`.
     bounds: Vec<usize>,
-    /// The transposed weights of conv1 and conv2 for the SIMD-mode kernels,
-    /// each rebuilt in place only when its layer's weight stamp changes
-    /// (once per training step; at inference only on first use).
-    wt: ConvTransposes,
-    wt2: ConvTransposes,
     /// CSR view of the post-ReLU `h1` (mostly exact zeros), rebuilt per
     /// SIMD-mode forward.
     sh1: SparseRows,
@@ -640,8 +716,8 @@ impl ForestWs {
         self.bounds.clear();
     }
 
-    /// Bytes held by the stack, the activations, the weight transposes and
-    /// the CSR view of `h1`.
+    /// Bytes held by the stack, the activations and the CSR view of `h1`.
+    /// The weight transposes belong to the layers, not the workspace.
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f32>();
         let u = std::mem::size_of::<usize>();
@@ -651,8 +727,6 @@ impl ForestWs {
             + self.emb.data.capacity())
             * f
             + self.sx.bytes()
-            + self.wt.bytes()
-            + self.wt2.bytes()
             + self.sh1.bytes()
             + (self.bounds.capacity() + self.argmax.capacity()) * u
             + (self.tree.left.capacity() + self.tree.right.capacity())
@@ -745,8 +819,6 @@ impl Tcn {
             sx,
             tree,
             bounds,
-            wt,
-            wt2,
             sh1,
             h1,
             h2,
@@ -765,10 +837,10 @@ impl Tcn {
             self.conv1.forward_ws_sparse(sx, tree, h1);
             self.conv2.forward_ws(h1, tree, h2);
         } else {
-            self.conv1.forward_ws_sparse_blocked(sx, tree, wt, h1);
+            self.conv1.forward_ws_sparse_blocked(sx, tree, h1);
             sh1.assign_from_dense(h1);
             if sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
-                self.conv2.forward_ws_sparse_blocked(sh1, tree, wt2, h2);
+                self.conv2.forward_ws_sparse_blocked(sh1, tree, h2);
             } else {
                 self.conv2.forward_ws(h1, tree, h2);
             }
@@ -958,12 +1030,18 @@ impl Tcn {
     }
 
     /// Adds externally accumulated gradients (in [`Tcn::params`] order) into
-    /// the parameters' gradient accumulators.
+    /// the parameters' gradient accumulators. Writes no weight, so the
+    /// layers keep their weight transposes.
     pub fn add_grads(&mut self, mats: &[Mat]) {
-        let params = self.params_mut();
-        assert_eq!(mats.len(), params.len(), "tcn grad layout");
-        for (p, g) in params.into_iter().zip(mats) {
-            p.grad.add_assign(g);
+        assert_eq!(mats.len(), 10, "tcn grad layout");
+        let grads = self
+            .conv1
+            .grads_mut()
+            .into_iter()
+            .chain(self.conv2.grads_mut())
+            .chain([&mut self.proj.w.grad, &mut self.proj.b.grad]);
+        for (acc, g) in grads.zip(mats) {
+            acc.add_assign(g);
         }
     }
 
@@ -1384,11 +1462,12 @@ mod tests {
     }
 
     /// A training slot keeps one warm workspace across steps. After an Adam
-    /// step gives conv1 a new weight stamp, the SIMD forest forward must
-    /// rebuild the workspace's transposes. conv1 is 37 wide, one 32-float
-    /// strip plus a tail, so the register-strip kernel's main loop runs.
-    /// Under both modes the warm workspace must match a fresh one and the
-    /// dense forward bit for bit, and the sparse backward the dense one.
+    /// step refills conv1's weight transposes, the SIMD forest forward must
+    /// read the new weights. conv1 is 37 wide: one 32-float strip plus a
+    /// tail for the SSE2 strip kernel, all tail for the AVX-512 one, whose
+    /// strips are 64 floats wide. Under both modes
+    /// the warm workspace must match a fresh one and the dense forward bit
+    /// for bit, and the sparse backward the dense one.
     #[test]
     fn warm_sparse_workspace_matches_dense_after_a_weight_update() {
         let _guard = crate::kernels::MODE_TEST_MUTEX
@@ -1429,13 +1508,14 @@ mod tests {
             if mode == KernelMode::Simd {
                 let transposes = 3 * id * od * std::mem::size_of::<f32>();
                 assert!(
-                    warm.bytes() >= activations + transposes,
+                    transpose_bytes(&tcn.conv1) >= transposes,
                     "transposes uncounted"
                 );
             } else {
+                assert_eq!(warm.bytes(), activations, "scalar mode builds no scratch");
                 assert_eq!(
-                    warm.bytes(),
-                    activations,
+                    transpose_bytes(&tcn.conv1),
+                    0,
                     "scalar mode builds no transposes"
                 );
             }
@@ -1650,6 +1730,11 @@ mod tests {
         m.data.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Heap bytes of a layer's weight transposes (0 while unbuilt).
+    fn transpose_bytes(layer: &TreeConvLayer) -> usize {
+        layer.wt.get().map_or(0, ConvTransposes::bytes)
+    }
+
     /// Feature-like input rows for `n` nodes over `dim` columns: about one
     /// row in five is empty, the others hold a one-hot slot, a few random
     /// entries (tail columns included) and a `-0.0` the CSR index drops.
@@ -1729,10 +1814,10 @@ mod tests {
     }
 
     /// `ForestWs::bytes` counts what the SIMD-mode forward adds to a stacked
-    /// tree's workspace: both layers' weight transposes and the CSR view of
-    /// `h1`. conv1's bias is
-    /// shifted down so `h1` stays below conv2's density gate and conv2's
-    /// transposes get built too.
+    /// tree's workspace, the CSR view of `h1`, and each layer counts the
+    /// weight transposes it builds. conv1's bias is shifted down so `h1`
+    /// stays below conv2's density gate and conv2's transposes get built
+    /// too.
     #[test]
     fn tcn_ws_bytes_count_the_sparse_forward_scratch() {
         let _guard = crate::kernels::MODE_TEST_MUTEX
@@ -1762,15 +1847,189 @@ mod tests {
         );
         let f = std::mem::size_of::<f32>();
         let transposes = 3 * (id * od1 + od1 * od2) * f;
+        assert!(
+            transpose_bytes(&tcn.conv1) + transpose_bytes(&tcn.conv2) >= transposes,
+            "weight transposes uncounted"
+        );
         // The branchless index scan sizes columns and values to the dense
         // element count.
         let h1_index = 2 * n * od1 * f;
         assert!(
-            ws.bytes() >= activations + transposes + h1_index,
-            "sparse forward scratch uncounted: {} < {} + {transposes} + {h1_index}",
+            ws.bytes() >= activations + h1_index,
+            "sparse forward scratch uncounted: {} < {} + {h1_index}",
             ws.bytes(),
             activations
         );
+        set_kernel_mode(prev);
+    }
+
+    /// An encoder whose conv1 bias is shifted down so `h1` stays below
+    /// conv2's density gate: both layers then run the sparse kernel and
+    /// build weight transposes. conv1 is 70 wide (a 64-float AVX-512 strip
+    /// or two 32-float SSE2 strips, plus a tail), conv2 33. Returns it with
+    /// a 9-node tree and its feature rows.
+    fn sparse_gated_encoder(seed: u64) -> (Tcn, TreeStructure, Mat) {
+        let (id, n) = (30, 9);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tcn = Tcn::new(id, 70, 33, 4, &mut rng);
+        for b in tcn.conv1.params_mut()[3].value.data.iter_mut() {
+            *b -= 1.0;
+        }
+        let tree = random_tree(n, &mut rng);
+        let x = sparse_features(n, id, &mut rng);
+        (tcn, tree, x)
+    }
+
+    /// `h1` and the embedding of the SIMD forest forward over `x`, asserted
+    /// bit for bit equal to the dense reference's; `what` names the weight
+    /// state in the failure message.
+    fn simd_forward_matches_dense(
+        tcn: &Tcn,
+        tree: &TreeStructure,
+        x: &Mat,
+        what: &str,
+    ) -> [Vec<u32>; 2] {
+        let mut dense = ForestWs::default();
+        tcn.forward_ws(x, tree, &mut dense);
+        let sx = SparseRows::from_dense(x);
+        let mut ws = ForestWs::default();
+        ws.stack_sparse([(&sx, tree)]);
+        tcn.forward_forest_ws(&mut ws);
+        assert!(
+            ws.sh1.nnz() * 5 <= ws.h1.rows * ws.h1.cols * 3,
+            "{what}: the fixture's h1 must take conv2's sparse kernel"
+        );
+        assert_eq!(bits(&ws.h1), bits(&dense.h1), "{what}: h1");
+        assert_eq!(bits(ws.emb()), bits(dense.emb()), "{what}: emb");
+        [bits(&ws.h1), bits(ws.emb())]
+    }
+
+    /// Each layer keeps one set of weight transposes per weight state: the
+    /// first SIMD sparse forward builds it, `adam_step` refills the same
+    /// buffers, a write through `params_mut` drops it, and a deserialized
+    /// layer starts without it. After each of these the SIMD forward must
+    /// equal the dense reference bit for bit, so a stale transpose shows.
+    /// Equality and serialization ignore the transposes.
+    #[test]
+    fn layer_transposes_follow_every_weight_write() {
+        let _guard = crate::kernels::MODE_TEST_MUTEX
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        use crate::kernels::{set_kernel_mode, KernelMode};
+        let prev = set_kernel_mode(KernelMode::Simd);
+        let (mut tcn, tree, x) = sparse_gated_encoder(61);
+        let mut rng = StdRng::seed_from_u64(62);
+        assert_eq!(transpose_bytes(&tcn.conv1), 0, "a new layer starts unbuilt");
+        let first = simd_forward_matches_dense(&tcn, &tree, &x, "first forward");
+        let built = |tcn: &Tcn| {
+            [&tcn.conv1, &tcn.conv2].map(|l| l.wt.get().map(|t| t.slices()[0].as_ptr()))
+        };
+        let buffers = built(&tcn);
+        assert!(buffers.iter().all(Option::is_some), "both layers built");
+
+        // A training step: real gradients folded through the gradient-only
+        // path, then Adam, which refills the same buffers.
+        let mut ws = ForestWs::default();
+        ws.stack_sparse([(&SparseRows::from_dense(&x), &tree)]);
+        tcn.forward_forest_ws(&mut ws);
+        let mut grads: Vec<Mat> = tcn
+            .grad_shapes()
+            .iter()
+            .map(|&(r, c)| Mat::zeros(r, c))
+            .collect();
+        let g = Mat::randn(1, 4, 1.0, &mut rng);
+        tcn.backward_ws_sparse(&ws, &g, &mut grads, &mut Workspace::new());
+        tcn.add_grads(&grads);
+        assert_eq!(built(&tcn), buffers, "add_grads writes no weight");
+        tcn.adam_step(0.05, 1, &AdamConfig::default());
+        assert_eq!(built(&tcn), buffers, "adam_step refills in place");
+        let stepped = simd_forward_matches_dense(&tcn, &tree, &x, "after adam_step");
+        assert_ne!(stepped, first, "the step must move the encoder");
+
+        // A write through `params_mut` (both layers' `w_self`) drops the
+        // transposes.
+        for (_, w) in tcn
+            .params_mut()
+            .into_iter()
+            .enumerate()
+            .filter(|&(k, _)| k % 4 == 0)
+        {
+            for v in w.value.data.iter_mut() {
+                *v *= 1.5;
+            }
+        }
+        assert_eq!(built(&tcn), [None, None], "params_mut drops the transposes");
+        let written = simd_forward_matches_dense(&tcn, &tree, &x, "after params_mut");
+        assert_ne!(written, stepped, "the write must move the encoder");
+
+        // A serde round trip: equal (the transposes are not part of the
+        // value), serialized without them, and unbuilt until used.
+        let value = tcn.to_value();
+        let serde::Value::Map(fields) = &value else {
+            panic!("a Tcn serializes as a map")
+        };
+        let conv1 = &fields
+            .iter()
+            .find(|(k, _)| k == "conv1")
+            .expect("conv1 field")
+            .1;
+        let serde::Value::Map(conv1) = conv1 else {
+            panic!("a layer serializes as a map")
+        };
+        let keys: Vec<&str> = conv1.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, PARAM_NAMES, "only the parameters are serialized");
+        let back = Tcn::from_value(&value).expect("round trip");
+        assert_eq!(
+            built(&back),
+            [None, None],
+            "a deserialized layer starts unbuilt"
+        );
+        assert_eq!(back, tcn, "equality ignores the transposes");
+        let again = simd_forward_matches_dense(&back, &tree, &x, "after a serde round trip");
+        assert_eq!(again, written);
+        set_kernel_mode(prev);
+    }
+
+    /// Two threads running the first SIMD forward after a step share one
+    /// build of the transposes: a barrier releases both forwards together,
+    /// and each must read the bits of the dense reference.
+    #[test]
+    fn concurrent_first_forwards_read_the_same_transposes() {
+        let _guard = crate::kernels::MODE_TEST_MUTEX
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        use crate::kernels::{set_kernel_mode, KernelMode};
+        let prev = set_kernel_mode(KernelMode::Simd);
+        let (mut tcn, tree, x) = sparse_gated_encoder(71);
+        let mut rng = StdRng::seed_from_u64(72);
+        for p in tcn.params_mut() {
+            p.grad = Mat::randn(p.value.rows, p.value.cols, 1.0, &mut rng);
+        }
+        tcn.adam_step(0.05, 1, &AdamConfig::default());
+        assert_eq!(transpose_bytes(&tcn.conv1), 0, "nothing built yet");
+        let sx = SparseRows::from_dense(&x);
+        let barrier = std::sync::Barrier::new(2);
+        let (tcn, sx, tree, barrier) = (&tcn, &sx, &tree, &barrier);
+        let outs: Vec<[Vec<u32>; 2]> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut ws = ForestWs::default();
+                        ws.stack_sparse([(sx, tree)]);
+                        barrier.wait();
+                        tcn.forward_forest_ws(&mut ws);
+                        [bits(&ws.h1), bits(ws.emb())]
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("forward thread"))
+                .collect()
+        });
+        let dense = simd_forward_matches_dense(tcn, tree, &x, "after the threads");
+        assert_eq!(outs[0], dense, "thread 0");
+        assert_eq!(outs[1], dense, "thread 1");
         set_kernel_mode(prev);
     }
 
