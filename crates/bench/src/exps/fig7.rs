@@ -48,10 +48,10 @@ pub fn print_project(run: &ProjectRun) {
         100.0 * speedups as f64 / n.max(1) as f64,
     );
     println!(
-        "  worst regression {:.0}, best improvement {:.0} (ratio best/worst = {:.1}x), median relative gain among improved {:.0}%",
+        "  worst regression {:.0}, best improvement {:.0} ({}), median relative gain among improved {:.0}%",
         worst,
         best,
-        best / worst.max(1e-9),
+        ratio_label(best, worst, slowdowns),
         median_gain * 100.0
     );
 
@@ -78,5 +78,28 @@ pub fn print(runs: &[ProjectRun]) {
     println!("(paper: improvements far outnumber and outweigh regressions on P1/P2/P5)\n");
     for run in runs {
         print_project(run);
+    }
+}
+
+/// The best-improvement to worst-regression ratio, printed only when a
+/// counted slowdown exists: without one the worst "regression" is a
+/// rounding-size delta (or none at all), and the ratio says nothing.
+fn ratio_label(best: f64, worst: f64, slowdowns: usize) -> String {
+    if slowdowns == 0 {
+        "no regression".to_string()
+    } else {
+        format!("ratio best/worst = {:.1}x", best / worst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ratio_label;
+
+    #[test]
+    fn ratio_needs_a_counted_slowdown() {
+        assert_eq!(ratio_label(2948.1, 1e-8, 0), "no regression");
+        assert_eq!(ratio_label(0.0, 0.0, 0), "no regression");
+        assert_eq!(ratio_label(300.0, 120.0, 2), "ratio best/worst = 2.5x");
     }
 }

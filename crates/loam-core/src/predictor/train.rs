@@ -25,12 +25,20 @@
 //! zeros ReLU leaves in its input and its gradient. All of it is
 //! bit-identical to the dense kernels.
 //!
-//! One engine runs at every pool size. Each step is one pool fan-out over
-//! its populated slots, one slot per job: the calling thread and the pool's
-//! parked helpers claim slots as they free up, and each slot keeps its own
-//! buffers, so they stay warm whichever thread takes it. The calling thread
-//! then folds the slot gradients in slot-index order and steps Adam. So the
-//! final weights are bit-identical at any pool size — and identical to
+//! The tree-conv weight gradients stay input-major (`in × out`, the layout
+//! of each layer's weight transposes) from the per-tree kernel through the
+//! slot buffers to the fold, so a tree adds only the rows its gathered
+//! inputs store, each contiguously, and the transpose into the parameters'
+//! own layout happens once per layer per step.
+//!
+//! One engine runs at every pool size. Each step is two pool fan-outs. The
+//! first runs the populated slots, one slot per job: the calling thread and
+//! the pool's parked helpers claim slots as they free up, and each slot
+//! keeps its own buffers, so they stay warm whichever thread takes it. The
+//! second folds and steps, one parameter per job (`tinynn::SlotFold`):
+//! each element sums the slots in slot-index order, then takes its Adam
+//! update, and each tree-conv weight refills its layer's transposes. So
+//! the final weights are bit-identical at any pool size — and identical to
 //! [`train_reference`], the legacy allocating path kept as a cross-check. A
 //! panic in any slot fails `train`: the pool re-raises it on the calling
 //! thread once no other thread is still working the step.
@@ -46,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use tinynn::workspace::alloc_probe;
 use tinynn::{
     cross_entropy_logits, cross_entropy_logits_into, lambda_schedule, mse, mse_into,
-    reverse_gradient, AdamConfig, ForestWs, GradSet, Mat, MlpWs, Workspace,
+    reverse_gradient, AdamConfig, AdamStep, ForestWs, GradSet, Mat, MlpWs, SlotFold, Workspace,
 };
 
 /// One labeled training sample: a historical default plan, its logged
@@ -97,6 +105,13 @@ impl Default for TrainConfig {
 /// batch length and this constant.
 const MICROBATCHES: usize = 8;
 
+/// The predictor's parameters, in the order of each slot's gradients:
+/// PlanEmb 0..10, CostPred 10..14, DomClf from [`DOM_HEAD`].
+const PARAMS: usize = 18;
+
+/// Index of DomClf's first parameter.
+const DOM_HEAD: usize = 14;
+
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
@@ -141,12 +156,11 @@ struct Ctx<'a> {
     dann: bool,
 }
 
-/// Reusable per-slot buffers: gradient accumulators in canonical layout
-/// (PlanEmb 0..10, CostPred 10..14, DomClf 14..18), layer workspaces, and
-/// generic scratch. One per microbatch slot; a step's fan-out hands each
-/// populated slot to exactly one thread.
+/// Reusable per-slot buffers: layer workspaces and generic scratch. One
+/// per microbatch slot, with the slot's gradient accumulators beside it (a
+/// [`GradSet`] in the layout of [`slot_grads`]); a step's fan-out hands
+/// each populated slot to exactly one thread.
 struct SlotState {
-    grads: GradSet,
     tcn_ws: ForestWs,
     cost_ws: MlpWs,
     dom_ws: MlpWs,
@@ -160,13 +174,19 @@ struct SlotState {
     ld: f32,
 }
 
+/// A slot's zeroed gradient accumulators, in the modules' gradient
+/// layouts (PlanEmb's conv weights input-major), in [`PARAMS`] order.
+fn slot_grads(p: &AdaptiveCostPredictor) -> GradSet {
+    let mut shapes = p.plan_emb.grad_shapes();
+    shapes.extend(p.cost_head.grad_shapes());
+    shapes.extend(p.dom_head.grad_shapes());
+    assert_eq!(shapes.len(), PARAMS, "predictor parameter count");
+    GradSet::from_shapes(&shapes)
+}
+
 impl SlotState {
-    fn new(p: &AdaptiveCostPredictor) -> SlotState {
-        let mut shapes = p.plan_emb.grad_shapes();
-        shapes.extend(p.cost_head.grad_shapes());
-        shapes.extend(p.dom_head.grad_shapes());
+    fn new() -> SlotState {
         SlotState {
-            grads: GradSet::from_shapes(&shapes),
             tcn_ws: ForestWs::default(),
             cost_ws: MlpWs::default(),
             dom_ws: MlpWs::default(),
@@ -183,8 +203,7 @@ impl SlotState {
 
     /// Steady-state bytes held by this slot's buffers.
     fn bytes(&self) -> usize {
-        self.grads.bytes()
-            + self.tcn_ws.bytes()
+        self.tcn_ws.bytes()
             + self.cost_ws.bytes()
             + self.dom_ws.bytes()
             + self.scratch.bytes()
@@ -217,21 +236,21 @@ fn slot_len(len: usize) -> usize {
 }
 
 /// Runs one microbatch slot: per-sample forward/backward through the
-/// allocation-free kernels, gradients accumulated into the slot's buffers.
+/// allocation-free kernels, gradients accumulated into the slot's `grads`.
 fn process_slot(
     p: &AdaptiveCostPredictor,
     ctx: &Ctx<'_>,
     desc: &Step<'_>,
     s: usize,
     slot: &mut SlotState,
+    grads: &mut GradSet,
 ) {
     let start = s * desc.chunk;
     let end = (start + desc.chunk).min(desc.batch.len());
-    slot.grads.zero();
+    grads.zero();
     slot.lc = 0.0;
     slot.ld = 0.0;
     let SlotState {
-        grads,
         tcn_ws,
         cost_ws,
         dom_ws,
@@ -245,7 +264,7 @@ fn process_slot(
         ld,
     } = slot;
     let (pe, rest) = grads.mats.split_at_mut(10);
-    let (ch, dh) = rest.split_at_mut(4);
+    let (ch, dh) = rest.split_at_mut(DOM_HEAD - 10);
     let lam = -(desc.lambda as f32);
     for pos in start..end {
         let i = desc.batch[pos];
@@ -291,41 +310,33 @@ fn process_slot(
     }
 }
 
-/// Folds the populated slots' gradients into the model in slot-index order
-/// and applies Adam. Returns the summed `(L_c, L_d)` of the step.
+/// Folds the populated slots' gradients into the model and applies Adam,
+/// as one pool fan-out with one job per parameter ([`SlotFold::run`]):
+/// each element sums the slots in slot-index order, then takes its update;
+/// DomClf is updated only under the adaptive objective. Allocates nothing.
 fn fold_and_step(
     p: &mut AdaptiveCostPredictor,
-    slots: &[SlotState],
-    lr: f32,
-    t: u64,
-    adam: &AdamConfig,
+    grads: &[GradSet],
+    step: &AdamStep,
     adaptive: bool,
-) -> (f32, f32) {
+) {
     let reduce_started = std::time::Instant::now();
-    p.plan_emb.zero_grad();
-    p.cost_head.zero_grad();
-    p.dom_head.zero_grad();
-    let mut lc = 0.0f32;
-    let mut ld = 0.0f32;
-    for slot in slots {
-        let (pe, rest) = slot.grads.mats.split_at(10);
-        let (ch, dh) = rest.split_at(4);
-        p.plan_emb.add_grads(pe);
-        p.cost_head.add_grads(ch);
-        p.dom_head.add_grads(dh);
-        lc += slot.lc;
-        ld += slot.ld;
-    }
-    p.plan_emb.adam_step(lr, t, adam);
-    p.cost_head.adam_step(lr, t, adam);
-    if adaptive {
-        p.dom_head.adam_step(lr, t, adam);
-    }
+    let mut folds = p
+        .plan_emb
+        .slot_folds()
+        .into_iter()
+        .chain(p.cost_head.slot_folds())
+        .chain(p.dom_head.slot_folds());
+    let jobs: [SlotFold<'_>; PARAMS] =
+        std::array::from_fn(|_| folds.next().expect("predictor parameter count"));
+    debug_assert!(folds.next().is_none(), "predictor parameter count");
+    mcsim_par::ThreadPool::global().for_each(jobs.into_iter().enumerate(), |(k, fold)| {
+        fold.run(grads, k, (adaptive || k < DOM_HEAD).then_some(step));
+    });
     mcsim_obs::observe(
         "train.reduce_ns",
         reduce_started.elapsed().as_nanos() as f64,
     );
-    (lc, ld)
 }
 
 /// The epoch/batch schedule shared by every engine: shuffling, learning-rate
@@ -498,7 +509,8 @@ pub fn train(
     let mut report = TrainReport::with_capacity(cfg.epochs);
 
     let max_slots = MICROBATCHES.min(cfg.batch_size.max(1));
-    let mut slots: Vec<SlotState> = (0..max_slots).map(|_| SlotState::new(predictor)).collect();
+    let mut slots: Vec<SlotState> = (0..max_slots).map(|_| SlotState::new()).collect();
+    let mut grads: Vec<GradSet> = (0..max_slots).map(|_| slot_grads(predictor)).collect();
     let pool = mcsim_par::ThreadPool::global();
     let feat_count = (samples.len() + candidates.len()) as u64;
 
@@ -519,16 +531,22 @@ pub fn train(
                 inv,
                 chunk,
             };
-            let slots = &mut slots[..batch.len().div_ceil(chunk)];
+            let used = batch.len().div_ceil(chunk);
+            let (slots, grads) = (&mut slots[..used], &mut grads[..used]);
             let p = &*predictor;
-            pool.parallel_for_chunks_mut(slots, 1, |s, slot| {
-                process_slot(p, &ctx, &step, s, &mut slot[0]);
+            let jobs = slots.iter_mut().zip(grads.iter_mut()).enumerate();
+            pool.for_each(jobs, |(s, (slot, grads))| {
+                process_slot(p, &ctx, &step, s, slot, grads);
             });
-            fold_and_step(predictor, slots, lr, t, &adam, cfg.adaptive)
+            fold_and_step(predictor, grads, &AdamStep::new(lr, t, &adam), cfg.adaptive);
+            slots
+                .iter()
+                .fold((0.0, 0.0), |(lc, ld), slot| (lc + slot.lc, ld + slot.ld))
         },
     );
 
-    let ws_bytes: usize = slots.iter().map(SlotState::bytes).sum();
+    let ws_bytes: usize = slots.iter().map(SlotState::bytes).sum::<usize>()
+        + grads.iter().map(GradSet::bytes).sum::<usize>();
     mcsim_obs::gauge("train.ws_bytes", ws_bytes as f64);
 
     report.seconds = started.elapsed().as_secs_f64();
@@ -634,8 +652,17 @@ pub fn train_reference(
             predictor.plan_emb.zero_grad();
             predictor.cost_head.zero_grad();
             predictor.dom_head.zero_grad();
+            // The snapshots hold each gradient in its parameter's own
+            // layout, so they fold straight into the accumulators.
             for snapshot in &staged {
-                predictor.plan_emb.add_grads(&snapshot[0..10]);
+                for (prm, g) in predictor
+                    .plan_emb
+                    .params_mut()
+                    .into_iter()
+                    .zip(&snapshot[0..10])
+                {
+                    prm.grad.add_assign(g);
+                }
                 predictor.cost_head.add_grads(&snapshot[10..14]);
                 predictor.dom_head.add_grads(&snapshot[14..18]);
             }
@@ -778,6 +805,116 @@ mod tests {
         for (pa, pb) in a.plan_emb.params().iter().zip(b.plan_emb.params()) {
             assert_eq!(pa.value.data, pb.value.data, "plan_emb weights diverged");
         }
+    }
+
+    /// Random gradients for `n` slots: exact zeros, `-0.0`, and magnitudes
+    /// spread over six decades, so a sum taken in another order shows.
+    fn random_slot_grads(p: &AdaptiveCostPredictor, n: usize, rng: &mut StdRng) -> Vec<GradSet> {
+        (0..n)
+            .map(|_| {
+                let mut g = slot_grads(p);
+                for v in g.mats.iter_mut().flat_map(|m| m.data.iter_mut()) {
+                    *v = match rand::Rng::gen_range(rng, 0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => {
+                            let e = rand::Rng::gen_range(rng, -3..3);
+                            rand::Rng::gen_range(rng, -1.0..1.0f32) * 10f32.powi(e)
+                        }
+                    };
+                }
+                g
+            })
+            .collect()
+    }
+
+    /// Every number of a serialized value, as bits, in document order.
+    fn value_bits(v: &serde::Value, out: &mut Vec<u64>) {
+        match v {
+            serde::Value::F64(x) => out.push(x.to_bits()),
+            serde::Value::Seq(items) => items.iter().for_each(|i| value_bits(i, out)),
+            serde::Value::Map(fields) => fields.iter().for_each(|(_, i)| value_bits(i, out)),
+            _ => {}
+        }
+    }
+
+    /// The fused fold plus Adam equals the serial sequence it replaced:
+    /// `zero_grad`, one `add_grads` per slot in slot order, then
+    /// `adam_step`, DomClf's only under the adaptive objective. Checked bit
+    /// for bit at pools 1, 2 and 8 with every fan-out forced open, over
+    /// steps of eight and of fewer slots: the weights, gradients and Adam
+    /// moments (through serde), and the weight transposes both refill,
+    /// read through a SIMD forest forward against a deserialized copy that
+    /// builds its transposes afresh.
+    #[test]
+    fn fused_fold_matches_the_serial_fold_and_adam_step() {
+        let samples = make_samples(6, 31);
+        let featurizer = AdaptiveCostPredictor::new(32, true).featurizer;
+        let cache = FeatureCache::new();
+        let feats: Vec<CachedFeatures> = samples
+            .iter()
+            .map(|s| cache.featurize(&featurizer, &s.plan, EnvSource::PerStage(&s.stage_envs)))
+            .collect();
+        let forward = |p: &AdaptiveCostPredictor| -> Vec<u32> {
+            let mut ws = ForestWs::default();
+            ws.stack_sparse(feats.iter().map(|f| (&f.0, &f.1)));
+            p.plan_emb.forward_forest_ws(&mut ws);
+            ws.emb().data.iter().map(|v| v.to_bits()).collect()
+        };
+        let bits = |p: &AdaptiveCostPredictor| {
+            let mut out = Vec::new();
+            value_bits(&serde::Serialize::to_value(p), &mut out);
+            out
+        };
+        let adam = AdamConfig {
+            weight_decay: 1e-4,
+            ..AdamConfig::default()
+        };
+        let prev_work = mcsim_par::set_min_parallel_work(1);
+        for threads in [1usize, 2, 8] {
+            let mut rng = StdRng::seed_from_u64(33);
+            let mut fused = AdaptiveCostPredictor::new(32, true);
+            forward(&fused);
+            let mut serial = fused.clone();
+            let steps = [(8, true), (3, false), (8, false), (5, true)];
+            for (t, (nslots, adaptive)) in (1u64..).zip(steps) {
+                let grads = random_slot_grads(&fused, nslots, &mut rng);
+                let step = AdamStep::new(0.01, t, &adam);
+                mcsim_par::with_threads(threads, || {
+                    fold_and_step(&mut fused, &grads, &step, adaptive)
+                });
+                serial.plan_emb.zero_grad();
+                serial.cost_head.zero_grad();
+                serial.dom_head.zero_grad();
+                for g in &grads {
+                    serial.plan_emb.add_grads(&g.mats[..10]);
+                    serial.cost_head.add_grads(&g.mats[10..DOM_HEAD]);
+                    serial.dom_head.add_grads(&g.mats[DOM_HEAD..]);
+                }
+                serial.plan_emb.adam_step(0.01, t, &adam);
+                serial.cost_head.adam_step(0.01, t, &adam);
+                if adaptive {
+                    serial.dom_head.adam_step(0.01, t, &adam);
+                }
+                let what = format!("pool {threads}, step {t}");
+                assert_eq!(
+                    bits(&fused),
+                    bits(&serial),
+                    "{what}: weights, gradients, moments"
+                );
+                let fresh: AdaptiveCostPredictor =
+                    serde::Deserialize::from_value(&serde::Serialize::to_value(&fused))
+                        .expect("round trip");
+                let refilled = forward(&fused);
+                assert_eq!(
+                    refilled,
+                    forward(&fresh),
+                    "{what}: the fused fold's transposes"
+                );
+                assert_eq!(refilled, forward(&serial), "{what}: adam_step's transposes");
+            }
+        }
+        mcsim_par::set_min_parallel_work(prev_work);
     }
 
     /// A cost head one input wider than the embedding makes every slot's

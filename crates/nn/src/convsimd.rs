@@ -73,10 +73,10 @@ use crate::sparse::sparse_dot;
 /// (`id × od` each), so the sparse kernels can stream weight *rows* per
 /// feature column. The layer owns them (see `TreeConvLayer` in the `tcn`
 /// module): the first SIMD sparse forward after a weight change builds
-/// them, `adam_step` refills them in place, and every other weight write
-/// drops them. At inference the weights are static, so after the first
-/// call the transposes are pure reuse: zero copies, zero allocation. A
-/// fill costs `3·id·od` strided copies.
+/// them, `adam_step` and a trainer's fused fold refill them in place, and
+/// every other weight write drops them. At inference the weights are
+/// static, so after the first call the transposes are pure reuse: zero
+/// copies, zero allocation. A fill costs `3·id·od` strided copies.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConvTransposes {
     wst: Mat,
@@ -93,20 +93,19 @@ impl ConvTransposes {
             (&mut self.wlt, wl),
             (&mut self.wrt, wr),
         ] {
-            let (od, id) = (src.rows, src.cols);
-            dst.resize_in_place(id, od);
-            for c in 0..id {
-                let drow = &mut dst.data[c * od..(c + 1) * od];
-                for (j, d) in drow.iter_mut().enumerate() {
-                    *d = src.data[j * id + c];
-                }
-            }
+            src.transpose_into(dst);
         }
     }
 
     /// The three transposed matrices as raw slices, self/left/right order.
     pub(crate) fn slices(&self) -> [&[f32]; 3] {
         [&self.wst.data, &self.wlt.data, &self.wrt.data]
+    }
+
+    /// The three transposed matrices, self/left/right order, for a fold
+    /// that refills them in place.
+    pub(crate) fn mats_mut(&mut self) -> [&mut Mat; 3] {
+        [&mut self.wst, &mut self.wlt, &mut self.wrt]
     }
 
     /// Heap bytes held by the transpose buffers.

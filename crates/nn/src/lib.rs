@@ -62,7 +62,7 @@ pub use loss::{accuracy, cross_entropy_logits, cross_entropy_logits_into, mse, m
 pub use mat::Mat;
 pub use metrics::{concordance, mean_abs_log_ratio, r2, spearman};
 pub use mlp::{Mlp, MlpCache, MlpWs};
-pub use param::{AdamConfig, Param};
+pub use param::{AdamConfig, AdamStep, Param, SlotFold};
 pub use sparse::SparseRows;
 pub use tcn::{ForestWs, Tcn, TcnCache, TreeConvLayer, TreeStructure};
 pub use transformer::{Transformer, TransformerCache, TransformerWs};

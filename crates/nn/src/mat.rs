@@ -282,6 +282,17 @@ impl Mat {
         }
     }
 
+    /// Writes `selfᵀ` into `out`, reusing its buffer: a pure copy, one
+    /// output row per input column.
+    pub(crate) fn transpose_into(&self, out: &mut Mat) {
+        out.resize_in_place(self.cols, self.rows);
+        for c in 0..self.cols {
+            for (r, o) in out.row_mut(c).iter_mut().enumerate() {
+                *o = self.data[r * self.cols + c];
+            }
+        }
+    }
+
     /// Element-wise in-place addition.
     pub fn add_assign(&mut self, other: &Mat) {
         assert_eq!(self.data.len(), other.data.len());

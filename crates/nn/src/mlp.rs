@@ -2,7 +2,7 @@
 
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::param::{AdamConfig, Param};
+use crate::param::{AdamConfig, Param, SlotFold};
 use crate::workspace::Workspace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -244,6 +244,14 @@ impl Mlp {
             l.w.grad.add_assign(&mats[2 * i]);
             l.b.grad.add_assign(&mats[2 * i + 1]);
         }
+    }
+
+    /// The parameters as fused fold-and-step jobs, in [`Mlp::params`]
+    /// order (see [`SlotFold::run`]).
+    pub fn slot_folds(&mut self) -> impl Iterator<Item = SlotFold<'_>> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [SlotFold::new(&mut l.w), SlotFold::new(&mut l.b)])
     }
 
     /// Clears all gradients.

@@ -1,6 +1,7 @@
 //! Learnable parameters with gradient accumulation and optimizer state.
 
 use crate::mat::Mat;
+use crate::workspace::GradSet;
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the Adam optimizer.
@@ -63,8 +64,7 @@ impl Param {
     /// Elementwise and therefore order-free: large tensors are updated in
     /// parallel chunks through the global pool with bit-identical results.
     pub fn adam_step(&mut self, lr: f32, t: u64, cfg: &AdamConfig) {
-        let bc1 = 1.0 - cfg.beta1.powi(t as i32);
-        let bc2 = 1.0 - cfg.beta2.powi(t as i32);
+        let step = AdamStep::new(lr, t, cfg);
         let n = self.value.data.len();
         let pool = mcsim_par::ThreadPool::global();
         // ~12 flops per element.
@@ -78,19 +78,13 @@ impl Param {
                 .zip(self.grad.data.chunks(chunk))
                 .zip(self.m.data.chunks_mut(chunk))
                 .zip(self.v.data.chunks_mut(chunk));
-            pool.for_each(jobs, |(((val, g), m), v)| {
-                adam_chunk(val, g, m, v, lr, bc1, bc2, cfg)
-            });
+            pool.for_each(jobs, |(((val, g), m), v)| step.apply(val, g, m, v));
         } else {
-            adam_chunk(
+            step.apply(
                 &mut self.value.data,
                 &self.grad.data,
                 &mut self.m.data,
                 &mut self.v.data,
-                lr,
-                bc1,
-                bc2,
-                cfg,
             );
         }
     }
@@ -113,29 +107,150 @@ impl Param {
     }
 }
 
-/// The Adam update for one aligned chunk of value/grad/moment arrays —
-/// shared by the serial and parallel paths so they are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn adam_chunk(
-    value: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
+/// The constants of one Adam update: the learning rate, the bias
+/// corrections of the step, and the hyperparameters. One per optimizer
+/// step, shared by every parameter the step updates.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStep {
     lr: f32,
     bc1: f32,
     bc2: f32,
-    cfg: &AdamConfig,
-) {
-    for i in 0..value.len() {
-        let mut g = grad[i];
-        if cfg.weight_decay > 0.0 {
-            g += cfg.weight_decay * value[i];
+    cfg: AdamConfig,
+}
+
+impl AdamStep {
+    /// The update of the 1-based global step `t` at learning rate `lr`.
+    pub fn new(lr: f32, t: u64, cfg: &AdamConfig) -> AdamStep {
+        AdamStep {
+            lr,
+            bc1: 1.0 - cfg.beta1.powi(t as i32),
+            bc2: 1.0 - cfg.beta2.powi(t as i32),
+            cfg: *cfg,
         }
-        m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g;
-        v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g;
-        let mh = m[i] / bc1;
-        let vh = v[i] / bc2;
-        value[i] -= lr * mh / (vh.sqrt() + cfg.eps);
+    }
+
+    /// The update of one aligned chunk of value/grad/moment arrays, the
+    /// one rule of every Adam path. Elementwise, so any chunking gives the
+    /// same bits.
+    fn apply(&self, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let AdamStep { lr, bc1, bc2, cfg } = *self;
+        debug_assert!(
+            grad.len() == value.len() && m.len() == value.len() && v.len() == value.len()
+        );
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((w, &g), (m, v)) in value.iter_mut().zip(grad).zip(moments) {
+            let mut g = g;
+            if cfg.weight_decay > 0.0 {
+                g += cfg.weight_decay * *w;
+            }
+            *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
+            *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
+            let mh = *m / bc1;
+            let vh = *v / bc2;
+            *w -= lr * mh / (vh.sqrt() + cfg.eps);
+        }
+    }
+}
+
+/// The block of an input-major slot sum: [`FOLD_IN`] input rows by up to
+/// [`FOLD_OUT`] outputs. Each slot's rows are read contiguously into a
+/// stack tile, which is then written transposed into the gradient.
+const FOLD_IN: usize = 16;
+
+/// See [`FOLD_IN`].
+const FOLD_OUT: usize = 128;
+
+/// One parameter's share of a fused fold-and-step: its gradient summed
+/// over a step's microbatch slots, then its Adam update. A trainer builds
+/// one per parameter and hands them to one pool fan-out; each touches its
+/// own parameter alone, so the result does not depend on the pool size or
+/// on which thread runs it.
+#[derive(Debug)]
+pub struct SlotFold<'a> {
+    param: &'a mut Param,
+    /// `None` when the slot gradients have the value's layout. `Some` for a
+    /// weight whose slot gradients are input-major (`in × out` for an
+    /// `out × in` value, a tree-conv weight); it holds the layer's
+    /// input-major weight copy when that is built, refilled from the
+    /// updated value.
+    input_major: Option<Option<&'a mut Mat>>,
+}
+
+impl<'a> SlotFold<'a> {
+    /// A parameter whose slot gradients have its value's layout.
+    pub(crate) fn new(param: &'a mut Param) -> SlotFold<'a> {
+        SlotFold {
+            param,
+            input_major: None,
+        }
+    }
+
+    /// A weight whose slot gradients are input-major, with its input-major
+    /// copy to refill (`None` while unbuilt).
+    pub(crate) fn input_major(param: &'a mut Param, copy: Option<&'a mut Mat>) -> SlotFold<'a> {
+        SlotFold {
+            param,
+            input_major: Some(copy),
+        }
+    }
+
+    /// Sets the parameter's gradient to the sum of gradient `k` of every
+    /// slot, element by element in slot order (`((0 + g₀) + g₁) + …`, the
+    /// sums of a `zero_grad` followed by one add per slot), then applies
+    /// `step` if given and refills the input-major copy. An input-major
+    /// weight's gradient is transposed here, once per step. Allocates
+    /// nothing.
+    pub fn run(self, slots: &[GradSet], k: usize, step: Option<&AdamStep>) {
+        let Param { value, grad, m, v } = self.param;
+        if self.input_major.is_some() {
+            sum_transposed(slots, k, grad);
+        } else {
+            grad.fill(0.0);
+            for slot in slots {
+                grad.add_assign(&slot.mats[k]);
+            }
+        }
+        if let Some(step) = step {
+            step.apply(&mut value.data, &grad.data, &mut m.data, &mut v.data);
+        }
+        if let Some(Some(copy)) = self.input_major {
+            value.transpose_into(copy);
+        }
+    }
+}
+
+/// Sets `grad` (`out × in`) to the slot order sum of the input-major
+/// gradient `k` (`in × out`) of every slot, transposed: `((0 + g₀) + g₁) +
+/// …` per element, a [`FOLD_IN`]-row block of the slots' gradients at a
+/// time.
+fn sum_transposed(slots: &[GradSet], k: usize, grad: &mut Mat) {
+    let (od, id) = (grad.rows, grad.cols);
+    for slot in slots {
+        let g = &slot.mats[k];
+        assert_eq!((g.rows, g.cols), (id, od), "input-major slot gradient");
+    }
+    let mut tile = [0.0f32; FOLD_IN * FOLD_OUT];
+    for c0 in (0..id).step_by(FOLD_IN) {
+        let c1 = (c0 + FOLD_IN).min(id);
+        for r0 in (0..od).step_by(FOLD_OUT) {
+            let width = (r0 + FOLD_OUT).min(od) - r0;
+            // Tile row `j`: the sums of input `c0 + j`, outputs `r0..`.
+            for (j, sums) in tile.chunks_exact_mut(width).take(c1 - c0).enumerate() {
+                let at = (c0 + j) * od + r0;
+                sums.fill(0.0);
+                for slot in slots {
+                    for (s, &g) in sums.iter_mut().zip(&slot.mats[k].data[at..at + width]) {
+                        *s += g;
+                    }
+                }
+            }
+            for i in 0..width {
+                let row = (r0 + i) * id;
+                for (j, g) in grad.data[row + c0..row + c1].iter_mut().enumerate() {
+                    *g = tile[j * width + i];
+                }
+            }
+        }
     }
 }
 

@@ -24,14 +24,14 @@
 //! nonzero, and in both states `s + ±0.0 == s` bitwise. The same holds one
 //! level up: a gradient accumulator that starts at `+0.0` and only ever
 //! receives such sums is never `-0.0` either, so skipping the add of a sum
-//! that is exactly `+0.0` (a weight-gradient column no gathered row stores)
-//! leaves it unchanged. The argument needs nothing from the data — it holds
+//! that is exactly `+0.0` (a row of an input-major weight gradient that no
+//! gathered input row stores) leaves it unchanged. The argument needs nothing from the data — it holds
 //! for plan-feature rows (which always carry the operator one-hot `1.0`),
 //! for post-ReLU activation rows, and for ReLU-masked gradient rows
 //! (whichever `±0.0` the mask or the upstream gradient left), all-zero rows
-//! included. That is what lets the second convolution skip the entries of
-//! `h1` that ReLU zeroed, and its backward the entries of its gradient the
-//! mask zeroed.
+//! included. That is what lets the second convolution's forward and weight
+//! gradients skip the entries of `h1` that ReLU zeroed, and its input
+//! gradient the entries of its gradient the mask zeroed.
 
 use crate::mat::Mat;
 

@@ -23,7 +23,7 @@ use crate::convsimd::{self, ConvTransposes};
 use crate::kernels::{kernel_mode, KernelMode};
 use crate::linear::{relu_mask_into, Linear};
 use crate::mat::{axpy, run_row_blocked, Mat};
-use crate::param::{AdamConfig, Param};
+use crate::param::{AdamConfig, Param, SlotFold};
 use crate::sparse::{ColumnSet, SparseRows};
 use crate::workspace::Workspace;
 use rand::Rng;
@@ -67,9 +67,9 @@ pub struct TreeConvLayer {
     /// The transposed weights of the SIMD sparse kernel, one copy per
     /// weight state: built by the first such forward (pool threads share
     /// `&self`, so the build goes through the `OnceLock`), refilled in place
-    /// by [`TreeConvLayer::adam_step`], and dropped by
-    /// [`TreeConvLayer::params_mut`], the one other way to write the
-    /// weights.
+    /// by [`TreeConvLayer::adam_step`] and by the fused fold of
+    /// [`Tcn::slot_folds`], and dropped by [`TreeConvLayer::params_mut`],
+    /// the one other way to write the weights.
     wt: OnceLock<ConvTransposes>,
 }
 
@@ -251,12 +251,13 @@ impl TreeConvLayer {
         });
     }
 
-    /// Allocation-free backward. `h` is the forward output (its zeros mask
-    /// the ReLU); per-parameter gradients go into zeroed scratch first and
-    /// are then added to `grads` (layout per [`TreeConvLayer::grad_shapes`]),
-    /// keeping one accumulation order for wrapper and workspace callers.
-    /// Skipping `grad_in` skips the three input-gradient matmuls entirely —
-    /// the first layer of an encoder never needs them.
+    /// Allocation-free backward, the dense reference. `h` is the forward
+    /// output (its zeros mask the ReLU); per-parameter gradients go into
+    /// zeroed scratch first and are then added to `grads` (layout per
+    /// [`TreeConvLayer::grad_shapes`]: the weights input-major), keeping one
+    /// accumulation order for wrapper and workspace callers. Skipping
+    /// `grad_in` skips the three input-gradient matmuls entirely — the
+    /// first layer of an encoder never needs them.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_ws(
         &self,
@@ -273,13 +274,13 @@ impl TreeConvLayer {
         let id = x.cols;
         scratch.with(grad_out.rows, grad_out.cols, |scratch, gpre| {
             relu_mask_into(h, grad_out, gpre);
-            scratch.with(od, id, |scratch, dw| {
-                gpre.matmul_tn_into(x, dw);
-                grads[0].add_assign(dw);
-                tn_gather_into(gpre, x, &tree.left, dw);
-                grads[1].add_assign(dw);
-                tn_gather_into(gpre, x, &tree.right, dw);
-                grads[2].add_assign(dw);
+            scratch.with(id, od, |scratch, dwt| {
+                tn_gather_into(gpre, x, Some, dwt);
+                grads[0].add_assign(dwt);
+                tn_gather_into(gpre, x, |k| tree.left[k], dwt);
+                grads[1].add_assign(dwt);
+                tn_gather_into(gpre, x, |k| tree.right[k], dwt);
+                grads[2].add_assign(dwt);
                 scratch.with(1, od, |_, db| {
                     gpre.col_sums_into(db);
                     grads[3].add_assign(db);
@@ -298,12 +299,21 @@ impl TreeConvLayer {
         });
     }
 
-    /// Allocation-free backward over a sparse input view; bitwise identical
-    /// to [`TreeConvLayer::backward_ws`] with `grad_in: None` (the sparse
-    /// path serves the encoder's first layer, whose input never needs a
-    /// gradient). The weight-gradient kernel touches only stored nonzeros of
-    /// `x`, and only the columns they occupy, while keeping the dense
-    /// kernels' per-element ascending-node accumulation order.
+    /// Allocation-free backward over a CSR view of the input; bitwise
+    /// identical to [`TreeConvLayer::backward_ws`] on the dense matrix. The
+    /// three weight gradients touch only the stored nonzeros of `x`, and
+    /// only the input rows of the input-major gradients that the gathered
+    /// rows store. The input gradient, when requested, is driven by a CSR
+    /// index of the ReLU-masked gradient instead of dense products over it
+    /// — the second layer's backward in training, where the mask zeroes
+    /// most of the gradient: one `axpy` of a weight row per stored `(i, k)`,
+    /// each child term summed in a 1×id row and added in the dense
+    /// `scatter_add` order. Every element still sums its terms in
+    /// ascending node order, and every skipped term is a `±0.0` input or
+    /// gradient entry times a finite value, so the bits are the dense
+    /// kernel's (see the [`crate::sparse`] module docs). The indexes are
+    /// rebuilt in place in `scratch`: a warm call allocates nothing.
+    #[allow(clippy::too_many_arguments)]
     pub fn backward_ws_sparse(
         &self,
         x: &SparseRows,
@@ -311,6 +321,7 @@ impl TreeConvLayer {
         tree: &TreeStructure,
         grad_out: &Mat,
         grads: &mut [Mat],
+        grad_in: Option<&mut Mat>,
         scratch: &mut Workspace,
     ) {
         assert_eq!(grads.len(), 4, "tree conv grad layout");
@@ -325,60 +336,18 @@ impl TreeConvLayer {
                     add_tn_sparse(gpre, x, |k| tree.left[k], dwt, cols, &mut grads[1]);
                     add_tn_sparse(gpre, x, |k| tree.right[k], dwt, cols, &mut grads[2]);
                 });
-            });
-            scratch.with(1, od, |_, db| {
-                gpre.col_sums_into(db);
-                grads[3].add_assign(db);
-            });
-        });
-    }
-
-    /// [`TreeConvLayer::backward_ws`] with an input gradient, driven by a
-    /// CSR index of the ReLU-masked gradient instead of dense products over
-    /// it: the second layer's backward in training, where the mask zeroes
-    /// most of the gradient. The three weight gradients take one `axpy` of
-    /// an input row per stored gradient entry `(k, r)`, the input gradient
-    /// one `axpy` of a weight row per stored `(i, k)`. Each element still
-    /// sums its terms in ascending `k`, and every skipped term is a `±0.0`
-    /// gradient entry times a finite activation or weight, so the bits are
-    /// the dense kernel's (see the [`crate::sparse`] module docs). The index
-    /// is rebuilt in place in `scratch`: a warm call allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_ws_masked(
-        &self,
-        x: &Mat,
-        h: &Mat,
-        tree: &TreeStructure,
-        grad_out: &Mat,
-        grads: &mut [Mat],
-        grad_in: &mut Mat,
-        scratch: &mut Workspace,
-    ) {
-        assert_eq!(grads.len(), 4, "tree conv grad layout");
-        let od = self.out_dim();
-        let id = x.cols;
-        scratch.with(grad_out.rows, grad_out.cols, |scratch, gpre| {
-            relu_mask_into(h, grad_out, gpre);
-            scratch.with_index(|scratch, index| {
+                scratch.with(1, od, |_, db| {
+                    gpre.col_sums_into(db);
+                    grads[3].add_assign(db);
+                });
+                let Some(grad_in) = grad_in else { return };
                 let sg = &mut index.grad;
                 sg.assign_from_dense(gpre);
-                scratch.with(od, id, |scratch, dw| {
-                    tn_csr_into(sg, x, Some, dw);
-                    grads[0].add_assign(dw);
-                    tn_csr_into(sg, x, |k| tree.left[k], dw);
-                    grads[1].add_assign(dw);
-                    tn_csr_into(sg, x, |k| tree.right[k], dw);
-                    grads[2].add_assign(dw);
-                    scratch.with(1, od, |_, db| {
-                        gpre.col_sums_into(db);
-                        grads[3].add_assign(db);
-                    });
-                });
                 // Input gradient: the self term, then each child's term
                 // summed on its own and added to the child's row, in the
                 // order of the dense kernel's two `scatter_add`s.
-                grad_in.resize_in_place(x.rows, id);
-                for i in 0..x.rows {
+                grad_in.resize_in_place(x.rows(), id);
+                for i in 0..x.rows() {
                     csr_row_matmul(sg.row(i), &self.w_self.value, grad_in.row_mut(i));
                 }
                 scratch.with(1, id, |_, via| {
@@ -428,23 +397,56 @@ impl TreeConvLayer {
         ]
     }
 
-    /// The four gradient accumulators in canonical order: a gradient-only
-    /// borrow, which keeps the weight transposes.
-    fn grads_mut(&mut self) -> [&mut Mat; 4] {
-        [
-            &mut self.w_self.grad,
-            &mut self.w_left.grad,
-            &mut self.w_right.grad,
-            &mut self.b.grad,
-        ]
+    /// Gradient-buffer shapes in [`TreeConvLayer::params`] order, the
+    /// layer's one gradient layout: each weight input-major (`in × out`,
+    /// the layout of the layer's weight transposes, so a tree adds the rows
+    /// its gathered inputs store contiguously), then the `1 × out` bias.
+    pub fn grad_shapes(&self) -> [(usize, usize); 4] {
+        let (od, id) = (self.w_self.value.rows, self.w_self.value.cols);
+        [(id, od), (id, od), (id, od), (1, od)]
     }
 
-    /// Gradient-buffer shapes in [`TreeConvLayer::params`] order.
-    pub fn grad_shapes(&self) -> Vec<(usize, usize)> {
-        self.params()
-            .iter()
-            .map(|p| (p.value.rows, p.value.cols))
-            .collect()
+    /// Adds gradients in [`TreeConvLayer::grad_shapes`] layout into the
+    /// parameters' accumulators, transposing the weights. Writes no weight,
+    /// so the weight transposes stay.
+    fn add_grads(&mut self, mats: &[Mat]) {
+        assert_eq!(mats.len(), 4, "tree conv grad layout");
+        for (acc, g) in [&mut self.w_self, &mut self.w_left, &mut self.w_right]
+            .into_iter()
+            .zip(mats)
+        {
+            let (od, id) = (acc.grad.rows, acc.grad.cols);
+            assert_eq!((g.rows, g.cols), (id, od), "input-major weight gradient");
+            for (r, row) in acc.grad.data.chunks_exact_mut(id).enumerate() {
+                for (c, a) in row.iter_mut().enumerate() {
+                    *a += g.data[c * od + r];
+                }
+            }
+        }
+        self.b.grad.add_assign(&mats[3]);
+    }
+
+    /// The layer's four parameters as fused fold-and-step jobs, in
+    /// [`TreeConvLayer::params`] order: each weight input-major, with its
+    /// transposes to refill when built, then the bias.
+    fn slot_folds(&mut self) -> [SlotFold<'_>; 4] {
+        let TreeConvLayer {
+            w_self,
+            w_left,
+            w_right,
+            b,
+            wt,
+        } = self;
+        let [ts, tl, tr] = match wt.get_mut() {
+            Some(wt) => wt.mats_mut().map(Some),
+            None => [None, None, None],
+        };
+        [
+            SlotFold::input_major(w_self, ts),
+            SlotFold::input_major(w_left, tl),
+            SlotFold::input_major(w_right, tr),
+            SlotFold::new(b),
+        ]
     }
 
     /// Clears gradients.
@@ -473,34 +475,37 @@ impl TreeConvLayer {
     }
 }
 
-/// `out = gpreᵀ @ gather(x, idx)` without materializing the gather: the
-/// weight gradient of one child filter. Accumulation per output element is
-/// ascending node order, the same k-outer order as [`Mat::matmul_tn`];
-/// nodes without the child are skipped (a zero row contributes nothing).
-fn tn_gather_into(gpre: &Mat, x: &Mat, idx: &[Option<usize>], out: &mut Mat) {
-    out.resize_in_place(gpre.cols, x.cols);
+/// `out = gather(x)ᵀ @ gpre` (`id × od`) without materializing the
+/// gather: the input-major weight gradient of one filter over dense input
+/// rows, where `gather(k)` is the row of `x` node `k` sees through the
+/// filter (its own, or a child's). One `od`-wide `axpy` of node `k`'s
+/// gradient row per column of its gathered row; per element the sum runs
+/// over ascending nodes, one add per node — [`Mat::matmul_tn`]'s order for
+/// `gpreᵀ @ gather(x)`, transposed. Nodes without the row are skipped (a
+/// zero row contributes nothing).
+fn tn_gather_into(gpre: &Mat, x: &Mat, gather: impl Fn(usize) -> Option<usize>, out: &mut Mat) {
+    out.resize_in_place(x.cols, gpre.cols);
     out.fill(0.0);
-    for (k, &j) in idx.iter().enumerate() {
-        let Some(j) = j else { continue };
-        let xrow = &x.data[j * x.cols..(j + 1) * x.cols];
-        let grow = gpre.row(k);
-        for (r, &g) in grow.iter().enumerate() {
-            axpy(out.row_mut(r), g, xrow);
+    for k in 0..gpre.rows {
+        let Some(j) = gather(k) else { continue };
+        let g = gpre.row(k);
+        for (c, &v) in x.row(j).iter().enumerate() {
+            axpy(out.row_mut(c), v, g);
         }
     }
 }
 
-/// Adds `gpreᵀ @ gather(x)` into `grad` (`od × id`): the weight gradient
-/// of one filter over a CSR input, where `gather(k)` is the row of `x` node
-/// `k` sees through the filter (its own, or a child's). The product
-/// accumulates transposed in `dwt` (`id × od` scratch, contents unspecified
-/// on entry), one `od`-wide `axpy` per stored nonzero, and only the columns
-/// the gathered rows store (`cols`) are zeroed, filled and then added row by
-/// row into `grad`. Per element that is [`Mat::matmul_tn`]'s sum: ascending
-/// node order, one add per node, then one add into `grad`. A skipped term
-/// is a `±0.0` input times a gradient entry, and a skipped column would
-/// add an exact `+0.0` sum; neither moves a bit (see the [`crate::sparse`]
-/// module docs).
+/// Adds `gather(x)ᵀ @ gpre` into the input-major `grad` (`id × od`): the
+/// weight gradient of one filter over a CSR input, where `gather(k)` is the
+/// row of `x` node `k` sees through the filter (its own, or a child's). The
+/// tree's product accumulates in `dwt` (`id × od` scratch, contents
+/// unspecified on entry), one `od`-wide `axpy` per stored nonzero, and only
+/// the rows the gathered inputs store (`cols`) are zeroed, filled and then
+/// added, each contiguously, into the same row of `grad`. Per element that
+/// is [`tn_gather_into`]'s sum: ascending node order, one add per node,
+/// then one add into `grad`. A skipped term is a `±0.0` input times a
+/// gradient entry, and a skipped row would add an exact `+0.0` sum; neither
+/// moves a bit (see the [`crate::sparse`] module docs).
 fn add_tn_sparse(
     gpre: &Mat,
     x: &SparseRows,
@@ -527,26 +532,15 @@ fn add_tn_sparse(
             axpy(dwt.row_mut(c as usize), v, g);
         }
     }
-    for r in 0..od {
-        let grow = grad.row_mut(r);
-        for &c in cols.as_slice() {
-            grow[c as usize] += dwt.data[c as usize * od + r];
-        }
-    }
-}
-
-/// `out = gᵀ @ gather(x)` from the CSR index `sg` of `g`: one `axpy` of the
-/// gathered input row per stored gradient entry `(k, r)`, in ascending `k`,
-/// the order of [`Mat::matmul_tn`] and [`tn_gather_into`].
-fn tn_csr_into(sg: &SparseRows, x: &Mat, gather: impl Fn(usize) -> Option<usize>, out: &mut Mat) {
-    out.resize_in_place(sg.dim(), x.cols);
-    out.fill(0.0);
-    for k in 0..sg.rows() {
-        let Some(j) = gather(k) else { continue };
-        let xrow = x.row(j);
-        let (rs, gs) = sg.row(k);
-        for (&r, &g) in rs.iter().zip(gs) {
-            axpy(out.row_mut(r as usize), g, xrow);
+    debug_assert_eq!(
+        (grad.rows, grad.cols),
+        (x.dim(), od),
+        "input-major weight gradient"
+    );
+    for &c in cols.as_slice() {
+        let c = c as usize;
+        for (g, &d) in grad.row_mut(c).iter_mut().zip(dwt.row(c)) {
+            *g += d;
         }
     }
 }
@@ -654,8 +648,10 @@ pub struct ForestWs {
     /// Prefix node offsets: tree `b` owns rows `bounds[b]..bounds[b+1]`.
     bounds: Vec<usize>,
     /// CSR view of the post-ReLU `h1` (mostly exact zeros), rebuilt per
-    /// SIMD-mode forward.
+    /// SIMD-mode forward; conv2's weight gradients in training read it.
     sh1: SparseRows,
+    /// True while `sh1` indexes `h1`: after a SIMD-mode forest forward.
+    h1_indexed: bool,
     h1: Mat,
     h2: Mat,
     pooled: Mat,
@@ -771,6 +767,7 @@ impl Tcn {
     pub fn forward_ws(&self, x: &Mat, tree: &TreeStructure, ws: &mut ForestWs) {
         ws.clear_stack();
         let ForestWs {
+            h1_indexed,
             h1,
             h2,
             pooled,
@@ -778,6 +775,7 @@ impl Tcn {
             emb,
             ..
         } = ws;
+        *h1_indexed = false;
         self.conv1.forward_ws(x, tree, h1);
         self.conv2.forward_ws(h1, tree, h2);
         pool_into(h2, pooled, argmax);
@@ -820,6 +818,7 @@ impl Tcn {
             tree,
             bounds,
             sh1,
+            h1_indexed,
             h1,
             h2,
             pooled,
@@ -835,10 +834,12 @@ impl Tcn {
         debug_assert_eq!(bounds[ntrees], sx.rows(), "bounds must end at the last row");
         if kernel_mode() == KernelMode::Scalar {
             self.conv1.forward_ws_sparse(sx, tree, h1);
+            *h1_indexed = false;
             self.conv2.forward_ws(h1, tree, h2);
         } else {
             self.conv1.forward_ws_sparse_blocked(sx, tree, h1);
             sh1.assign_from_dense(h1);
+            *h1_indexed = true;
             if sh1.nnz() * 5 <= h1.rows * h1.cols * 3 {
                 self.conv2.forward_ws_sparse_blocked(sh1, tree, h2);
             } else {
@@ -888,26 +889,29 @@ impl Tcn {
         grads: &mut [Mat],
         scratch: &mut Workspace,
     ) {
+        let h1 = &ws.h1;
         self.backward_ws_with(
-            tree,
             ws,
             grad_emb,
             grads,
             scratch,
-            false,
-            |conv1, grad_h1, g1, scratch| {
-                conv1.backward_ws(x, &ws.h1, tree, grad_h1, g1, None, scratch);
+            |g1, g2, grad_h2, grad_h1, scratch| {
+                self.conv2
+                    .backward_ws(h1, &ws.h2, tree, grad_h2, g2, Some(grad_h1), scratch);
+                self.conv1
+                    .backward_ws(x, h1, tree, grad_h1, g1, None, scratch);
             },
         );
     }
 
     /// The training backward of the one tree the last
     /// [`Tcn::forward_forest_ws`] ran over, read from the workspace's stack.
-    /// Bitwise identical to [`Tcn::backward_ws`] on the dense matrix: conv1's
-    /// weight gradients are accumulated from the CSR index over only the
-    /// columns the tree's rows store, and conv2's backward runs over a CSR
-    /// index of its ReLU-masked gradient; the projection and un-pooling are
-    /// shared with [`Tcn::backward_ws`].
+    /// Bitwise identical to [`Tcn::backward_ws`] on the dense matrix: both
+    /// conv layers run [`TreeConvLayer::backward_ws_sparse`], conv1 over the
+    /// stacked CSR index of the features and conv2 over the CSR view of
+    /// `h1` the SIMD-mode forward built (a scalar-mode forward builds none,
+    /// so the view is then built here, in `scratch`); the projection and
+    /// un-pooling are shared with [`Tcn::backward_ws`].
     ///
     /// # Panics
     ///
@@ -925,34 +929,48 @@ impl Tcn {
             2,
             "backward_ws_sparse needs a workspace holding exactly one stacked tree"
         );
-        let (x, tree) = (&ws.sx, &ws.tree);
+        let (x, tree, h1) = (&ws.sx, &ws.tree, &ws.h1);
         self.backward_ws_with(
-            tree,
             ws,
             grad_emb,
             grads,
             scratch,
-            true,
-            |conv1, grad_h1, g1, scratch| {
-                conv1.backward_ws_sparse(x, &ws.h1, tree, grad_h1, g1, scratch);
+            |g1, g2, grad_h2, grad_h1, scratch| {
+                let mut conv2 = |sh1: &SparseRows, scratch: &mut Workspace| {
+                    self.conv2.backward_ws_sparse(
+                        sh1,
+                        &ws.h2,
+                        tree,
+                        grad_h2,
+                        g2,
+                        Some(grad_h1),
+                        scratch,
+                    );
+                };
+                if ws.h1_indexed {
+                    conv2(&ws.sh1, scratch);
+                } else {
+                    scratch.with_input_index(|scratch, sh1| {
+                        sh1.assign_from_dense(h1);
+                        conv2(sh1, scratch);
+                    });
+                }
+                self.conv1
+                    .backward_ws_sparse(x, h1, tree, grad_h1, g1, None, scratch);
             },
         );
     }
 
-    /// Shared backward skeleton: proj → un-pool → conv2 (over the CSR index
-    /// of its masked gradient when `sparse` is set, densely otherwise), then
-    /// hands conv1's upstream gradient to the caller-chosen first-layer
-    /// kernel.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared backward skeleton: proj → un-pool, then hands conv2's
+    /// upstream gradient and a buffer for conv1's to `convs`, with conv1's
+    /// and conv2's gradient slices.
     fn backward_ws_with(
         &self,
-        tree: &TreeStructure,
         ws: &ForestWs,
         grad_emb: &Mat,
         grads: &mut [Mat],
         scratch: &mut Workspace,
-        sparse: bool,
-        conv1_back: impl FnOnce(&TreeConvLayer, &Mat, &mut [Mat], &mut Workspace),
+        convs: impl FnOnce(&mut [Mat], &mut [Mat], &Mat, &mut Mat, &mut Workspace),
     ) {
         assert_eq!(grads.len(), 10, "tcn grad layout");
         let (g1, rest) = grads.split_at_mut(4);
@@ -986,15 +1004,7 @@ impl Tcn {
                     }
                 }
                 scratch.with(ws.h1.rows, ws.h1.cols, |scratch, grad_h1| {
-                    let (h1, h2) = (&ws.h1, &ws.h2);
-                    if sparse {
-                        self.conv2
-                            .backward_ws_masked(h1, h2, tree, grad_h2, g2, grad_h1, scratch);
-                    } else {
-                        self.conv2
-                            .backward_ws(h1, h2, tree, grad_h2, g2, Some(grad_h1), scratch);
-                    }
-                    conv1_back(&self.conv1, grad_h1, g1, scratch);
+                    convs(g1, g2, grad_h2, grad_h1, scratch);
                 });
             });
         });
@@ -1021,28 +1031,51 @@ impl Tcn {
         out
     }
 
-    /// Gradient-buffer shapes in [`Tcn::params`] order.
+    /// Gradient-buffer shapes in [`Tcn::params`] order, the encoder's one
+    /// gradient layout: each conv layer's per [`TreeConvLayer::grad_shapes`]
+    /// (weights input-major), then the projection's as stored.
     pub fn grad_shapes(&self) -> Vec<(usize, usize)> {
-        self.params()
-            .iter()
-            .map(|p| (p.value.rows, p.value.cols))
-            .collect()
+        let mut shapes = Vec::with_capacity(10);
+        shapes.extend(self.conv1.grad_shapes());
+        shapes.extend(self.conv2.grad_shapes());
+        shapes.extend([&self.proj.w, &self.proj.b].map(|p| (p.value.rows, p.value.cols)));
+        shapes
     }
 
-    /// Adds externally accumulated gradients (in [`Tcn::params`] order) into
-    /// the parameters' gradient accumulators. Writes no weight, so the
-    /// layers keep their weight transposes.
+    /// Adds externally accumulated gradients (in [`Tcn::grad_shapes`]
+    /// layout) into the parameters' gradient accumulators, transposing the
+    /// conv weights. Writes no weight, so the layers keep their weight
+    /// transposes.
     pub fn add_grads(&mut self, mats: &[Mat]) {
         assert_eq!(mats.len(), 10, "tcn grad layout");
-        let grads = self
-            .conv1
-            .grads_mut()
-            .into_iter()
-            .chain(self.conv2.grads_mut())
-            .chain([&mut self.proj.w.grad, &mut self.proj.b.grad]);
-        for (acc, g) in grads.zip(mats) {
-            acc.add_assign(g);
-        }
+        self.conv1.add_grads(&mats[..4]);
+        self.conv2.add_grads(&mats[4..8]);
+        self.proj.w.grad.add_assign(&mats[8]);
+        self.proj.b.grad.add_assign(&mats[9]);
+    }
+
+    /// The encoder's ten parameters as fused fold-and-step jobs, in
+    /// [`Tcn::params`] order (and so in [`Tcn::grad_shapes`] order): the
+    /// conv weights input-major, each with its layer's transposes to refill
+    /// when built. A trainer runs them in one pool fan-out with the other
+    /// modules' (see [`SlotFold::run`]); each update refills its built
+    /// transposes in place, so the layers keep their buffers.
+    pub fn slot_folds(&mut self) -> [SlotFold<'_>; 10] {
+        let [a, b, c, d] = self.conv1.slot_folds();
+        let [e, f, g, h] = self.conv2.slot_folds();
+        let proj = &mut self.proj;
+        [
+            a,
+            b,
+            c,
+            d,
+            e,
+            f,
+            g,
+            h,
+            SlotFold::new(&mut proj.w),
+            SlotFold::new(&mut proj.b),
+        ]
     }
 
     /// Clears all gradients.
@@ -1367,8 +1400,15 @@ mod tests {
             .collect();
         let mut scratch = Workspace::new();
         tcn.backward_ws(&x, &tree, &ws, &g, &mut grads, &mut scratch);
-        for (got, want) in grads.iter().zip(&wrap_grads) {
-            assert_eq!(got, want);
+        // The conv weights' gradients are input-major; the wrapper's
+        // accumulators hold them in the weights' layout.
+        for (i, (got, want)) in grads.iter().zip(&wrap_grads).enumerate() {
+            let got = if i < 8 && i % 4 != 3 {
+                transposed(got)
+            } else {
+                got.clone()
+            };
+            assert_eq!(&got, want);
         }
     }
 
@@ -1730,6 +1770,18 @@ mod tests {
         m.data.iter().map(|v| v.to_bits()).collect()
     }
 
+    fn transposed(m: &Mat) -> Mat {
+        Mat::from_fn(m.cols, m.rows, |r, c| m.get(c, r))
+    }
+
+    /// The rows of `x` each node sees through a filter, materialized: row
+    /// `k` is `x[gather(k)]`, or zeros where node `k` lacks that row.
+    fn gathered(x: &Mat, gather: impl Fn(usize) -> Option<usize>) -> Mat {
+        Mat::from_fn(x.rows, x.cols, |k, c| {
+            gather(k).map_or(0.0, |j| x.get(j, c))
+        })
+    }
+
     /// Heap bytes of a layer's weight transposes (0 while unbuilt).
     fn transpose_bytes(layer: &TreeConvLayer) -> usize {
         layer.wt.get().map_or(0, ConvTransposes::bytes)
@@ -2045,8 +2097,9 @@ mod tests {
         /// wide (one 32-float strip plus a tail); some input rows are empty;
         /// a shifted conv1 bias moves `h1`'s density across conv2's gate;
         /// the upstream gradients hold exact zeros, `-0.0` and all-zero
-        /// rows. conv2's masked backward and conv1's sparse backward are
-        /// also checked on their own against per-node gradients of that kind.
+        /// rows. Each layer's sparse backward, conv2's with its input
+        /// gradient, is also checked on its own against per-node gradients
+        /// of that kind.
         #[test]
         fn sparse_training_pass_matches_dense_bitwise(
             seed in 0u64..1_000_000,
@@ -2104,17 +2157,101 @@ mod tests {
                 let (mut gd, mut gs) = (zeroed(&tcn.conv2), zeroed(&tcn.conv2));
                 let (mut xd, mut xs) = (Mat::default(), Mat::from_vec(1, 1, vec![9.0]));
                 tcn.conv2.backward_ws(h1, h2, &tree, &node_g2, &mut gd, Some(&mut xd), &mut Workspace::new());
-                tcn.conv2.backward_ws_masked(h1, h2, &tree, &node_g2, &mut gs, &mut xs, &mut scratch);
+                let sh1 = SparseRows::from_dense(h1);
+                tcn.conv2.backward_ws_sparse(&sh1, h2, &tree, &node_g2, &mut gs, Some(&mut xs), &mut scratch);
                 prop_assert_eq!(bits(&xs), bits(&xd), "{:?} conv2 input gradient", mode);
                 for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
                     prop_assert_eq!(bits(s), bits(d), "{:?} conv2 grad {}", mode, i);
                 }
                 let (mut gd, mut gs) = (zeroed(&tcn.conv1), zeroed(&tcn.conv1));
                 tcn.conv1.backward_ws(&x, h1, &tree, &node_g1, &mut gd, None, &mut Workspace::new());
-                tcn.conv1.backward_ws_sparse(&sx, h1, &tree, &node_g1, &mut gs, &mut scratch);
+                tcn.conv1.backward_ws_sparse(&sx, h1, &tree, &node_g1, &mut gs, None, &mut scratch);
                 for (i, (s, d)) in gs.iter().zip(&gd).enumerate() {
                     prop_assert_eq!(bits(s), bits(d), "{:?} conv1 grad {}", mode, i);
                 }
+            }
+            set_kernel_mode(prev);
+        }
+
+        /// One layer's weight gradients are input-major and exact: over two
+        /// trees added into the same buffers, the CSR backward
+        /// ([`TreeConvLayer::backward_ws_sparse`]), the dense
+        /// [`TreeConvLayer::backward_ws`] and, per tree, the transpose of
+        /// [`Mat::matmul_tn`] of the masked gradient with each filter's
+        /// gathered input rows agree bit for bit, under both kernel modes.
+        /// The trees have 1..=20 nodes with zero, one or two children; the
+        /// inputs are feature-like rows (some empty, `-0.0` entries) or
+        /// post-ReLU rows, whose layer also returns an input gradient; the
+        /// upstream gradients hold exact zeros, `-0.0` and all-zero rows.
+        #[test]
+        fn input_major_weight_gradients_match_a_transposed_matmul_tn(
+            seed in 0u64..1_000_000,
+            n in 1usize..=20,
+            id in 1usize..=40,
+            od in 1usize..=40,
+            post_relu in 0usize..2,
+        ) {
+            let post_relu = post_relu == 1;
+            let _guard = crate::kernels::MODE_TEST_MUTEX
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            use crate::kernels::{set_kernel_mode, KernelMode};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let layer = TreeConvLayer::new(id, od, &mut rng);
+            let trees: Vec<(TreeStructure, Mat, Mat)> = (0..2)
+                .map(|_| {
+                    let n = rng.gen_range(1..=n);
+                    let tree = random_tree(n, &mut rng);
+                    let x = if post_relu {
+                        Mat::from_fn(n, id, |_, _| rng.gen_range(-1.0..1.0f32).max(0.0))
+                    } else {
+                        sparse_features(n, id, &mut rng)
+                    };
+                    let g = zero_laden_grad(n, od, &mut rng);
+                    (tree, x, g)
+                })
+                .collect();
+            let zeroed = || -> Vec<Mat> { layer.grad_shapes().iter().map(|&(r, c)| Mat::zeros(r, c)).collect() };
+            let mut reference = zeroed();
+            for (tree, x, g) in &trees {
+                let mut h = Mat::default();
+                layer.forward_ws(x, tree, &mut h);
+                let mut gpre = Mat::default();
+                relu_mask_into(&h, g, &mut gpre);
+                let filters = [
+                    gathered(x, Some),
+                    gathered(x, |k| tree.left[k]),
+                    gathered(x, |k| tree.right[k]),
+                ];
+                for (acc, gx) in reference.iter_mut().zip(&filters) {
+                    acc.add_assign(&transposed(&gpre.matmul_tn(gx)));
+                }
+            }
+            let prev = set_kernel_mode(KernelMode::Scalar);
+            for mode in [KernelMode::Scalar, KernelMode::Simd] {
+                set_kernel_mode(mode);
+                let (mut gd, mut gs) = (zeroed(), zeroed());
+                let mut scratch = Workspace::new();
+                for (t, (tree, x, g)) in trees.iter().enumerate() {
+                    let mut h = Mat::default();
+                    layer.forward_ws(x, tree, &mut h);
+                    let sx = SparseRows::from_dense(x);
+                    let (mut xd, mut xs) = (Mat::default(), Mat::default());
+                    let (dense_in, sparse_in) = if post_relu {
+                        (Some(&mut xd), Some(&mut xs))
+                    } else {
+                        (None, None)
+                    };
+                    layer.backward_ws(x, &h, tree, g, &mut gd, dense_in, &mut Workspace::new());
+                    layer.backward_ws_sparse(&sx, &h, tree, g, &mut gs, sparse_in, &mut scratch);
+                    prop_assert_eq!(bits(&xs), bits(&xd), "{:?} tree {}: input gradient", mode, t);
+                }
+                for f in 0..3 {
+                    prop_assert_eq!((gd[f].rows, gd[f].cols), (id, od));
+                    prop_assert_eq!(bits(&gs[f]), bits(&gd[f]), "{:?} filter {}: sparse vs dense", mode, f);
+                    prop_assert_eq!(bits(&gd[f]), bits(&reference[f]), "{:?} filter {}: vs matmul_tn", mode, f);
+                }
+                prop_assert_eq!(bits(&gs[3]), bits(&gd[3]), "{:?} bias", mode);
             }
             set_kernel_mode(prev);
         }

@@ -6,7 +6,8 @@
 //! every shape has been seen, so a training step borrows and returns the
 //! same buffers without touching the allocator. The sparse backward
 //! kernels keep their index buffers (a CSR index of a masked gradient, a
-//! set of touched columns) in the workspace too, rebuilt in place per use.
+//! set of touched columns, a CSR index of a layer input the forward left
+//! unindexed) in the workspace too, rebuilt in place per use.
 //!
 //! [`GradSet`] is a flat bundle of gradient matrices in a module's
 //! canonical parameter order, used by the microbatch trainer to accumulate
@@ -21,6 +22,9 @@ use crate::sparse::{ColumnSet, SparseRows};
 pub struct Workspace {
     free: Vec<Mat>,
     index: IndexScratch,
+    /// A CSR index of a layer input: conv2's `h1` in a training backward
+    /// after a scalar-mode forward, which builds none.
+    input: SparseRows,
 }
 
 /// The index buffers of the sparse backward kernels, rebuilt in place per
@@ -80,6 +84,18 @@ impl Workspace {
         r
     }
 
+    /// Lends the input-index buffer for the duration of `f`, with the
+    /// workspace itself, whose other buffers `f` may borrow too.
+    pub(crate) fn with_input_index<R>(
+        &mut self,
+        f: impl FnOnce(&mut Workspace, &mut SparseRows) -> R,
+    ) -> R {
+        let mut input = std::mem::take(&mut self.input);
+        let r = f(self, &mut input);
+        self.input = input;
+        r
+    }
+
     /// Bytes currently held by pooled buffers and the index buffers
     /// (steady-state footprint).
     pub fn bytes(&self) -> usize {
@@ -89,6 +105,7 @@ impl Workspace {
             .sum::<usize>()
             + self.index.grad.bytes()
             + self.index.cols.bytes()
+            + self.input.bytes()
     }
 }
 
@@ -210,7 +227,13 @@ mod tests {
         });
         // Row starts, then columns and values sized to the dense count by
         // the branchless scan; then the column list and its 40-wide mask.
-        assert!(ws.bytes() >= 3 * 4 + 6 * (4 + 4) + 2 * 4 + 40);
+        let index = 3 * 4 + 6 * (4 + 4) + 2 * 4 + 40;
+        assert!(ws.bytes() >= index);
+        ws.with_input_index(|_, input| {
+            input.assign_from_dense(&Mat::zeros(4, 5));
+        });
+        // Five row starts and the 20-element dense count, again.
+        assert!(ws.bytes() >= index + 5 * 4 + 20 * (4 + 4));
     }
 
     #[test]
