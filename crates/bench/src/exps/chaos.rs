@@ -1,23 +1,23 @@
 //! The `experiments chaos` subcommand: graceful degradation under fault
 //! injection.
 //!
-//! Trains a small LOAM pipeline once, then serves the evaluated test
-//! queries through [`RobustServer::serve_all`] against chaos executors armed at
-//! increasing fault rates (0×, 1×, 2×, 4× the default
-//! [`FaultConfig::chaos`](mcsim_exec::FaultConfig::chaos) probabilities).
-//! Writes one leg per level to `BENCH_chaos.json`, carrying its completion
-//! rate, degraded queries, retry counts, wasted work and total cost; the
-//! cost overhead of a level is its `total_cost` over the `fault_x0` leg's.
+//! Trains a small LOAM pipeline once, then serves the default open-loop
+//! trace over the evaluated test queries through [`ServeSession::run`] at
+//! increasing fault rates: [`ServeConfig::fault_scale`] 0×, 1×, 2× and 4×
+//! the default [`FaultConfig::chaos`](mcsim_exec::FaultConfig::chaos)
+//! probabilities. Every level replays the same arrivals on the same
+//! per-request executors, differing only in the armed faults. Writes one
+//! leg per level to `BENCH_chaos.json`, carrying its completion rate,
+//! degraded requests, retry counts, wasted work and total cost; the cost
+//! overhead of a level is its `total_cost` over the `fault_x0` leg's.
 
 use crate::report::{Leg, TimingReport};
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
 use loam_core::pipeline::{evaluate_candidates, prepare_project, train_loam, PipelineConfig};
-use loam_core::robust::{RobustConfig, RobustRunReport};
-use loam_core::serving::RobustServer;
 use loam_core::TrainConfig;
 use mcsim_catalog::ProjectId;
-use mcsim_exec::ChaosScenario;
+use mcsim_serve::{RequestOutcome, ServeConfig, ServeReport, ServeSession};
 
 /// A pipeline configuration small enough that the full fault-rate sweep
 /// (and the CI smoke built on it) finishes in seconds: the sweep's value is
@@ -45,14 +45,14 @@ pub struct LevelOutcome {
     pub name: String,
     /// Multiplier applied to the default chaos probabilities.
     pub fault_scale: f64,
-    /// Wall-clock seconds for serving the whole test set at this level.
+    /// Wall-clock seconds of the level's whole serving run.
     pub wall_s: f64,
-    /// The robust serving report.
-    pub report: RobustRunReport,
+    /// The serving report.
+    pub report: ServeReport,
 }
 
-/// Trains the pipeline once and serves the evaluated queries at every fault
-/// level. Returned for inspection — the acceptance tests use this directly
+/// Trains the pipeline once and serves the trace at every fault level.
+/// Returned for inspection — the acceptance tests use this directly
 /// instead of going through the filesystem.
 pub fn run_levels(scale: Scale, levels: &[f64]) -> Vec<LevelOutcome> {
     let profile = scaled_eval_profile(1, scale);
@@ -67,22 +67,15 @@ pub fn run_levels(scale: Scale, levels: &[f64]) -> Vec<LevelOutcome> {
     levels
         .iter()
         .map(|&lvl| {
-            // A fresh chaos executor per level: every level replays the same
-            // warmed cluster trajectory, differing only in the armed faults.
-            let mut exec = ChaosScenario::new(cfg.seed ^ 0xc405)
+            let serve = ServeConfig::builder()
+                .strategy(strategy)
                 .fault_scale(lvl)
-                .build();
+                .build()
+                .expect("fault levels are finite and non-negative");
             let t = std::time::Instant::now();
-            let report = RobustServer::new(strategy, RobustConfig::default())
-                .expect("default margin is valid")
-                .serve_all(
-                    &predictor,
-                    &evaluated,
-                    &mut exec,
-                    &prepared.project.catalog,
-                    None,
-                )
-                .expect("robust serving must terminate with a report");
+            let report = ServeSession::new(serve)
+                .and_then(|s| s.run(&predictor, &evaluated, &prepared.project.catalog, None))
+                .expect("serving must terminate with a report");
             LevelOutcome {
                 name: format!("fault_x{}", lvl as u32),
                 fault_scale: lvl,
@@ -112,17 +105,24 @@ fn report(scale: Scale, outcomes: &[LevelOutcome]) -> TimingReport {
     let mut report = TimingReport::new("chaos", scale);
     for o in outcomes {
         let r = &o.report;
-        let speculative: u32 = r.results.iter().map(|q| q.speculative_launches).sum();
+        let degraded = r
+            .decision_log
+            .iter()
+            .filter(|d| {
+                matches!(d.outcome, RequestOutcome::Served { resolution, .. }
+                    if resolution.is_degraded())
+            })
+            .count();
         report.legs.push(
             Leg::new(o.name.clone(), mcsim_par::threads(), o.wall_s)
                 .with("fault_scale", o.fault_scale)
-                .with("queries", r.results.len() as f64)
+                .with("requests", r.requests as f64)
                 .with("completion_rate", r.completion_rate())
-                .with("degraded", r.degraded_count() as f64)
-                .with("retries", f64::from(r.total_retries()))
-                .with("speculative", f64::from(speculative))
-                .with("wasted_cost", r.total_wasted_cost())
-                .with("total_cost", r.total_cost())
+                .with("degraded", degraded as f64)
+                .with("retries", f64::from(r.total_retries))
+                .with("speculative", f64::from(r.total_speculative))
+                .with("wasted_cost", r.total_wasted_cost)
+                .with("total_cost", r.total_cost)
                 .with("gate_deployed", f64::from(u8::from(r.gate_deployed))),
         );
     }
@@ -132,10 +132,10 @@ fn report(scale: Scale, outcomes: &[LevelOutcome]) -> TimingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loam_core::robust::Resolution;
+    use mcsim_serve::Resolution;
 
     /// The acceptance criterion of the chaos harness: at the default fault
-    /// rate the fallback ladder keeps ≥ 99% of queries completing, while
+    /// rate the fallback ladder keeps ≥ 99% of requests completing, while
     /// the fault-free level stays a clean 100% with zero retries and zero
     /// wasted work.
     #[test]
@@ -146,12 +146,10 @@ mod tests {
             (clean.completion_rate() - 1.0).abs() < 1e-12,
             "fault-free serving must complete everything"
         );
-        assert_eq!(clean.total_retries(), 0);
-        assert_eq!(clean.total_wasted_cost(), 0.0);
-        assert!(clean
-            .results
-            .iter()
-            .all(|r| !matches!(r.resolution, Resolution::ExecFallback | Resolution::Failed)));
+        assert_eq!(clean.total_retries, 0);
+        assert_eq!(clean.total_wasted_cost, 0.0);
+        assert_eq!(clean.resolution_count(Resolution::ExecFallback), 0);
+        assert_eq!(clean.failed, 0);
 
         let chaotic = &outcomes[1].report;
         assert!(

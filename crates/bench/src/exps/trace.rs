@@ -10,13 +10,11 @@
 //! text waterfall + decision audit), and prints the report.
 
 use crate::scale::{scaled_eval_profile, Scale};
-use loam_core::inference::EnvStrategy;
+use loam_core::inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
 use loam_core::pipeline::{
     evaluate_candidates_traced, prepare_project, train_loam, PipelineConfig,
 };
-use loam_core::robust::RobustConfig;
 use loam_core::selector::{evaluate_filter, ranker_features, FilterConfig, Ranker};
-use loam_core::serving::RobustServer;
 use loam_core::{gate, GateConfig, TrainConfig};
 use mcsim_catalog::ProjectId;
 use mcsim_exec::{Cluster, ClusterConfig, Executor};
@@ -155,10 +153,16 @@ pub fn run_traced(scale: Scale) -> TraceContext {
         let choice = {
             let _s = ctx.span("infer");
             let refs: Vec<&PlanTree> = rep.plans.iter().collect();
-            RobustServer::new(strategy, RobustConfig::default())
-                .expect("default margin is valid")
-                .select_robust(&predictor, &refs, rep.default_idx, Some(&ctx), rep.query_id)
-                .0
+            let (best, costs) = select_plan(&predictor, &refs, &strategy);
+            guarded_choice_traced(
+                &refs,
+                &costs,
+                best,
+                rep.default_idx,
+                DEFAULT_MARGIN,
+                Some(&ctx),
+                rep.query_id,
+            )
         };
         let _s = ctx.span("execute");
         let cluster = Cluster::new(cfg.seed ^ 0x7ace, ClusterConfig::default());

@@ -120,8 +120,8 @@ pub fn select_plan<M: CostModel + Sync + ?Sized>(
 /// [`Decision::Fallback`] when the margin guard overrides the model — into
 /// `trace` (when `Some`); `query_id` labels the records. Returns the
 /// guarded choice. Callers score the candidates first (e.g. with
-/// [`select_plan`]), so that the robust serving path can check the costs
-/// for non-finite values before the guard sees them.
+/// [`select_plan`]), so that the serving session (`mcsim_serve`) can check
+/// the costs for non-finite values before the guard sees them.
 pub fn guarded_choice_traced(
     plans: &[&PlanTree],
     costs: &[f64],

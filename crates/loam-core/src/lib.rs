@@ -50,9 +50,7 @@ pub mod inference;
 pub mod persist;
 pub mod pipeline;
 pub mod predictor;
-pub mod robust;
 pub mod selector;
-pub mod serving;
 pub mod theory;
 
 pub use error::LoamError;
@@ -64,7 +62,5 @@ pub use persist::{load_predictor, load_ranker, save_predictor, save_ranker, Pers
 pub use predictor::baselines::{CostModel, GcnPredictor, TransformerPredictor, XgbPredictor};
 pub use predictor::train::{train, train_reference, TrainConfig, TrainReport, TrainSample};
 pub use predictor::{with_thread_infer_ws, AdaptiveCostPredictor, InferWs};
-pub use robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 pub use selector::{FilterConfig, FilterReport, Ranker};
-pub use serving::RobustServer;
 pub use theory::{Deviance, KsTest, LogNormal};

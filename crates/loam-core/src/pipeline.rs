@@ -386,34 +386,6 @@ impl EvaluatedQuery {
     }
 }
 
-/// Checks that `queries` can be served: at least one query, each with a
-/// candidate plan at its `default_idx`. Both serving loops
-/// ([`RobustServer::serve_all`](crate::serving::RobustServer::serve_all)
-/// and `mcsim_serve::ServeSession::run`) call it before scoring anything.
-///
-/// # Errors
-///
-/// [`LoamError::EmptyWorkload`] for no queries, and
-/// [`LoamError::InvalidConfig`] naming the first query with no plans or
-/// with `default_idx` past its last plan.
-pub fn check_servable(queries: &[EvaluatedQuery]) -> Result<(), LoamError> {
-    if queries.is_empty() {
-        return Err(LoamError::EmptyWorkload(
-            "serving needs at least one query".into(),
-        ));
-    }
-    for (i, eq) in queries.iter().enumerate() {
-        if eq.default_idx >= eq.plans.len() {
-            return Err(LoamError::InvalidConfig(format!(
-                "query #{i} has {} plans with default_idx {}",
-                eq.plans.len(),
-                eq.default_idx
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Explores and flighting-replays every test query's candidate set.
 ///
 /// # Errors

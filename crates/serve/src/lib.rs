@@ -9,12 +9,12 @@
 //! * [`ArrivalProfile`] / [`generate_arrivals`] — seeded open-loop
 //!   arrival traces (Poisson, bursty, diurnal) over many tenants, each
 //!   request tagged with a recurring query template;
-//! * [`ServeSession`] — the unified session API: one validated
+//! * [`ServeSession`] — the one serving loop: one validated
 //!   [`ServeConfig`] (built with [`ServeConfig::builder`]) binds the
 //!   traffic shape, batching width, admission control, caching policy,
 //!   and robustness knobs, and [`ServeSession::run`] drives the whole
-//!   optimize → gate → execute path over the
-//!   [`RobustServer`](loam_core::serving::RobustServer) engine;
+//!   optimize → gate → execute path, where every admitted request ends on
+//!   one [`Resolution`] rung of the fallback ladder;
 //! * request batching — the distinct templates a batch must score are
 //!   split into at most one contiguous run per pool thread, balanced by
 //!   plan-tree nodes, and each run is scored by one forest forward
@@ -42,6 +42,6 @@ mod session;
 pub use arrival::{generate_arrivals, Arrival, ArrivalProfile};
 pub use cache::{CachedDecision, DecisionCache};
 pub use session::{
-    DecisionRecord, RequestOutcome, ServeConfig, ServeConfigBuilder, ServeReport, ServeSession,
-    ShedPolicy,
+    DecisionRecord, RequestOutcome, Resolution, ServeConfig, ServeConfigBuilder, ServeReport,
+    ServeSession, ShedPolicy,
 };

@@ -19,21 +19,43 @@
 //! virtual time, so each request sees the diurnal phase and fault
 //! timeline of its own moment. Thread count, wall-clock speed and tracing
 //! cannot change any [`DecisionRecord`].
+//!
+//! ## The fallback ladder
+//!
+//! Steering is only shippable if every failure degrades to the native
+//! optimizer's default plan instead of taking the query down. Every
+//! admitted request therefore ends on one [`Resolution`] rung, from least
+//! to most degraded:
+//!
+//! 1. **Steered** or **Default** — the margin guard picks between the
+//!    cheapest candidate and the default plan, and the pick executes
+//!    (possibly after fault-injected retries).
+//! 2. **Predictor fallback** — a candidate scored non-finite: the default
+//!    plan is served.
+//! 3. **Gate fallback** — the deployment gate held the model: every
+//!    request serves its default plan unscored.
+//! 4. **Execution fallback** — the chosen plan exhausted its retry budget
+//!    or deadline: the default plan is replayed.
+//! 5. **Failed** — the default plan failed too: the request counts
+//!    against the completion rate, with cost 0.
+//!
+//! Each degradation bumps a `loam.fallback.*` counter and leaves a
+//! [`Decision::Fallback`] record naming the query in the trace. With
+//! [`ServeConfig::fallback_enabled`] off, gate holds are ignored and a
+//! failed execution is terminal.
 
 use crate::arrival::{generate_arrivals, Arrival, ArrivalProfile};
 use crate::cache::{CachedDecision, DecisionCache};
 use loam_core::featurize::FeatureCache;
 use loam_core::gate::{validate_traced, GateConfig};
-use loam_core::inference::{EnvStrategy, DEFAULT_MARGIN};
-use loam_core::pipeline::{check_servable, EvaluatedQuery};
+use loam_core::inference::{guarded_choice_traced, EnvStrategy, DEFAULT_MARGIN};
+use loam_core::pipeline::EvaluatedQuery;
 use loam_core::predictor::baselines::CostModel;
-use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult};
-use loam_core::serving::RobustServer;
 use loam_core::LoamError;
 use mcsim_catalog::workmodel::WorkParams;
 use mcsim_catalog::Catalog;
-use mcsim_exec::{ChaosScenario, ClusterConfig, ExecPlan};
-use mcsim_obs::trace::TraceContext;
+use mcsim_exec::{ChaosScenario, ClusterConfig, ExecPlan, Executor};
+use mcsim_obs::trace::{Decision, Fallback, TraceContext};
 use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
 use std::collections::HashMap;
@@ -74,7 +96,9 @@ pub struct ServeConfig {
     pub feature_cache: bool,
     /// Cache guarded decisions per candidate-set signature.
     pub decision_cache: bool,
-    /// Margin of the guarded selection, in `[0, 1)`.
+    /// Margin of the guarded selection, in `[0, 1)`: a margin of 1 or more
+    /// never accepts a steered plan (costs are positive), and a negative
+    /// one makes the guard vacuous.
     pub margin: f64,
     /// Arm the graceful-degradation ladder.
     pub fallback_enabled: bool,
@@ -87,7 +111,7 @@ pub struct ServeConfig {
     /// Machines in each per-request execution cluster (≥ 1).
     pub machines: usize,
     /// Cluster warm-up ticks before each request executes (on top of the
-    /// arrival's own virtual-time offset).
+    /// arrival's own virtual-time offset), at most 2^32.
     pub warmup_ticks: u64,
     /// Master seed: arrivals, shedding, and executors derive from it.
     pub seed: u64,
@@ -143,6 +167,18 @@ impl ServeConfig {
         if !self.fault_scale.is_finite() || self.fault_scale < 0.0 {
             return bad(format!("fault_scale must be ≥ 0, got {}", self.fault_scale));
         }
+        if !(0.0..1.0).contains(&self.margin) {
+            return bad(format!(
+                "guard margin must be in [0, 1), got {}",
+                self.margin
+            ));
+        }
+        if self.warmup_ticks > MAX_START_TICK {
+            return bad(format!(
+                "warmup_ticks must be ≤ {MAX_START_TICK}, got {}",
+                self.warmup_ticks
+            ));
+        }
         if let ShedPolicy::QueueBound {
             capacity,
             drain_qps,
@@ -155,7 +191,6 @@ impl ServeConfig {
                 return bad(format!("drain_qps must be positive, got {drain_qps}"));
             }
         }
-        // The margin is validated by RobustServer::new.
         Ok(())
     }
 }
@@ -247,6 +282,54 @@ impl ServeConfigBuilder {
     pub fn build(self) -> Result<ServeConfig, LoamError> {
         self.cfg.validate()?;
         Ok(self.cfg)
+    }
+}
+
+/// The rung of the fallback ladder (see the module docs) an admitted
+/// request ended on. [`ServeReport::decision_digest`] hashes a rung as its
+/// discriminant, so the variant order is part of every pinned digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// The steered (non-default) plan executed successfully.
+    Steered,
+    /// The model or margin guard itself preferred the default plan — the
+    /// normal conservative outcome, not a degradation.
+    Default,
+    /// Non-finite prediction ⇒ default plan.
+    PredictorFallback,
+    /// Deployment gate held the model ⇒ default plan.
+    GateFallback,
+    /// Steered execution failed ⇒ default plan replayed.
+    ExecFallback,
+    /// Both steered and default execution failed.
+    Failed,
+}
+
+impl Resolution {
+    /// The rung a plan selection reaches before execution: a misbehaving
+    /// predictor ⇒ [`PredictorFallback`](Resolution::PredictorFallback),
+    /// otherwise [`Default`](Resolution::Default) when `choice` is the
+    /// default plan and [`Steered`](Resolution::Steered) when it is not.
+    fn of_selection(choice: usize, default_idx: usize, predictor_failed: bool) -> Resolution {
+        if predictor_failed {
+            Resolution::PredictorFallback
+        } else if choice == default_idx {
+            Resolution::Default
+        } else {
+            Resolution::Steered
+        }
+    }
+
+    /// True for the degraded rungs of the ladder (everything below a clean
+    /// steered/default serve).
+    pub fn is_degraded(&self) -> bool {
+        matches!(
+            self,
+            Resolution::PredictorFallback
+                | Resolution::GateFallback
+                | Resolution::ExecFallback
+                | Resolution::Failed
+        )
     }
 }
 
@@ -361,6 +444,8 @@ pub struct ServeReport {
     pub total_wasted_cost: f64,
     /// Fault-injected retries survived.
     pub total_retries: u32,
+    /// Speculative backups launched against stragglers.
+    pub total_speculative: u32,
     /// One record per arrival, in sequence order.
     pub decision_log: Vec<DecisionRecord>,
 }
@@ -479,11 +564,22 @@ struct Admitted<'a> {
     infer_share: f64,
 }
 
+/// What the execution phase hands the fold about one admitted request: its
+/// final rung and what the run that completed reported. A failed request
+/// ran no plan to the end, so it counts no cost, waste, retries or
+/// backups.
+struct Executed {
+    resolution: Resolution,
+    cost: f64,
+    wasted_cost: f64,
+    retries: u32,
+    speculative: u32,
+}
+
 /// The high-throughput serving session. See the module docs.
 #[derive(Debug)]
 pub struct ServeSession {
     cfg: ServeConfig,
-    server: RobustServer,
     cluster: ClusterConfig,
     features: Option<FeatureCache>,
     decisions: Option<DecisionCache>,
@@ -499,14 +595,6 @@ impl ServeSession {
     /// Builds a session from a validated configuration.
     pub fn new(cfg: ServeConfig) -> Result<ServeSession, LoamError> {
         cfg.validate()?;
-        let server = RobustServer::new(
-            cfg.strategy,
-            RobustConfig {
-                margin: cfg.margin,
-                fallback_enabled: cfg.fallback_enabled,
-                gate: cfg.gate,
-            },
-        )?;
         let cluster = ClusterConfig::builder()
             .n_machines(cfg.machines)
             .build()
@@ -515,7 +603,6 @@ impl ServeSession {
         let decisions = cfg.decision_cache.then(DecisionCache::new);
         Ok(ServeSession {
             cfg,
-            server,
             cluster,
             features,
             decisions,
@@ -525,11 +612,6 @@ impl ServeSession {
     /// The session's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// The per-query engine the session drives.
-    pub fn server(&self) -> &RobustServer {
-        &self.server
     }
 
     /// The featurization cache, when enabled. Persists across runs.
@@ -567,6 +649,14 @@ impl ServeSession {
     ///    request, each on its own per-request executor, down the fallback
     ///    ladder. The outcomes are folded into the report in sequence
     ///    order.
+    ///
+    /// # Errors
+    ///
+    /// Before anything is scored: [`LoamError::EmptyWorkload`] for no
+    /// templates, [`LoamError::InvalidConfig`] for a template without a
+    /// plan at its `default_idx`, or for a trace whose last request would
+    /// start its cluster clock past tick 2^32 (arrival tick plus
+    /// `warmup_ticks`).
     pub fn run<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -583,17 +673,20 @@ impl ServeSession {
             templates.len(),
             self.cfg.seed,
         );
+        // Arrival times only grow, so the last request starts latest.
+        let last_tick = arrivals.last().map_or(0, |a| arrival_tick(a.t_s));
+        if last_tick.saturating_add(self.cfg.warmup_ticks) > MAX_START_TICK {
+            return Err(LoamError::InvalidConfig(format!(
+                "the last arrival lands on tick {last_tick}; with {} warm-up ticks its \
+                 executor would start past tick {MAX_START_TICK}",
+                self.cfg.warmup_ticks
+            )));
+        }
         let shed = shed_mask(&arrivals, &self.cfg.shed);
         let digests = self.template_digests(templates);
         mcsim_obs::counter("loam.serve.requests", arrivals.len() as u64);
 
-        let gate = validate_traced(
-            model,
-            self.server.strategy(),
-            templates,
-            &self.cfg.gate,
-            trace,
-        );
+        let gate = validate_traced(model, &self.cfg.strategy, templates, &self.cfg.gate, trace);
         let gate_deployed = gate.deploy();
 
         let feat0 = self
@@ -623,6 +716,7 @@ impl ServeSession {
             total_cost: 0.0,
             total_wasted_cost: 0.0,
             total_retries: 0,
+            total_speculative: 0,
             decision_log: Vec::with_capacity(arrivals.len()),
         };
 
@@ -684,7 +778,7 @@ impl ServeSession {
 
         // --- execution phase: every admitted request on its own executor,
         // in one order-preserving fan-out.
-        let outcomes: Vec<(RobustQueryResult, f64)> =
+        let outcomes: Vec<(Executed, f64)> =
             mcsim_par::ThreadPool::global().parallel_map(&admitted, |req| {
                 let a = req.arrival;
                 let eq = &templates[a.template as usize];
@@ -703,7 +797,7 @@ impl ServeSession {
                     .fault_scale(self.cfg.fault_scale)
                     .warmup_ticks(self.cfg.warmup_ticks + arrival_tick(a.t_s))
                     .build();
-                let qr = self.server.execute_resolved(
+                let executed = self.execute(
                     &mut exec,
                     &plans[req.decision.choice],
                     &plans[eq.default_idx],
@@ -711,7 +805,7 @@ impl ServeSession {
                     trace,
                     eq.query_id,
                 );
-                (qr, t_exec.elapsed().as_secs_f64())
+                (executed, t_exec.elapsed().as_secs_f64())
             });
 
         // --- fold, in sequence order: shed records keep their places.
@@ -720,23 +814,24 @@ impl ServeSession {
             let outcome = if is_shed {
                 RequestOutcome::Shed
             } else {
-                let (req, (qr, exec_s)) = served.next().expect("one outcome per admitted request");
+                let (req, (ex, exec_s)) = served.next().expect("one outcome per admitted request");
                 let latency = req.infer_share + exec_s;
                 report.latency.record(latency);
                 mcsim_obs::observe("loam.serve.latency_s", latency);
-                if qr.resolution == Resolution::Failed {
+                if ex.resolution == Resolution::Failed {
                     report.failed += 1;
                 } else {
                     report.completed += 1;
                 }
-                report.total_cost += qr.cost;
-                report.total_wasted_cost += qr.wasted_cost;
-                report.total_retries += qr.retries;
+                report.total_cost += ex.cost;
+                report.total_wasted_cost += ex.wasted_cost;
+                report.total_retries += ex.retries;
+                report.total_speculative += ex.speculative;
                 RequestOutcome::Served {
                     choice: req.decision.choice,
-                    resolution: qr.resolution,
+                    resolution: ex.resolution,
                     predicted_bits: req.decision.predicted.to_bits(),
-                    cost_bits: qr.cost.to_bits(),
+                    cost_bits: ex.cost.to_bits(),
                     decision_cached: req.cached,
                 }
             };
@@ -790,11 +885,11 @@ impl ServeSession {
         // One decision per distinct template in the batch.
         let mut decided: HashMap<u32, (CachedDecision, Resolution, bool)> = HashMap::new();
         let mut infer_s = 0.0f64;
-        if self.server.gate_holds(report.gate_deployed) {
+        if !report.gate_deployed && self.cfg.fallback_enabled {
             // Gate hold: every request serves its default plan unscored.
             for a in batch.iter() {
                 let eq = &templates[a.template as usize];
-                self.server.record_gate_hold(eq.query_id, trace);
+                record_gate_hold(eq.query_id, trace);
                 decided.entry(a.template).or_insert((
                     CachedDecision {
                         choice: eq.default_idx,
@@ -865,9 +960,9 @@ impl ServeSession {
                         let plans = &refs[bounds[run.start]..bounds[run.end]];
                         let mut costs = Vec::with_capacity(plans.len());
                         loam_core::predictor::with_thread_infer_ws(|ws| {
-                            self.server.score_batch_into(
-                                model,
+                            model.predict_batch_into(
                                 plans,
+                                self.cfg.strategy.env_source(),
                                 self.features.as_ref(),
                                 ws,
                                 &mut costs,
@@ -880,19 +975,9 @@ impl ServeSession {
                     let eq = &templates[t as usize];
                     let slice_refs = &refs[bounds[i]..bounds[i + 1]];
                     let slice_costs = &costs[bounds[i]..bounds[i + 1]];
-                    let (choice, reason) = self.server.resolve_scored(
-                        slice_refs,
-                        slice_costs,
-                        eq.default_idx,
-                        trace,
-                        eq.query_id,
-                    );
-                    let d = CachedDecision {
-                        choice,
-                        predicted: slice_costs[choice],
-                        degraded: reason.is_some(),
-                    };
-                    let base = Resolution::of_selection(choice, eq.default_idx, d.degraded);
+                    let d =
+                        self.resolve(slice_refs, slice_costs, eq.default_idx, trace, eq.query_id);
+                    let base = Resolution::of_selection(d.choice, eq.default_idx, d.degraded);
                     if let Some(c) = &self.decisions {
                         c.insert(digests[t as usize], d);
                     }
@@ -914,11 +999,114 @@ impl ServeSession {
         }));
     }
 
+    /// The selection rungs of the ladder over one template's scored
+    /// candidates: a non-finite cost degrades to the default plan with a
+    /// [`Decision::Fallback`] record naming `query_id`; otherwise the
+    /// margin guard picks between the cheapest candidate and the default.
+    fn resolve(
+        &self,
+        plans: &[&PlanTree],
+        costs: &[f64],
+        default_idx: usize,
+        trace: Option<&TraceContext>,
+        query_id: u64,
+    ) -> CachedDecision {
+        if let Some((i, c)) = costs.iter().enumerate().find(|(_, c)| !c.is_finite()) {
+            mcsim_obs::counter("loam.fallback.predictor_error", 1);
+            if let Some(t) = trace {
+                t.decision(Decision::Fallback(Fallback {
+                    query_id,
+                    reason: format!(
+                        "predictor returned non-finite cost {c} for candidate #{i}; serving default"
+                    ),
+                }));
+            }
+            return CachedDecision {
+                choice: default_idx,
+                predicted: costs[default_idx],
+                degraded: true,
+            };
+        }
+        let best = costs
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map_or(default_idx, |(i, _)| i);
+        let choice = guarded_choice_traced(
+            plans,
+            costs,
+            best,
+            default_idx,
+            self.cfg.margin,
+            trace,
+            query_id,
+        );
+        CachedDecision {
+            choice,
+            predicted: costs[choice],
+            degraded: false,
+        }
+    }
+
+    /// The execution rungs of the ladder for one request, on its own
+    /// executor: the chosen `steered` plan runs and keeps the rung `base`
+    /// that selection reached. If it fails and the ladder is armed, the
+    /// `default_plan` replays ([`Resolution::ExecFallback`]). If that fails
+    /// too, or the ladder is disarmed, the request is
+    /// [`Resolution::Failed`].
+    fn execute(
+        &self,
+        exec: &mut Executor,
+        steered: &ExecPlan,
+        default_plan: &ExecPlan,
+        base: Resolution,
+        trace: Option<&TraceContext>,
+        query_id: u64,
+    ) -> Executed {
+        let served = match exec.run(steered, None, trace) {
+            Ok(out) => Some((base, out)),
+            Err(e) if self.cfg.fallback_enabled => {
+                mcsim_obs::counter("loam.fallback.exec_failed", 1);
+                if let Some(t) = trace {
+                    t.decision(Decision::Fallback(Fallback {
+                        query_id,
+                        reason: format!("steered execution failed ({e}); replaying default plan"),
+                    }));
+                }
+                let replay = exec.run(default_plan, None, trace);
+                replay.ok().map(|out| (Resolution::ExecFallback, out))
+            }
+            Err(_) => None,
+        };
+        match served {
+            Some((resolution, out)) => {
+                mcsim_obs::counter("loam.robust.queries_completed", 1);
+                Executed {
+                    resolution,
+                    cost: out.cpu_cost,
+                    wasted_cost: out.wasted_cost,
+                    retries: out.retries,
+                    speculative: out.speculative_launches,
+                }
+            }
+            None => {
+                mcsim_obs::counter("loam.robust.queries_failed", 1);
+                Executed {
+                    resolution: Resolution::Failed,
+                    cost: 0.0,
+                    wasted_cost: 0.0,
+                    retries: 0,
+                    speculative: 0,
+                }
+            }
+        }
+    }
+
     /// 64-bit digest per template: every candidate signature, the default
     /// index, and the environment fingerprint folded FNV-style. Any change
     /// to the candidate set or the serving environment changes the key.
     fn template_digests(&self, templates: &[EvaluatedQuery]) -> Vec<u64> {
-        let env_fp = strategy_fingerprint(self.server.strategy());
+        let env_fp = strategy_fingerprint(&self.cfg.strategy);
         templates
             .iter()
             .map(|eq| {
@@ -936,6 +1124,38 @@ impl ServeSession {
                 h
             })
             .collect()
+    }
+}
+
+/// Checks that `templates` can be served: at least one template, each with
+/// a candidate plan at its `default_idx`.
+fn check_servable(templates: &[EvaluatedQuery]) -> Result<(), LoamError> {
+    if templates.is_empty() {
+        return Err(LoamError::EmptyWorkload(
+            "serving needs at least one query".into(),
+        ));
+    }
+    for (i, eq) in templates.iter().enumerate() {
+        if eq.default_idx >= eq.plans.len() {
+            return Err(LoamError::InvalidConfig(format!(
+                "query #{i} has {} plans with default_idx {}",
+                eq.plans.len(),
+                eq.default_idx
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The gate-hold rung for one request: bumps `loam.fallback.gate_hold`
+/// and leaves a [`Decision::Fallback`] record naming `query_id`.
+fn record_gate_hold(query_id: u64, trace: Option<&TraceContext>) {
+    mcsim_obs::counter("loam.fallback.gate_hold", 1);
+    if let Some(t) = trace {
+        t.decision(Decision::Fallback(Fallback {
+            query_id,
+            reason: "deployment gate held the model; serving default plan".into(),
+        }));
     }
 }
 
@@ -1008,6 +1228,12 @@ fn strategy_fingerprint(s: &EnvStrategy) -> u64 {
 /// every 20 seconds).
 const SECONDS_PER_TICK: f64 = 20.0;
 
+/// The latest cluster tick a request's executor may start at: its
+/// arrival's tick plus [`ServeConfig::warmup_ticks`]. 2^32 ticks are about
+/// 2,700 years of virtual time, and the bound leaves the `u64` cluster
+/// clock room for every stage window and retry backoff after the start.
+const MAX_START_TICK: u64 = 1 << 32;
+
 /// The cluster tick an arrival lands on. Feeding this offset into the
 /// per-request cluster clock means a request arriving mid-trace executes
 /// against the diurnal phase and fault timeline of *its* moment rather
@@ -1030,6 +1256,63 @@ fn request_seed(seed: u64, seq: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcsim_plan::Operator;
+
+    fn chain(n: usize) -> PlanTree {
+        let mut t = PlanTree::new();
+        let mut cur = t.leaf(Operator::table_scan(0, 1, 1, vec![0]));
+        for _ in 0..n {
+            cur = t.unary(Operator::Limit { n: 1 }, cur);
+        }
+        t.set_root(cur);
+        t
+    }
+
+    fn session(margin: f64) -> ServeSession {
+        ServeSession::new(ServeConfig::builder().margin(margin).build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn non_finite_predictions_fall_back_to_default_with_provenance() {
+        let (small, big) = (chain(1), chain(9));
+        let ctx = TraceContext::new("robust");
+        let d = session(0.1).resolve(&[&small, &big], &[2.0, f64::NAN], 0, Some(&ctx), 42);
+        assert_eq!(d.choice, 0);
+        assert!(d.degraded, "a NaN prediction must degrade the decision");
+        let ds = ctx.decisions();
+        assert!(
+            matches!(&ds[0], Decision::Fallback(f) if f.query_id == 42),
+            "fallback record expected, got {ds:?}"
+        );
+    }
+
+    #[test]
+    fn finite_predictions_delegate_to_the_margin_guard() {
+        // Winner far cheaper than the default ⇒ steered, not degraded.
+        let (small, big) = (chain(1), chain(9));
+        let d = session(0.4).resolve(&[&big, &small], &[10.0, 2.0], 0, None, 1);
+        assert_eq!(d.choice, 1);
+        assert_eq!(d.predicted, 2.0);
+        assert!(!d.degraded);
+    }
+
+    #[test]
+    fn guarded_selection_keeps_near_ties_on_the_default() {
+        let (big, near) = (chain(9), chain(8));
+        let d = session(DEFAULT_MARGIN).resolve(&[&big, &near], &[10.0, 9.0], 0, None, 8);
+        assert_eq!(d.choice, 0, "margin guard must keep the default");
+        assert!(!d.degraded);
+    }
+
+    #[test]
+    fn resolution_degradation_classes_are_consistent() {
+        assert!(!Resolution::Steered.is_degraded());
+        assert!(!Resolution::Default.is_degraded());
+        assert!(Resolution::PredictorFallback.is_degraded());
+        assert!(Resolution::GateFallback.is_degraded());
+        assert!(Resolution::ExecFallback.is_degraded());
+        assert!(Resolution::Failed.is_degraded());
+    }
 
     #[test]
     fn balanced_runs_are_contiguous_and_balanced() {
@@ -1080,6 +1363,7 @@ mod tests {
             total_cost: 0.0,
             total_wasted_cost: 0.0,
             total_retries: 0,
+            total_speculative: 0,
             decision_log: vec![
                 DecisionRecord {
                     seq: 0,
@@ -1135,6 +1419,8 @@ mod tests {
                 capacity: 4,
                 drain_qps: 0.0,
             }),
+            ServeConfig::builder().warmup_ticks(MAX_START_TICK + 1),
+            ServeConfig::builder().warmup_ticks(u64::MAX),
         ];
         for (i, b) in cases.into_iter().enumerate() {
             let err = b.build();
@@ -1143,10 +1429,30 @@ mod tests {
                 "case {i} must be rejected, got {err:?}"
             );
         }
-        // The margin is validated at session construction.
-        let cfg = ServeConfig::builder().margin(1.5).build().unwrap();
+        assert!(ServeConfig::builder()
+            .warmup_ticks(MAX_START_TICK)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_degenerate_margins() {
+        for bad in [-0.1, 1.0, 1.5, f64::NAN, f64::INFINITY] {
+            let err = ServeConfig::builder().margin(bad).build();
+            assert!(
+                matches!(err, Err(LoamError::InvalidConfig(_))),
+                "margin {bad} must be rejected, got {err:?}"
+            );
+        }
+        assert_eq!(session(0.0).config().margin, 0.0);
+        // A literal configuration skips the builder; the session validates
+        // it again.
+        let literal = ServeConfig {
+            margin: 1.5,
+            ..ServeConfig::default()
+        };
         assert!(matches!(
-            ServeSession::new(cfg),
+            ServeSession::new(literal),
             Err(LoamError::InvalidConfig(_))
         ));
     }

@@ -68,9 +68,7 @@ pub mod prelude {
     };
     pub use loam_core::predictor::baselines::CostModel;
     pub use loam_core::predictor::train::{train, TrainConfig, TrainReport, TrainSample};
-    pub use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
     pub use loam_core::selector::{evaluate_filter, ranker_features, FilterConfig, Ranker};
-    pub use loam_core::serving::RobustServer;
     pub use loam_core::theory::{Deviance, KsTest, LogNormal};
     pub use loam_core::{AdaptiveCostPredictor, EnvSource, PlanFeaturizer};
     pub use mcsim_catalog::{
@@ -89,7 +87,7 @@ pub mod prelude {
     pub use mcsim_optimizer::{Knobs, NativeOptimizer, OptimizerFlags};
     pub use mcsim_plan::{Operator, PlanSignature, PlanTree};
     pub use mcsim_serve::{
-        ArrivalProfile, DecisionCache, DecisionRecord, RequestOutcome, ServeConfig, ServeReport,
-        ServeSession, ShedPolicy,
+        ArrivalProfile, DecisionCache, DecisionRecord, RequestOutcome, Resolution, ServeConfig,
+        ServeReport, ServeSession, ShedPolicy,
     };
 }

@@ -1,7 +1,9 @@
-//! Integration: the end-to-end serving path under fault injection must
-//! degrade gracefully — it always terminates, never panics, and every
-//! degraded query leaves a typed [`Decision::Fallback`] provenance record
-//! whose `query_id` matches the query it degraded.
+//! Integration: the serving session under fault injection, a broken
+//! predictor or a held gate must degrade gracefully — it always
+//! terminates, never panics, and every degraded request leaves a typed
+//! [`Decision::Fallback`] provenance record whose `query_id` matches the
+//! query it degraded. Configurations at the edges either serve every
+//! arrival or fail with a typed error.
 
 use loam::prelude::*;
 
@@ -85,172 +87,153 @@ fn fallback_ids(ctx: &TraceContext) -> Vec<u64> {
         .collect()
 }
 
+/// A session at `cfg`, run over `evaluated` with `model`.
+fn serve<M: CostModel + Sync>(
+    cfg: ServeConfig,
+    model: &M,
+    prepared: &PreparedProject,
+    evaluated: &[EvaluatedQuery],
+    trace: Option<&TraceContext>,
+) -> Result<ServeReport, LoamError> {
+    ServeSession::new(cfg)?.run(model, evaluated, &prepared.project.catalog, trace)
+}
+
+/// The resolution of every served request, with its query id and cost.
+fn served(report: &ServeReport) -> Vec<(u64, Resolution, f64)> {
+    report
+        .decision_log
+        .iter()
+        .filter_map(|d| match d.outcome {
+            RequestOutcome::Served {
+                resolution,
+                cost_bits,
+                ..
+            } => Some((d.query_id, resolution, f64::from_bits(cost_bits))),
+            RequestOutcome::Shed => None,
+        })
+        .collect()
+}
+
 #[test]
 fn aggressive_chaos_terminates_and_records_fallback_provenance() {
     let (prepared, evaluated) = evaluated_fixture(3);
-    let strategy = EnvStrategy::MeanHistorical(prepared.mean_env);
-    let cfg = RobustConfig {
-        gate: permissive_gate(),
-        ..RobustConfig::default()
-    };
-
-    // 4x the default fault rates plus a tight retry budget, to actually
-    // push queries down the ladder.
-    let mut exec = ChaosScenario::new(0xbad_c1a0)
-        .fault(FaultConfig {
-            stage_kill_prob: 0.25,
-            ..FaultConfig::chaos(0xbad_c1a0)
-        })
-        .retry(RetryPolicy {
-            max_retries: 1,
-            ..RetryPolicy::default()
-        })
-        .build();
-
+    // 20x the default fault rates, to push requests down to the lowest
+    // rungs of the ladder.
+    let cfg = ServeConfig::builder()
+        .requests(32)
+        .strategy(EnvStrategy::MeanHistorical(prepared.mean_env))
+        .gate(permissive_gate())
+        .fault_scale(20.0)
+        .build()
+        .expect("valid config");
     let ctx = TraceContext::new("robustness");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("default margin is valid")
-        .serve_all(
-            &NodeCountModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
-        .expect("robust serving must terminate with a report, never panic");
+    let report = serve(cfg, &NodeCountModel, &prepared, &evaluated, Some(&ctx))
+        .expect("serving must terminate with a report, never panic");
 
-    // Every query landed on some rung of the ladder.
-    assert_eq!(report.results.len(), evaluated.len());
+    // Every request landed on some rung of the ladder, the lowest two
+    // included.
+    assert_eq!(report.decision_log.len(), 32);
+    assert_eq!(report.completed + report.failed, report.admitted);
     assert!(report.completion_rate() > 0.0);
-    // Failed queries carry no cost; completed ones do.
-    for r in &report.results {
-        if r.resolution == Resolution::Failed {
-            assert_eq!(r.cost, 0.0);
-        } else {
-            assert!(
-                r.cost > 0.0,
-                "completed query {} with zero cost",
-                r.query_id
-            );
-        }
-    }
-    // Every degraded query left a Fallback record naming it.
-    let ids = fallback_ids(&ctx);
-    for r in &report.results {
-        if r.resolution.is_degraded() {
-            assert!(
-                ids.contains(&r.query_id),
-                "degraded query {} ({:?}) has no Fallback provenance record",
-                r.query_id,
-                r.resolution
-            );
-        }
-    }
-    // The harness actually injected faults at this rate.
     assert!(
-        !exec.cluster.fault_log().is_empty(),
-        "aggressive chaos must inject at least one fault"
+        report.resolution_count(Resolution::ExecFallback) > 0,
+        "no request replayed its default plan"
+    );
+    assert!(report.resolution_count(Resolution::Failed) > 0);
+    // Failed requests carry no cost; completed ones do.
+    let ids = fallback_ids(&ctx);
+    for (query_id, resolution, cost) in served(&report) {
+        if resolution == Resolution::Failed {
+            assert_eq!(cost, 0.0);
+        } else {
+            assert!(cost > 0.0, "completed query {query_id} with zero cost");
+        }
+        // Every degraded request left a Fallback record naming its query.
+        if resolution.is_degraded() {
+            assert!(
+                ids.contains(&query_id),
+                "degraded query {query_id} ({resolution:?}) has no Fallback provenance record"
+            );
+        }
+    }
+    // The executors actually injected faults at this rate.
+    assert!(
+        report.total_retries > 0,
+        "aggressive chaos must force retries"
     );
 }
 
 #[test]
 fn nan_predictor_degrades_every_query_to_the_default_plan() {
     let (prepared, evaluated) = evaluated_fixture(4);
-    let strategy = EnvStrategy::MeanHistorical(prepared.mean_env);
-    let cfg = RobustConfig {
-        gate: permissive_gate(),
-        ..RobustConfig::default()
-    };
-    let mut exec = ChaosScenario::new(7).fault_scale(0.0).build();
-
+    let cfg = ServeConfig::builder()
+        .requests(32)
+        .strategy(EnvStrategy::MeanHistorical(prepared.mean_env))
+        .gate(permissive_gate())
+        .build()
+        .expect("valid config");
     let ctx = TraceContext::new("nan-predictor");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("default margin is valid")
-        .serve_all(
-            &NanModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
+    let report = serve(cfg, &NanModel, &prepared, &evaluated, Some(&ctx))
         .expect("a broken predictor must degrade, not fail the run");
 
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
     let ids = fallback_ids(&ctx);
-    for r in &report.results {
+    for (query_id, resolution, _) in served(&report) {
         assert_eq!(
-            r.resolution,
+            resolution,
             Resolution::PredictorFallback,
-            "query {} should have fallen back on the NaN prediction",
-            r.query_id
+            "query {query_id} should have fallen back on the NaN prediction"
         );
-        assert!(ids.contains(&r.query_id));
+        assert!(ids.contains(&query_id));
     }
 }
 
 #[test]
 fn gate_hold_serves_every_query_with_the_default_plan() {
     let (prepared, evaluated) = evaluated_fixture(5);
-    let strategy = EnvStrategy::MeanHistorical(prepared.mean_env);
     // An impossible gate: avg ratio must be <= 0.
-    let impossible = GateConfig {
-        max_avg_ratio: 0.0,
-        ..GateConfig::default()
+    let held = || {
+        ServeConfig::builder()
+            .requests(32)
+            .strategy(EnvStrategy::MeanHistorical(prepared.mean_env))
+            .gate(GateConfig {
+                max_avg_ratio: 0.0,
+                ..GateConfig::default()
+            })
     };
-    let cfg = RobustConfig {
-        gate: impossible,
-        ..RobustConfig::default()
-    };
-    let mut exec = ChaosScenario::new(11).fault_scale(0.0).build();
-
     let ctx = TraceContext::new("gate-hold");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("default margin is valid")
-        .serve_all(
-            &NodeCountModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
-        .expect("gate hold must degrade, not fail the run");
+    let report = serve(
+        held().build().expect("valid config"),
+        &NodeCountModel,
+        &prepared,
+        &evaluated,
+        Some(&ctx),
+    )
+    .expect("gate hold must degrade, not fail the run");
 
     assert!(!report.gate_deployed);
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
     let ids = fallback_ids(&ctx);
-    for r in &report.results {
-        assert_eq!(r.resolution, Resolution::GateFallback);
-        assert!(ids.contains(&r.query_id));
+    for (query_id, resolution, _) in served(&report) {
+        assert_eq!(resolution, Resolution::GateFallback);
+        assert!(ids.contains(&query_id));
     }
 
-    // With the ladder disarmed, the same hold is ignored: queries serve
+    // With the ladder disarmed, the same hold is ignored: requests serve
     // through normal guarded selection instead.
-    let mut exec2 = ChaosScenario::new(11).fault_scale(0.0).build();
-    let disarmed = RobustConfig {
-        fallback_enabled: false,
-        gate: GateConfig {
-            max_avg_ratio: 0.0,
-            ..GateConfig::default()
-        },
-        ..RobustConfig::default()
-    };
-    let report2 = RobustServer::new(strategy, disarmed)
-        .expect("default margin is valid")
-        .serve_all(
-            &NodeCountModel,
-            &evaluated,
-            &mut exec2,
-            &prepared.project.catalog,
-            None,
-        )
+    let disarmed = held()
+        .fallback_enabled(false)
+        .build()
+        .expect("valid config");
+    let report2 = serve(disarmed, &NodeCountModel, &prepared, &evaluated, None)
         .expect("disarmed ladder without faults still completes");
-    assert!(report2.results.iter().all(|r| !r.resolution.is_degraded()));
+    assert!(served(&report2).iter().all(|r| !r.1.is_degraded()));
 }
 
 /// A query without plans, or whose default index is past its last plan,
-/// is a typed error from both serving loops — never a panic.
+/// is a typed error from the serving loop — never a panic.
 #[test]
-fn malformed_candidate_sets_are_rejected_by_both_serving_loops() {
+fn malformed_candidate_sets_are_rejected_before_serving() {
     let mut plan = PlanTree::new();
     let scan = plan.leaf(Operator::table_scan(0, 1, 1, vec![0]));
     plan.set_root(scan);
@@ -267,20 +250,88 @@ fn malformed_candidate_sets_are_rejected_by_both_serving_loops() {
         default_idx: 1,
     };
     let catalog = Catalog::new();
-    let server = RobustServer::new(EnvStrategy::NoEnv, RobustConfig::default()).unwrap();
     let session = ServeSession::new(ServeConfig::builder().requests(4).build().unwrap()).unwrap();
     for malformed in [no_plans, default_past_end] {
-        let queries = [malformed];
-        let mut exec = ChaosScenario::new(3).fault_scale(0.0).build();
-        let served = server.serve_all(&NodeCountModel, &queries, &mut exec, &catalog, None);
-        assert!(
-            matches!(served, Err(LoamError::InvalidConfig(_))),
-            "serve_all: {served:?}"
-        );
-        let run = session.run(&NodeCountModel, &queries, &catalog, None);
+        let run = session.run(&NodeCountModel, &[malformed], &catalog, None);
         assert!(
             matches!(run, Err(LoamError::InvalidConfig(_))),
             "ServeSession::run: {run:?}"
+        );
+    }
+}
+
+/// Configurations at the edges of what `ServeConfig` accepts: every one
+/// serves, and accounts for, each arrival exactly once.
+#[test]
+fn serve_config_edges_account_for_every_arrival() {
+    let (prepared, evaluated) = evaluated_fixture(2);
+    let base = || {
+        ServeConfig::builder()
+            .tenants(4)
+            .requests(24)
+            .batch_size(8)
+            .machines(8)
+            .warmup_ticks(4)
+            .fault_scale(1.0)
+            .gate(permissive_gate())
+    };
+    let cases = [
+        ("one machine", base().machines(1)),
+        ("one request", base().requests(1)),
+        (
+            "1e12 qps",
+            base().arrival(ArrivalProfile::Poisson { rate_qps: 1e12 }),
+        ),
+        ("batch wider than the trace", base().batch_size(64)),
+        (
+            "queue bound of capacity 1",
+            base().shed(ShedPolicy::QueueBound {
+                capacity: 1,
+                drain_qps: 1.0,
+            }),
+        ),
+    ];
+    for (name, builder) in cases {
+        let cfg = builder.build().expect(name);
+        let requests = cfg.requests;
+        let report = serve(cfg, &NodeCountModel, &prepared, &evaluated, None)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.requests, requests, "{name}");
+        assert_eq!(report.shed + report.admitted, requests, "{name}");
+        assert_eq!(report.completed + report.failed, report.admitted, "{name}");
+        let seqs: Vec<u64> = report.decision_log.iter().map(|d| d.seq).collect();
+        assert_eq!(
+            seqs,
+            (0..requests as u64).collect::<Vec<_>>(),
+            "{name}: one record per arrival"
+        );
+    }
+}
+
+/// A trace whose executors would start past the cluster clock's bound is a
+/// typed error, in debug and release builds alike, before anything is
+/// scored.
+#[test]
+fn start_tick_overflow_is_a_typed_error() {
+    let (prepared, evaluated) = evaluated_fixture(2);
+    let cases = [
+        (
+            "1e-30 qps",
+            ServeConfig::builder().arrival(ArrivalProfile::Poisson { rate_qps: 1e-30 }),
+        ),
+        (
+            "u64::MAX warm-up",
+            ServeConfig::builder().warmup_ticks(u64::MAX),
+        ),
+    ];
+    for (name, builder) in cases {
+        let served = builder
+            .requests(4)
+            .build()
+            .and_then(|cfg| serve(cfg, &NodeCountModel, &prepared, &evaluated, None));
+        assert!(
+            matches!(served, Err(LoamError::InvalidConfig(_))),
+            "{name}: {served:?}"
         );
     }
 }

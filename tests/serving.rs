@@ -237,7 +237,7 @@ fn real_model_serving_is_thread_invariant_and_scores_like_predict() {
         let lookups = baseline.feature_cache_hits + baseline.feature_cache_misses;
         assert_eq!(lookups > 0, feature_cache, "feature cache {feature_cache}");
 
-        let env = session.server().strategy().env_source();
+        let env = session.config().strategy.env_source();
         let mut scored = 0;
         for rec in &baseline.decision_log {
             if let RequestOutcome::Served {
