@@ -435,8 +435,7 @@ pub fn evaluate_candidates_traced(
                 s
             });
             let set = {
-                let _s = mcsim_obs::span("optimize");
-                let _ts = trace.map(|t| t.span("optimize"));
+                let _s = mcsim_obs::span("optimize").traced(trace);
                 explorer.explore(&optimizer, q)
             };
             let plans: Vec<PlanTree> = set.candidates.iter().map(|c| c.plan.clone()).collect();
@@ -450,12 +449,8 @@ pub fn evaluate_candidates_traced(
             }
             let refs: Vec<&PlanTree> = plans.iter().collect();
             let costs = {
-                let _s = mcsim_obs::span("execute");
-                let _ts = trace.map(|t| {
-                    let s = t.span("execute");
-                    s.attr("rounds", cfg.eval_rounds);
-                    s
-                });
+                let s = mcsim_obs::span("execute").traced(trace);
+                s.attr("rounds", cfg.eval_rounds);
                 flighting.replay_synchronized(&refs, &prepared.project.catalog, cfg.eval_rounds)
             };
             Ok(EvaluatedQuery {
@@ -520,12 +515,8 @@ pub fn evaluate_model_traced<M: CostModel + Sync + ?Sized>(
     let started = std::time::Instant::now();
     let choices: Vec<usize> = mcsim_par::ThreadPool::global().parallel_map(evaluated, |eq| {
         let refs: Vec<&PlanTree> = eq.plans.iter().collect();
-        let _s = mcsim_obs::span("infer");
-        let _ts = trace.map(|t| {
-            let s = t.span("infer");
-            s.attr("query_id", eq.query_id);
-            s
-        });
+        let s = mcsim_obs::span("infer").traced(trace);
+        s.attr("query_id", eq.query_id);
         let (best, costs) = select_plan(model, &refs, strategy);
         guarded_choice_traced(
             &refs,

@@ -25,36 +25,24 @@ pub trait CostModel: Send + Sync {
     /// Predicted CPU cost of `plan` with the environment block filled from
     /// `env`.
     fn predict(&self, plan: &PlanTree, env: EnvSource<'_>) -> f64;
-    /// Predicted costs for a batch of plans under one environment. The
-    /// default is a per-plan [`predict`](Self::predict) loop (the `cache`
-    /// is a featurization hint models may ignore); models with a batched
-    /// forward override this so one forward amortizes over the whole batch.
-    /// Implementations must return bit-identical values to per-plan
-    /// `predict`.
-    fn predict_batch(
-        &self,
-        plans: &[&PlanTree],
-        env: EnvSource<'_>,
-        _cache: Option<&FeatureCache>,
-    ) -> Vec<f64> {
-        plans.iter().map(|p| self.predict(p, env.clone())).collect()
-    }
-    /// [`predict_batch`](Self::predict_batch) into caller-owned buffers so
-    /// serving loops can reuse one warm workspace across scoring batches.
-    /// `out` receives one cost per plan (cleared first). The default ignores
-    /// the workspace and delegates to `predict_batch`; models with a
-    /// workspace-based forward override this to score with zero steady-state
-    /// allocations. Implementations must be bit-identical to `predict_batch`.
+    /// Predicted costs for a batch of plans under one environment, into
+    /// caller-owned buffers so serving loops can reuse one warm workspace
+    /// across scoring batches. `out` receives one cost per plan (cleared
+    /// first). The default is a per-plan [`predict`](Self::predict) loop
+    /// that ignores the featurization hint `cache` and the workspace; models
+    /// with a batched forward override this so one forward amortizes over
+    /// the whole batch, with zero steady-state allocations. Implementations
+    /// must return bit-identical values to per-plan `predict`.
     fn predict_batch_into(
         &self,
         plans: &[&PlanTree],
         env: EnvSource<'_>,
-        cache: Option<&FeatureCache>,
+        _cache: Option<&FeatureCache>,
         _ws: &mut InferWs,
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        out.extend(self.predict_batch(plans, env, cache));
+        out.extend(plans.iter().map(|p| self.predict(p, env.clone())));
     }
     /// Approximate model size in bytes.
     fn size_bytes(&self) -> usize;
@@ -66,14 +54,6 @@ impl CostModel for AdaptiveCostPredictor {
     }
     fn predict(&self, plan: &PlanTree, env: EnvSource<'_>) -> f64 {
         AdaptiveCostPredictor::predict(self, plan, env)
-    }
-    fn predict_batch(
-        &self,
-        plans: &[&PlanTree],
-        env: EnvSource<'_>,
-        cache: Option<&FeatureCache>,
-    ) -> Vec<f64> {
-        AdaptiveCostPredictor::predict_batch(self, plans, env, cache)
     }
     fn predict_batch_into(
         &self,

@@ -12,12 +12,13 @@
 //! * **Spans** ([`span`]) — RAII wall-clock timers that nest into a
 //!   `parent/child` path per thread (`fig6/train/epoch`, …).
 //!
-//! Events flow to a process-global [`Recorder`]. By default none is
+//! Events flow to a process-global [`InMemoryRecorder`]. By default none is
 //! installed and every entry point reduces to one relaxed atomic load —
 //! instrumentation in hot paths costs ~nothing when observability is off.
-//! Install the bundled [`InMemoryRecorder`] (or your own `Recorder` impl)
-//! with [`install`] to start collecting; take a [`MetricsSnapshot`] to
-//! render everything as JSON without any serde dependency.
+//! Install one with [`install`] to start collecting; its
+//! [`MetricsSnapshot`] renders everything as JSON without any serde
+//! dependency. A [`Span`] can also be a node of a per-query
+//! [`TraceContext`] (see [`trace`]).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -38,55 +39,19 @@ pub mod trace;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
+use trace::{AttrValue, TraceContext};
 
 // ---------------------------------------------------------------- recorder
 
-/// Sink for observability events. All methods default to no-ops so custom
-/// recorders implement only what they need.
-///
-/// Implementations must be cheap and non-blocking where possible: events
-/// arrive from the simulator's hot paths (though never from per-tick inner
-/// loops) and from multiple threads at once.
-pub trait Recorder: Send + Sync {
-    /// Adds `delta` to the counter `name`.
-    fn counter(&self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge(&self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Records one observation of `value` in the histogram `name`.
-    fn observe(&self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Reports a finished span. `path` is the slash-joined nesting path
-    /// (including `name` as its last segment); `seconds` is wall-clock.
-    fn span_complete(&self, path: &str, name: &'static str, seconds: f64) {
-        let _ = (path, name, seconds);
-    }
-}
-
-/// A recorder that drops every event. Installing it is equivalent to (but
-/// slower than) having no recorder installed; it exists for tests and for
-/// explicitly overriding an inherited recorder.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
+static RECORDER: RwLock<Option<Arc<InMemoryRecorder>>> = RwLock::new(None);
 
 /// Installs `recorder` as the process-global sink, returning the previous
 /// one (if any). Keep a clone of your `Arc` to read results later.
-pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
+pub fn install(recorder: Arc<InMemoryRecorder>) -> Option<Arc<InMemoryRecorder>> {
     let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
     let prev = slot.replace(recorder);
     ENABLED.store(true, Ordering::Release);
@@ -95,7 +60,7 @@ pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
 
 /// Removes the global recorder, returning it. Afterwards every entry point
 /// is a single relaxed atomic load again.
-pub fn uninstall() -> Option<Arc<dyn Recorder>> {
+pub fn uninstall() -> Option<Arc<InMemoryRecorder>> {
     let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
     ENABLED.store(false, Ordering::Release);
     slot.take()
@@ -108,7 +73,7 @@ pub fn enabled() -> bool {
 }
 
 #[inline]
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+fn with_recorder(f: impl FnOnce(&InMemoryRecorder)) {
     if !enabled() {
         return;
     }
@@ -142,37 +107,69 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard for a timed, hierarchically named region. Created by
-/// [`span`]; reports to the recorder on drop.
+/// RAII guard for a timed region, made of two optional halves that close
+/// together on drop:
+///
+/// * the *recorder* half, opened by [`span`] while a recorder is installed,
+///   reports its wall-clock time under the slash-joined path of the spans
+///   open on this thread (`train/epoch`);
+/// * the *trace* half, opened by [`TraceContext::span`] or attached by
+///   [`Span::traced`], is one node of a per-query trace: nested under the
+///   innermost node open on this thread, and carrying [attributes](Span::attr).
 #[must_use = "a span measures until dropped; binding it to `_` drops it immediately"]
-pub struct Span {
+pub struct Span<'t> {
+    /// The recorder half's leaf name; empty on a trace-only span.
     name: &'static str,
+    /// When the recorder half started; `None` while no recorder is installed.
     start: Option<Instant>,
+    /// The trace half: the trace and the index of this span's node in it.
+    node: Option<(&'t TraceContext, usize)>,
 }
 
-/// Opens a span named `name`, nested under any span already open on this
-/// thread. When no recorder is installed this is free: no clock read, no
-/// allocation, nothing reported on drop.
-pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span { name, start: None };
-    }
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
+/// Opens a recorder span named `name`, nested under the recorder spans
+/// already open on this thread (a trace-only span is not one of them). When
+/// no recorder is installed this is free: no clock read, no allocation,
+/// nothing reported on drop.
+pub fn span(name: &'static str) -> Span<'static> {
+    let start = enabled().then(|| {
+        SPAN_STACK.with(|s| s.borrow_mut().push(name));
+        Instant::now()
+    });
     Span {
         name,
-        start: Some(Instant::now()),
+        start,
+        node: None,
     }
 }
 
-impl Span {
-    /// The span's own (leaf) name.
-    pub fn name(&self) -> &'static str {
-        self.name
+impl Span<'static> {
+    /// Adds the trace half: when `trace` is `Some`, opens a node with this
+    /// span's name in it. The recorder half is unchanged, so tracing never
+    /// moves a recorder path or count.
+    pub fn traced<'t>(mut self, trace: Option<&'t TraceContext>) -> Span<'t> {
+        Span {
+            name: self.name,
+            start: self.start.take(),
+            node: trace.map(|t| (t, t.open(self.name.to_string()))),
+        }
     }
 }
 
-impl Drop for Span {
+impl Span<'_> {
+    /// Attaches a key/value attribute to the trace half; without one this
+    /// does nothing (the value is not even converted).
+    pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
+        if let Some((ctx, id)) = self.node {
+            ctx.attr(id, key, value.into());
+        }
+    }
+}
+
+impl Drop for Span<'_> {
     fn drop(&mut self) {
+        if let Some((ctx, id)) = self.node {
+            ctx.close(id);
+        }
         let Some(start) = self.start else { return };
         let seconds = start.elapsed().as_secs_f64();
         let path = SPAN_STACK.with(|s| {
@@ -185,35 +182,7 @@ impl Drop for Span {
             }
             path
         });
-        with_recorder(|r| r.span_complete(&path, self.name, seconds));
-    }
-}
-
-/// A monotonic stopwatch for code that wants an explicit duration rather
-/// than RAII scoping (e.g. to store alongside other results).
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    start: Instant,
-}
-
-impl Timer {
-    /// Starts the stopwatch.
-    pub fn start() -> Timer {
-        Timer {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since [`Timer::start`].
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Records the elapsed time into histogram `name` and returns it.
-    pub fn observe_as(&self, name: &'static str) -> f64 {
-        let secs = self.elapsed_seconds();
-        observe(name, secs);
-        secs
+        with_recorder(|r| r.span_complete(path, seconds));
     }
 }
 
@@ -348,20 +317,13 @@ pub struct SpanStat {
     pub max_s: f64,
 }
 
-#[derive(Default)]
-struct InMemoryInner {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<String, SpanStat>,
-}
-
-/// A thread-safe recorder aggregating everything in memory, for tests and
-/// for the bench harness's JSON metrics reports. Span stats aggregate by
-/// path, so millions of span completions stay O(distinct paths) in memory.
+/// A thread-safe recorder aggregating everything in memory: the sink
+/// [`install`] takes, read by tests and by the bench harness's JSON metrics
+/// reports. Span stats aggregate by path, so millions of span completions
+/// stay O(distinct paths) in memory.
 #[derive(Default)]
 pub struct InMemoryRecorder {
-    inner: Mutex<InMemoryInner>,
+    metrics: Mutex<MetricsSnapshot>,
 }
 
 impl InMemoryRecorder {
@@ -370,55 +332,38 @@ impl InMemoryRecorder {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Copies out everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            spans: inner.spans.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        }
+        self.lock().clone()
     }
 
-    /// Discards everything recorded so far.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        *inner = InMemoryInner::default();
-    }
-}
-
-impl Recorder for InMemoryRecorder {
+    /// Adds `delta` to the counter `name`.
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        *inner.counters.entry(name).or_insert(0) += delta;
+        *self.lock().counters.entry(name).or_insert(0) += delta;
     }
 
+    /// Sets the gauge `name` to `value` (last write wins).
     fn gauge(&self, name: &'static str, value: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.gauges.insert(name, value);
+        self.lock().gauges.insert(name, value);
     }
 
+    /// Records one observation of `value` in the histogram `name`.
     fn observe(&self, name: &'static str, value: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.histograms.entry(name).or_default().record(value);
+        self.lock()
+            .histograms
+            .entry(name)
+            .or_default()
+            .record(value);
     }
 
-    fn span_complete(&self, path: &str, _name: &'static str, seconds: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = inner.spans.entry(path.to_string()).or_insert(SpanStat {
+    /// Adds one completion of `seconds` to the span stats of `path`.
+    fn span_complete(&self, path: String, seconds: f64) {
+        let mut metrics = self.lock();
+        let stat = metrics.spans.entry(path).or_insert(SpanStat {
             count: 0,
             total_s: 0.0,
             min_s: f64::INFINITY,
@@ -433,55 +378,40 @@ impl Recorder for InMemoryRecorder {
 
 // -------------------------------------------------------------- snapshot
 
-/// A point-in-time copy of an [`InMemoryRecorder`]'s contents, ordered
-/// deterministically (sorted by name/path), renderable as JSON.
+/// An [`InMemoryRecorder`]'s contents, sorted by name/path, renderable as
+/// JSON. The recorder aggregates into one of these and
+/// [`InMemoryRecorder::snapshot`] clones it.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.
-    pub counters: Vec<(String, u64)>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Gauge values by name.
-    pub gauges: Vec<(String, f64)>,
+    pub gauges: BTreeMap<&'static str, f64>,
     /// Histograms by name.
-    pub histograms: Vec<(String, Histogram)>,
+    pub histograms: BTreeMap<&'static str, Histogram>,
     /// Span statistics by slash-joined path.
-    pub spans: Vec<(String, SpanStat)>,
+    pub spans: BTreeMap<String, SpanStat>,
 }
 
 impl MetricsSnapshot {
     /// The counter's total, or 0 if never incremented.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |(_, v)| *v)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// The gauge's last value, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+        self.gauges.get(name).copied()
     }
 
     /// The histogram by name, if any values were observed.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        self.histograms.get(name)
     }
 
     /// The span stats for an exact path, if that span ever completed.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
-        self.spans.iter().find(|(k, _)| k == path).map(|(_, v)| v)
-    }
-
-    /// Total seconds across all spans whose path equals `path` or starts
-    /// with `path` followed by `/` — i.e. a subtree's own root time.
-    pub fn span_total_seconds(&self, path: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|(k, _)| k == path)
-            .map(|(_, v)| v.total_s)
-            .sum()
+        self.spans.get(path)
     }
 
     /// Renders the snapshot as pretty-printed JSON. Zero-dependency by
@@ -754,9 +684,7 @@ mod tests {
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _ = uninstall(); // ensure clean state
         counter("dead.counter", 1);
-        let s = span("dead.span");
-        assert_eq!(s.name(), "dead.span");
-        drop(s);
+        drop(span("dead.span"));
         let rec = Arc::new(InMemoryRecorder::new());
         install(rec.clone());
         uninstall();
@@ -800,15 +728,76 @@ mod tests {
     }
 
     #[test]
-    fn timer_measures_and_observes() {
+    fn a_traced_span_keeps_its_recorder_path_and_a_trace_only_span_has_none() {
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rec = Arc::new(InMemoryRecorder::new());
         install(rec.clone());
-        let t = Timer::start();
-        std::hint::black_box((0..1000).sum::<u64>());
-        let secs = t.observe_as("timer.test");
+        let ctx = TraceContext::new("t");
+        {
+            let _query = ctx.span("query");
+            let optimize = span("optimize").traced(Some(&ctx));
+            optimize.attr("rounds", 3u64);
+            let _untraced = span("explore").traced(None);
+        }
         uninstall();
-        assert!(secs >= 0.0);
-        assert_eq!(rec.snapshot().histogram("timer.test").unwrap().count, 1);
+        let snap = rec.snapshot();
+        let paths: Vec<&str> = snap.spans.keys().map(String::as_str).collect();
+        assert_eq!(paths, ["optimize", "optimize/explore"]);
+        let nodes = ctx.spans();
+        assert_eq!(nodes.len(), 2, "an untraced span opens no trace node");
+        assert_eq!((nodes[0].name.as_str(), nodes[0].parent), ("query", None));
+        assert_eq!(
+            (nodes[1].name.as_str(), nodes[1].parent),
+            ("optimize", Some(0))
+        );
+        assert_eq!(nodes[1].attrs, [("rounds".to_string(), AttrValue::U64(3))]);
+        assert!(nodes.iter().all(|n| n.end_us.is_some()));
+    }
+
+    /// One fixed event sequence and the bytes `to_json` rendered for it
+    /// before the recorder aggregated straight into a `MetricsSnapshot`.
+    #[test]
+    fn snapshot_json_bytes_are_stable() {
+        let rec = InMemoryRecorder::new();
+        rec.counter("b.count", 3);
+        rec.counter("a.count", 1);
+        rec.counter("a.count", 4);
+        rec.counter("esc\"key\n", 2);
+        rec.gauge("g.level", 1.25);
+        rec.gauge("g.level", 0.5);
+        rec.gauge("g.nan", f64::NAN);
+        for v in [0.001, 0.5, 3.0, 3.5, 100.0, -1.0] {
+            rec.observe("h.lat", v);
+        }
+        rec.observe("a.one", 7.0);
+        rec.span_complete("outer".into(), 0.25);
+        rec.span_complete("outer/inner".into(), 0.125);
+        rec.span_complete("outer/inner".into(), 0.0625);
+        rec.span_complete("solo".into(), 1e-9);
+        let golden = r#"{
+  "counters": {
+    "a.count": 5,
+    "b.count": 3,
+    "esc\"key\n": 2
+  },
+  "gauges": {
+    "g.level": 0.5,
+    "g.nan": null
+  },
+  "histograms": {
+    "a.one": {"count": 1, "sum": 7.0, "mean": 7.0, "min": 7.0, "max": 7.0, "p50": 7.0, "p95": 7.0, "p99": 7.0, "log2_buckets": {"2": 1}},
+    "h.lat": {"count": 6, "sum": 106.001, "mean": 17.666833333333333, "min": -1.0, "max": 100.0, "p50": 1.0, "p95": 100.0, "p99": 100.0, "log2_buckets": {"-32": 1, "-10": 1, "-1": 1, "1": 2, "6": 1}}
+  },
+  "spans": {
+    "outer": {"count": 1, "total_s": 0.25, "min_s": 0.25, "max_s": 0.25},
+    "outer/inner": {"count": 2, "total_s": 0.1875, "min_s": 0.0625, "max_s": 0.125},
+    "solo": {"count": 1, "total_s": 1e-9, "min_s": 1e-9, "max_s": 1e-9}
+  }
+}"#;
+        assert_eq!(rec.snapshot().to_json(), golden);
+        assert_eq!(
+            InMemoryRecorder::new().snapshot().to_json(),
+            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"spans\": {}\n}"
+        );
     }
 }

@@ -1,11 +1,12 @@
 //! Per-query structured tracing: span trees, decision provenance, and
 //! executor scheduling timelines.
 //!
-//! The process-global [`Recorder`](crate::Recorder) aggregates *across*
-//! queries; a [`TraceContext`] records *one* query's (or one pipeline
-//! run's) story — which phases ran when, which candidate plans were scored
-//! and why one was chosen, what the deployment gate saw, and which cluster
-//! machines each executor stage actually ran on. The context is an explicit
+//! The process-global [`InMemoryRecorder`](crate::InMemoryRecorder)
+//! aggregates *across* queries; a [`TraceContext`] records *one* query's
+//! (or one pipeline run's) story — which phases ran when, which candidate
+//! plans were scored and why one was chosen, what the deployment gate saw,
+//! and which cluster machines each executor stage actually ran on. Its span
+//! nodes are the trace halves of [`Span`] guards. The context is an explicit
 //! value passed through the pipeline (never a thread-local or a global), so
 //! callers decide exactly which work is audited and pay nothing elsewhere:
 //! every traced entry point takes an `Option<&TraceContext>` and the `None`
@@ -30,12 +31,14 @@
 //!     opt.attr("query_id", 42u64);
 //!     let _explore = ctx.span("explore"); // nests under `optimize`
 //! }
-//! assert_eq!(ctx.span_count(), 2);
+//! // A recorder span that is also a node of the trace.
+//! drop(mcsim_obs::span("execute").traced(Some(&ctx)));
+//! assert_eq!(ctx.span_count(), 3);
 //! let json = ctx.to_chrome_json();
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
-use crate::{push_json_f64, push_json_str};
+use crate::{push_json_f64, push_json_str, Span};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -134,7 +137,7 @@ pub struct SpanNode {
     pub start_us: u64,
     /// End, microseconds since the context was created; `None` while open.
     pub end_us: Option<u64>,
-    /// Key/value attributes attached via [`TraceSpan::attr`].
+    /// Key/value attributes attached via [`Span::attr`].
     pub attrs: Vec<(String, AttrValue)>,
 }
 
@@ -144,55 +147,6 @@ impl SpanNode {
         self.end_us
             .unwrap_or(fallback_us.max(self.start_us))
             .saturating_sub(self.start_us)
-    }
-}
-
-/// RAII guard for one traced span. Ends the span (records `end_us`) on
-/// drop. Spans opened on the same thread while this guard lives become its
-/// children.
-#[must_use = "a trace span measures until dropped; binding it to `_` drops it immediately"]
-pub struct TraceSpan<'a> {
-    ctx: &'a TraceContext,
-    id: usize,
-}
-
-impl TraceSpan<'_> {
-    /// The span's index within the trace (stable; usable as a parent key).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Attaches a key/value attribute to the span.
-    pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
-        let mut inner = self.ctx.lock();
-        inner.spans[self.id]
-            .attrs
-            .push((key.to_string(), value.into()));
-    }
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        let now = self.ctx.elapsed_us();
-        let mut inner = self.ctx.lock();
-        let track = inner.spans[self.id].track as usize;
-        // Pop by identity: guards can legally be dropped out of order (e.g.
-        // a Vec of guards drops front-to-back, parents first). Everything
-        // above this span on its thread stack is a still-open descendant;
-        // force-close it at the parent's end so the exported tree stays
-        // well-nested — a child outliving its parent would otherwise render
-        // as partially overlapping X events.
-        let closed: Vec<usize> = match inner.threads.get_mut(track) {
-            Some((_, stack)) => match stack.iter().rposition(|&s| s == self.id) {
-                Some(pos) => stack.drain(pos..).collect(),
-                None => Vec::new(), // already force-closed by an ancestor
-            },
-            None => Vec::new(),
-        };
-        for id in closed {
-            inner.spans[id].end_us.get_or_insert(now);
-        }
-        inner.spans[self.id].end_us.get_or_insert(now);
     }
 }
 
@@ -417,9 +371,21 @@ impl TraceContext {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Opens a span named `name`, nested under the innermost span still
-    /// open on the *current thread* (threads trace independent lanes).
-    pub fn span(&self, name: impl Into<String>) -> TraceSpan<'_> {
+    /// Opens a trace-only [`Span`] named `name`, nested under the innermost
+    /// node still open on the *current thread* (threads trace independent
+    /// lanes). It joins no recorder path; to time a region in both, open a
+    /// recorder span and attach the trace with [`Span::traced`].
+    pub fn span(&self, name: impl Into<String>) -> Span<'_> {
+        Span {
+            name: "",
+            start: None,
+            node: Some((self, self.open(name.into()))),
+        }
+    }
+
+    /// Opens node `name` under the current thread's innermost open node and
+    /// returns its index.
+    pub(crate) fn open(&self, name: String) -> usize {
         let start_us = self.elapsed_us();
         let tid = std::thread::current().id();
         let mut inner = self.lock();
@@ -433,7 +399,7 @@ impl TraceContext {
         let parent = inner.threads[track].1.last().copied();
         let id = inner.spans.len();
         inner.spans.push(SpanNode {
-            name: name.into(),
+            name,
             parent,
             track: track as u32,
             start_us,
@@ -441,7 +407,36 @@ impl TraceContext {
             attrs: Vec::new(),
         });
         inner.threads[track].1.push(id);
-        TraceSpan { ctx: self, id }
+        id
+    }
+
+    /// Attaches a key/value attribute to node `id`.
+    pub(crate) fn attr(&self, id: usize, key: &str, value: AttrValue) {
+        self.lock().spans[id].attrs.push((key.to_string(), value));
+    }
+
+    /// Ends node `id` now.
+    pub(crate) fn close(&self, id: usize) {
+        let now = self.elapsed_us();
+        let mut inner = self.lock();
+        let track = inner.spans[id].track as usize;
+        // Pop by identity: guards can legally be dropped out of order (e.g.
+        // a Vec of guards drops front-to-back, parents first). Everything
+        // above this node on its thread stack is a still-open descendant;
+        // force-close it at the parent's end so the exported tree stays
+        // well-nested — a child outliving its parent would otherwise render
+        // as partially overlapping X events.
+        let closed: Vec<usize> = match inner.threads.get_mut(track) {
+            Some((_, stack)) => match stack.iter().rposition(|&s| s == id) {
+                Some(pos) => stack.drain(pos..).collect(),
+                None => Vec::new(), // already force-closed by an ancestor
+            },
+            None => Vec::new(),
+        };
+        for child in closed {
+            inner.spans[child].end_us.get_or_insert(now);
+        }
+        inner.spans[id].end_us.get_or_insert(now);
     }
 
     /// Records a typed decision at the current trace time.

@@ -8,6 +8,7 @@ use mcsim_catalog::workmodel::{operator_work, WorkContext, WorkParams};
 use mcsim_catalog::{CardinalityModel, Catalog, QuerySpec};
 use mcsim_plan::op::{AggAlgo, ExchangeKind, JoinAlgo, JoinKind, Operator};
 use mcsim_plan::{ColumnId, NodeId, PlanTree};
+use std::time::Instant;
 
 /// Estimated build-side row count below which broadcast joins are considered
 /// when the flag unlocks them.
@@ -92,10 +93,10 @@ impl<'a> NativeOptimizer<'a> {
             .map(|t| model.believed_rows(t.table) * model.selectivity(&t.predicate))
             .collect();
 
-        let dp_timer = mcsim_obs::enabled().then(mcsim_obs::Timer::start);
+        let dp_started = mcsim_obs::enabled().then(Instant::now);
         let recipe = self.join_order(query, &leaf_est, &model);
-        if let Some(t) = dp_timer {
-            t.observe_as("optimizer.dp_seconds");
+        if let Some(t) = dp_started {
+            mcsim_obs::observe("optimizer.dp_seconds", t.elapsed().as_secs_f64());
         }
 
         let mut plan = PlanTree::new();

@@ -1,9 +1,8 @@
 //! `mcsim-par` — the workspace's parallel compute substrate, and the only
 //! code in it that creates threads.
 //!
-//! A dependency-free thread pool offering four primitives:
+//! A dependency-free thread pool offering three primitives:
 //!
-//! * [`ThreadPool::parallel_for`] — index-range fan-out in fixed chunks;
 //! * [`ThreadPool::parallel_map`] — order-preserving map over a slice;
 //! * [`ThreadPool::parallel_for_chunks_mut`] — disjoint `&mut` chunks of a
 //!   slice, written in place;
@@ -59,7 +58,6 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -200,18 +198,6 @@ impl ThreadPool {
         self.fixed.unwrap_or_else(threads)
     }
 
-    /// Runs `body` over `0..n` split into contiguous chunks of at least
-    /// `min_chunk` indices. Chunk boundaries depend only on `n` and
-    /// `min_chunk`, so per-chunk work is identical at any thread count.
-    pub fn parallel_for<F>(&self, n: usize, min_chunk: usize, body: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let chunk = chunk_size(n, min_chunk);
-        let jobs = (0..n).step_by(chunk).map(move |lo| lo..(lo + chunk).min(n));
-        run_jobs(self.threads(), jobs, body);
-    }
-
     /// Maps `f` over `items`, preserving order. `f` runs once per item; the
     /// output vector is exactly `items.iter().map(f).collect()` regardless
     /// of the thread count.
@@ -280,11 +266,6 @@ impl ThreadPool {
     {
         run_jobs(self.threads(), jobs.into_iter(), f);
     }
-}
-
-/// Chunk size for `n` items with a floor of `min_chunk`.
-fn chunk_size(n: usize, min_chunk: usize) -> usize {
-    min_chunk.max(1).min(n.max(1))
 }
 
 /// The fan-out engine: drains `jobs` from a shared queue on the calling
@@ -485,12 +466,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_every_index_exactly_once() {
+    fn for_each_covers_every_index_exactly_once() {
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let n = 997; // prime, so chunks never divide evenly
         for t in [1, 3, 8] {
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            ThreadPool::new(t).parallel_for(n, 10, |range| {
+            let chunks = (0..n).step_by(10).map(|lo| lo..(lo + 10).min(n));
+            ThreadPool::new(t).for_each(chunks, |range| {
                 for i in range {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -556,7 +538,7 @@ mod tests {
     fn empty_inputs_are_no_ops() {
         let pool = ThreadPool::new(4);
         assert!(pool.parallel_map(&[] as &[u8], |&b| b).is_empty());
-        pool.parallel_for(0, 8, |_| panic!("must not run"));
+        pool.for_each(0..0, |_: usize| panic!("must not run"));
         pool.parallel_for_chunks_mut(&mut [] as &mut [u8], 4, |_, _| panic!("must not run"));
     }
 
@@ -620,7 +602,7 @@ mod tests {
         let main_id = std::thread::current().id();
         let barrier = std::sync::Barrier::new(2);
         let ran_on_main = AtomicU64::new(0);
-        ThreadPool::new(2).parallel_for(2, 1, |_| {
+        ThreadPool::new(2).for_each(0..2, |_| {
             barrier.wait();
             if std::thread::current().id() == main_id {
                 ran_on_main.fetch_add(1, Ordering::Relaxed);
@@ -656,7 +638,7 @@ mod tests {
                     let caller = std::thread::current().id();
                     let barrier = std::sync::Barrier::new(t);
                     let caught = catch_unwind(AssertUnwindSafe(|| {
-                        pool.parallel_for(t, 1, |_| {
+                        pool.for_each(0..t, |_| {
                             barrier.wait();
                             if std::thread::current().id() != caller {
                                 panic!("helper job failed at pool {t}, round {round}");
@@ -671,7 +653,7 @@ mod tests {
                     // Every helper is back and takes part in the next fan-out.
                     let barrier = std::sync::Barrier::new(t);
                     let ran = AtomicU64::new(0);
-                    pool.parallel_for(t, 1, |_| {
+                    pool.for_each(0..t, |_| {
                         barrier.wait();
                         ran.fetch_add(1, Ordering::Relaxed);
                     });
@@ -744,7 +726,7 @@ mod tests {
             for t in [8, 4] {
                 let barrier = std::sync::Barrier::new(t);
                 ids.lock().unwrap().clear();
-                ThreadPool::new(t).parallel_for(t, 1, |_| {
+                ThreadPool::new(t).for_each(0..t, |_| {
                     barrier.wait();
                     ids.lock().unwrap().insert(std::thread::current().id());
                 });
@@ -753,7 +735,7 @@ mod tests {
             let warm = std::mem::take(&mut *ids.lock().unwrap());
             assert_eq!(warm.len(), 4);
             for _ in 0..50 {
-                pool.parallel_for(64, 1, |_| {
+                pool.for_each(0..64, |_| {
                     ids.lock().unwrap().insert(std::thread::current().id());
                 });
             }

@@ -440,11 +440,16 @@ pub struct ServeReport {
     pub decision_cache_misses: u64,
     /// Total observed CPU cost of completed requests.
     pub total_cost: f64,
-    /// CPU cost burnt by killed attempts.
+    /// CPU cost burnt by killed attempts of the run that completed each
+    /// request. A failed steered run before an `ExecFallback` replay, and
+    /// both runs of a `Failed` request, add nothing.
     pub total_wasted_cost: f64,
-    /// Fault-injected retries survived.
+    /// Fault-injected retries survived by the run that completed each
+    /// request. A failed steered run before an `ExecFallback` replay, and
+    /// both runs of a `Failed` request, add nothing.
     pub total_retries: u32,
-    /// Speculative backups launched against stragglers.
+    /// Speculative backups launched against stragglers, counted like
+    /// `total_retries`.
     pub total_speculative: u32,
     /// One record per arrival, in sequence order.
     pub decision_log: Vec<DecisionRecord>,
@@ -783,14 +788,10 @@ impl ServeSession {
                 let a = req.arrival;
                 let eq = &templates[a.template as usize];
                 let plans = &compiled[a.template as usize];
-                let _s = mcsim_obs::span("serve.request");
-                let _ts = trace.map(|t| {
-                    let s = t.span("serve.request");
-                    s.attr("seq", a.seq);
-                    s.attr("tenant", a.tenant as u64);
-                    s.attr("query_id", eq.query_id);
-                    s
-                });
+                let s = mcsim_obs::span("serve.request").traced(trace);
+                s.attr("seq", a.seq);
+                s.attr("tenant", a.tenant as u64);
+                s.attr("query_id", eq.query_id);
                 let t_exec = std::time::Instant::now();
                 let mut exec = ChaosScenario::new(request_seed(self.cfg.seed, a.seq))
                     .cluster(self.cluster.clone())
@@ -921,13 +922,9 @@ impl ServeSession {
             }
             if !to_score.is_empty() {
                 let t_infer = std::time::Instant::now();
-                let _s = mcsim_obs::span("serve.batch_infer");
-                let _ts = trace.map(|t| {
-                    let s = t.span("serve.batch_infer");
-                    s.attr("templates", to_score.len());
-                    s.attr("requests", batch.len());
-                    s
-                });
+                let s = mcsim_obs::span("serve.batch_infer").traced(trace);
+                s.attr("templates", to_score.len());
+                s.attr("requests", batch.len());
                 // Every candidate of every to-be-scored template, split into
                 // contiguous runs of templates balanced by node count: one
                 // forest forward per run, in one fan-out, each on its

@@ -81,9 +81,9 @@ pub mod prelude {
     };
     pub use mcsim_obs::trace::{
         CandidateScore, Decision, Fallback, GateVerdict, PlanSelection, ProjectFilter,
-        ProjectRanking, SelectionOutcome, StageExecEvent, TraceContext, TraceSpan,
+        ProjectRanking, SelectionOutcome, StageExecEvent, TraceContext,
     };
-    pub use mcsim_obs::{InMemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};
+    pub use mcsim_obs::{InMemoryRecorder, MetricsSnapshot, Span};
     pub use mcsim_optimizer::{Knobs, NativeOptimizer, OptimizerFlags};
     pub use mcsim_plan::{Operator, PlanSignature, PlanTree};
     pub use mcsim_serve::{

@@ -9,7 +9,8 @@
 use loam::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Serializes tests that touch the process-global recorder slot.
+/// Serializes the tests in this file: each installs the process-global
+/// recorder or emits events into whichever one is installed.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny_profile() -> ProjectProfile {
@@ -74,7 +75,7 @@ fn pipeline_run_emits_span_tree_and_counters() {
         assert!(stat.is_some(), "missing span `{path}`");
         assert!(stat.unwrap().count > 0, "span `{path}` never completed");
         assert!(
-            snap.span_total_seconds(path) > 0.0,
+            stat.unwrap().total_s > 0.0,
             "span `{path}` has zero duration"
         );
     }
@@ -138,7 +139,9 @@ fn pipeline_run_emits_span_tree_and_counters() {
 #[test]
 fn traced_pipeline_captures_spans_decisions_and_the_chrome_export() {
     // Tracing is independent of the recorder slot: no install/uninstall
-    // needed, the context is an explicit handle.
+    // needed, the context is an explicit handle. The lock is still held:
+    // this run's counters would otherwise land in another test's recorder.
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = tiny_cfg();
     let prepared = prepare_project(&tiny_profile(), ProjectId(79), &cfg).unwrap();
     let predictor = train_loam(&prepared, &cfg).unwrap();
@@ -265,6 +268,74 @@ fn chaos_serving_emits_fault_retry_and_fallback_counters() {
     assert!(snap.histogram("exec.fault.wasted_cost").is_some());
 }
 
+/// The benchmark's per-layer metrics come from the recorder of a traced
+/// pass, so serving with a trace must leave the same recorder paths and
+/// counts behind as serving without one.
+#[test]
+fn tracing_leaves_recorder_paths_and_counts_alone() {
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = tiny_cfg();
+    let prepared = prepare_project(&tiny_profile(), ProjectId(83), &cfg).unwrap();
+    let predictor = train_loam(&prepared, &cfg).unwrap();
+    let evaluated = evaluate_candidates(&prepared, &cfg).unwrap();
+    let serve_cfg = ServeConfig::builder()
+        .requests(48)
+        .batch_size(8)
+        .strategy(EnvStrategy::MeanHistorical(prepared.mean_env))
+        .gate(GateConfig {
+            max_avg_ratio: 1e9,
+            max_tail_ratio: 1e9,
+            max_regression_fraction: 1.0,
+        })
+        .build()
+        .unwrap();
+    let serve = |trace: Option<&TraceContext>| {
+        let recorder = Arc::new(InMemoryRecorder::new());
+        mcsim_obs::install(recorder.clone());
+        let report = ServeSession::new(serve_cfg.clone())
+            .unwrap()
+            .run(&predictor, &evaluated, &prepared.project.catalog, trace)
+            .expect("serving terminates");
+        mcsim_obs::uninstall();
+        (report, recorder.snapshot())
+    };
+    let (report, untraced) = serve(None);
+    let ctx = TraceContext::new("serve");
+    let (traced_report, traced) = serve(Some(&ctx));
+    assert!(ctx.span_count() > 0);
+
+    let span_counts = |snap: &MetricsSnapshot| -> Vec<(String, u64)> {
+        snap.spans
+            .iter()
+            .map(|(p, s)| (p.clone(), s.count))
+            .collect()
+    };
+    assert_eq!(span_counts(&untraced), span_counts(&traced));
+    // Not `par.*`: which thread takes a fan-out's jobs depends on scheduling.
+    let layer_counters = |snap: &MetricsSnapshot| -> Vec<(&str, u64)> {
+        snap.counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("loam.") || k.starts_with("exec."))
+            .map(|(k, v)| (*k, *v))
+            .collect()
+    };
+    assert!(untraced.counter("exec.queries_executed") > 0);
+    assert_eq!(layer_counters(&untraced), layer_counters(&traced));
+    assert_eq!(report.decision_digest(), traced_report.decision_digest());
+
+    let requests = untraced.span("serve.request").expect("serve.request").count;
+    assert_eq!(requests as usize, report.admitted);
+    let batches = untraced
+        .span("serve.batch_infer")
+        .expect("serve.batch_infer")
+        .count;
+    assert!(
+        (1..=report.batches as u64).contains(&batches),
+        "{batches} scored batches of {}",
+        report.batches
+    );
+}
+
 /// The per-event shape of the Chrome export (see
 /// `crates/obs/tests/trace_roundtrip.rs` for the full round-trip suite).
 #[derive(Debug, serde::Deserialize)]
@@ -309,6 +380,8 @@ fn assert_properly_nested(mut spans: Vec<(u64, u64)>) {
 fn chrome_export_stays_well_nested_when_stages_are_killed_mid_flight() {
     // Execute under heavy stage kills with tracing on: the export must keep
     // the killed attempts and their retries from interleaving on any track.
+    // Locked like the test above, for the same reason.
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = tiny_cfg();
     let prepared = prepare_project(&tiny_profile(), ProjectId(82), &cfg).unwrap();
     let mut exec = ChaosScenario::new(0xdead_0f10)
